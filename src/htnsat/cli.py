@@ -168,22 +168,27 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
     if root_fid is None:
         raise PlanFormatError("plan lacks a root line")
     tree = new_tree()
-
-    def build(nid: int, depth: int) -> int:
+    # depth-first in file order; each entry is (file id, depth, the method
+    # node whose children the new node joins, or None for the root)
+    stack: list[tuple[int, int, int | None]] = [(root_fid, 0, None)]
+    while stack:
+        nid, depth, parent = stack.pop()
         if depth > len(act_lines) + len(decomp) + 1:
             raise PlanFormatError("decomposition lines form a cycle")
         if nid in act_lines:
-            return tree.add(ACTION, act_lines[nid])
-        if nid not in decomp:
+            out = tree.add(ACTION, act_lines[nid])
+        elif nid not in decomp:
             raise PlanFormatError(f"undefined node id {nid}")
-        tid, mid, kids = decomp[nid]
-        out = tree.add(ABSTRACT, tid)
-        mnode = tree.add(METHOD, mid)
-        tree.nodes[out].children = [mnode]
-        tree.nodes[mnode].children = [build(k, depth + 1) for k in kids]
-        return out
-
-    tree.root = build(root_fid, 0)
+        else:
+            tid, mid, kids = decomp[nid]
+            out = tree.add(ABSTRACT, tid)
+            mnode = tree.add(METHOD, mid)
+            tree.nodes[out].children = [mnode]
+            stack.extend((k, depth + 1, mnode) for k in reversed(kids))
+        if parent is None:
+            tree.root = out
+        else:
+            tree.nodes[parent].children.append(out)
     listed = [act_lines[i] for i in sorted(act_lines)]
     if tree.plan() != listed:
         raise PlanFormatError("numbered action lines disagree with the "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .encoder import Encoder
 from .inference import compute_profiles
-from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Problem
+from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem
 from .pdt import Pdt
 from .sat import AmoConfig, SolverTimeout, dump_dimacs
 
@@ -168,46 +168,60 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
         out.append("root node is not the initial task")
 
     seen: set[int] = set()
-
-    def walk(nid: int) -> None:
+    # depth-first; an entry (nid, method, slot) first checks nid against
+    # that slot of the method (None for the root). Siblings wait on the
+    # stack, so each subtree is reported before the next slot.
+    stack: list[tuple[int, Method | None, int]] = [(tree.root, None, 0)]
+    while stack:
+        nid, parent, slot = stack.pop()
+        if parent is not None:
+            ref = parent.subtasks[slot]
+            if not 0 <= nid < len(tree.nodes):
+                out.append(f"child index {nid} out of range")
+                continue
+            child = tree.nodes[nid]
+            kind = ACTION if ref.is_action() else ABSTRACT
+            if child.kind != kind or child.ref != ref.id:
+                out.append(f"method {parent.name} child mismatch at slot {slot}")
+                continue
         if nid in seen:
             out.append(f"node {nid} appears twice")
-            return
+            continue
         seen.add(nid)
         if not 0 <= nid < len(tree.nodes):
             out.append(f"child index {nid} out of range")
-            return
+            continue
         node = tree.nodes[nid]
         if node.kind == ACTION:
             if node.children:
                 out.append(f"action node {nid} has children")
-            return
+            continue
         if node.kind == METHOD:
             out.append(f"method node {nid} reached outside an abstract node")
-            return
+            continue
         if node.kind != ABSTRACT:
             out.append(f"node {nid} has unknown kind {node.kind!r}")
-            return
+            continue
         if not node.children:
             out.append(f"abstract node {nid} ({p.abstracts[node.ref].name}) "
                        "is undeveloped")
-            return
+            continue
         if len(node.children) != 1:
             out.append(f"abstract node {nid} has {len(node.children)} "
                        "method children")
-            return
+            continue
         mid = node.children[0]
         if not 0 <= mid < len(tree.nodes):
             out.append(f"method index {mid} out of range")
-            return
+            continue
         if mid in seen:
             out.append(f"node {mid} appears twice")
-            return
+            continue
         seen.add(mid)
         m = tree.nodes[mid]
         if m.kind != METHOD:
             out.append(f"abstract node {nid} refines into a {m.kind} node")
-            return
+            continue
         method = p.methods[m.ref]
         if method.task != node.ref:
             out.append(f"method {method.name} does not refine task "
@@ -215,19 +229,10 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
         if len(m.children) != len(method.subtasks):
             out.append(f"method {method.name} has {len(m.children)} children, "
                        f"expected {len(method.subtasks)}")
-            return
-        for slot, (ref, kid) in enumerate(zip(method.subtasks, m.children)):
-            if not 0 <= kid < len(tree.nodes):
-                out.append(f"child index {kid} out of range")
-                continue
-            child = tree.nodes[kid]
-            kind = ACTION if ref.is_action() else ABSTRACT
-            if child.kind != kind or child.ref != ref.id:
-                out.append(f"method {method.name} child mismatch at slot {slot}")
-                continue
-            walk(kid)
+            continue
+        stack.extend((kid, method, slot)
+                     for slot, kid in reversed(list(enumerate(m.children))))
 
-    walk(tree.root)
     if out:
         return out
     state = p.init

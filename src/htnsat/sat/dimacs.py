@@ -5,8 +5,8 @@ from .solver import SatSession
 
 
 def dump_dimacs(sess: SatSession) -> str:
-    lines = [f"p cnf {sess.num_vars} {len(sess.store)}"]
-    for clause in sess.store:
+    lines = [f"p cnf {sess.num_vars} {sess.num_clauses}"]
+    for clause in sess.clauses():
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 

@@ -12,12 +12,21 @@ end up as ordinary literals inside learnt clauses), so they stay valid
 across solve() calls. Everything is deterministic: ties in the activity
 order break toward the lowest variable index and no randomness is used,
 so identical call histories replay identically for any seed.
+
+Clauses are only ever added at decision level 0: every exit from
+solve(), a timeout included, cancels the trail back to level 0 first.
+So add_clause attaches a clause without touching the search state, and
+the common case, a binary clause over two unassigned variables, is two
+list appends. For export, each clause is kept as added (duplicates
+merged, tautologies included) in one flat ``array('i')`` of
+0-terminated literals rather than as a list of its own.
 """
 from __future__ import annotations
 
 import time
-from heapq import heappush, heappop
-from typing import Iterable, Optional, Sequence
+from array import array
+from heapq import heapify, heappush, heappop
+from typing import Iterable, Iterator, Optional, Sequence
 
 _VAR_DECAY = 0.95
 _RESCALE_AT = 1e100
@@ -56,9 +65,11 @@ class SatSession:
         self.reason: list[Optional[list[int]]] = [None]
         self.saved: list[bool] = [False]  # phase saving
         self.act: list[float] = [0.0]
+        self.marks: list[bool] = [False]  # _analyze seen flags, cleared after use
         self.var_inc = 1.0
         self.watches: dict[int, list[list[int]]] = {}
-        self.store: list[list[int]] = []  # problem clauses as added (for export)
+        self.store = array("i")  # problem clauses as added, each 0-terminated
+        self.n_clauses = 0
         self.n_learnt = 0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -80,6 +91,7 @@ class SatSession:
         self.reason.append(None)
         self.saved.append(False)
         self.act.append(0.0)
+        self.marks.append(False)
         self.watches[self.nvars] = []
         self.watches[-self.nvars] = []
         return self.nvars
@@ -95,28 +107,64 @@ class SatSession:
         Duplicate literals are merged, tautologies accepted and dropped,
         the empty clause marks the store permanently UNSAT.
         """
-        seen: dict[int, int] = {}
-        clause: list[int] = []
+        nvars = self.nvars
+        store = self.store
+        if type(lits) is list and len(lits) == 2:
+            a, b = lits
+            va, vb = abs(a), abs(b)
+            if not 0 < va <= nvars:
+                raise SolverUsageError(f"literal {a} uses unallocated variable")
+            if not 0 < vb <= nvars:
+                raise SolverUsageError(f"literal {b} uses unallocated variable")
+            if a == -b:  # tautology: exported, never watched
+                store.fromlist(lits)
+                store.append(0)
+                self.n_clauses += 1
+                return
+            assign = self.assign
+            if a != b and not (assign[va] or assign[vb] or self.trail_lim):
+                # both free: watch both, lower variable first
+                store.fromlist(lits)
+                store.append(0)
+                self.n_clauses += 1
+                clause = [a, b] if va < vb else [b, a]
+                self.watches[a].append(clause)
+                self.watches[b].append(clause)
+                return
+        # general path, also for binaries over assigned variables
+        seen: set[int] = set()
+        clause = []
         taut = False
         for lit in lits:
-            v = abs(lit)
-            if not 0 < v <= self.nvars:
+            if not 0 < abs(lit) <= nvars:
                 raise SolverUsageError(f"literal {lit} uses unallocated variable")
-            if -lit in seen:
-                taut = True
             if lit not in seen:
-                seen[lit] = 1
+                if -lit in seen:
+                    taut = True
+                seen.add(lit)
                 clause.append(lit)
-        self.store.append(list(clause))
+        store.fromlist(clause)
+        store.append(0)
+        self.n_clauses += 1
         if taut:
             return
         if not clause:
             self.hard_unsat = True
             return
-        self._cancel_to(0)
-        # keep non-false literals in watch slots; detect forced/false clauses
+        if self.trail_lim:
+            self._cancel_to(0)
+        # non-false literals first, each part in variable order, so the
+        # watch slots hold non-false literals where there are any
+        assign = self.assign
+        free: list[int] = []
+        false: list[int] = []
         clause.sort(key=abs)
-        free = [l for l in clause if self.value(l) >= 0]
+        for lit in clause:
+            v = assign[abs(lit)]
+            if (v if lit > 0 else -v) < 0:
+                false.append(lit)
+            else:
+                free.append(lit)
         if not free:
             self.hard_unsat = True
             return
@@ -125,10 +173,9 @@ class SatSession:
                 self._enqueue(free[0], None)
             if len(clause) == 1:
                 return  # plain unit, nothing to watch
-        clause.sort(key=lambda l: (self.value(l) < 0, abs(l)))
+        clause = free + false
         self.watches[clause[0]].append(clause)
-        if len(clause) > 1:
-            self.watches[clause[1]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # -- trail management ---------------------------------------------------
 
@@ -212,7 +259,7 @@ class SatSession:
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learning. Returns (learnt clause, backjump level)."""
         learnt: list[int] = []
-        seen = [False] * (self.nvars + 1)
+        seen = self.marks
         counter = 0
         p = 0  # implied literal whose reason is being resolved (0 on first round)
         idx = len(self.trail) - 1
@@ -240,6 +287,8 @@ class SatSession:
                 break
             confl = self.reason[v]  # type: ignore[assignment]
         learnt.insert(0, -p)
+        for q in learnt:  # the tail is all that is still marked
+            seen[abs(q)] = False
         if len(learnt) == 1:
             return learnt, 0
         # place the highest-level tail literal second for watching
@@ -287,10 +336,10 @@ class SatSession:
         if self._propagate() is not None:
             self.hard_unsat = True
             return None
-        self.order = []
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0:
-                heappush(self.order, (-self.act[v], v))
+        act, assign = self.act, self.assign
+        self.order = [(-act[v], v) for v in range(1, self.nvars + 1)
+                      if assign[v] == 0]
+        heapify(self.order)
 
         restart_n = 0
         limit = _RESTART_BASE * luby(1)
@@ -355,12 +404,22 @@ class SatSession:
 
     @property
     def num_clauses(self) -> int:
-        return len(self.store)
+        return self.n_clauses
+
+    def clauses(self) -> Iterator[list[int]]:
+        """The problem clauses in the order added, duplicates merged."""
+        clause: list[int] = []
+        for lit in self.store:
+            if lit:
+                clause.append(lit)
+            else:
+                yield clause
+                clause = []
 
     def stats(self) -> dict:
         return {
             "vars": self.nvars,
-            "clauses": len(self.store),
+            "clauses": self.n_clauses,
             "learnt": self.n_learnt,
             "conflicts": self.conflicts,
             "decisions": self.decisions,

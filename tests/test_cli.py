@@ -252,6 +252,30 @@ class TestValidateOnly:
         assert main([fixture("taxi"), "--validate-only", str(dest)]) == 1
         assert "inapplicable" in capsys.readouterr().out
 
+    def test_accepts_deep_right_recursive_plan(self, tmp_path, capsys):
+        # "loop -> tick loop" nested 10k deep: far past Python's recursion
+        # limit, so parsing and checking the tree must not recurse.
+        depth = 10_000
+        source = tmp_path / "deep.ground"
+        source.write_text(
+            "problem deep\nfact ready\nfact done\n"
+            "action tick pre ready\naction finish pre ready add done\n"
+            "task loop\nmethod more loop -> tick loop\n"
+            "method stop loop -> finish\n"
+            "init ready\ngoal done\nroot loop\n")
+        lines = ["==>"]
+        lines += [f"{i} (tick)" for i in range(depth)]
+        lines.append(f"{depth} (finish)")
+        lines.append(f"root {depth + 1}")
+        lines += [f"{depth + 1 + i} loop -> more {i} {depth + 2 + i}"
+                  for i in range(depth)]
+        lines.append(f"{2 * depth + 1} loop -> stop {depth}")
+        lines.append("<==")
+        dest = tmp_path / "deep.plan"
+        dest.write_text("\n".join(lines) + "\n")
+        assert main([str(source), "--validate-only", str(dest)]) == 0
+        assert "plan valid" in capsys.readouterr().out
+
     def test_missing_plan_file_exits_three(self, capsys):
         assert main([fixture("taxi"), "--validate-only", "gone.plan"]) == 3
         assert "error:" in capsys.readouterr().err

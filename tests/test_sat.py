@@ -17,6 +17,7 @@ from htnsat.sat import (
     SolverUsageError,
     dump_dimacs,
     encode_amo,
+    load_into_session,
     luby,
     parse_dimacs,
 )
@@ -155,6 +156,94 @@ def test_random_agreement_property(data):
     assert (model is not None) == truth_table_sat(n, clauses)
     if model is not None:
         check_model(clauses, model)
+
+
+# -- clause ingestion ---------------------------------------------------------
+
+
+def _lit(n):
+    return st.integers(min_value=1, max_value=n).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+
+
+def _ingestion_clause(n):
+    lit = _lit(n)
+    return st.one_of(
+        st.lists(lit, min_size=2, max_size=2),  # binary, maybe duplicate or tautology
+        st.lists(lit, min_size=1, max_size=1),  # unit
+        lit.map(lambda l: [l, l]),  # duplicate literal
+        lit.map(lambda l: [l, -l]),  # tautology
+        st.lists(lit, min_size=3, max_size=4),
+        st.lists(lit, min_size=2, max_size=4).map(tuple),  # not a list
+        st.just([]),
+        st.just([n + 1, 1]),  # unallocated variable, rejected
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ingestion_matches_brute_force(data):
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    s = SatSession()
+    for _ in range(n):
+        s.new_var()
+    accepted: list[list[int]] = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        if data.draw(st.integers(min_value=0, max_value=3)) == 0:
+            assumptions = data.draw(st.lists(_lit(n), max_size=3))
+            model = s.solve(assumptions)
+            units = [[a] for a in assumptions]
+            assert (model is not None) == truth_table_sat(n, accepted + units)
+            if model is not None:
+                check_model(accepted + units, model)
+            continue
+        clause = data.draw(_ingestion_clause(n))
+        try:
+            s.add_clause(clause)
+        except SolverUsageError:
+            assert any(abs(l) > n for l in clause)
+        else:
+            accepted.append(list(clause))
+        assert s.num_clauses == len(accepted)
+    model = s.solve()
+    assert (model is not None) == truth_table_sat(n, accepted)
+
+
+@pytest.mark.parametrize("clause", [[3, 4], [4, 3], [-4, -3], [1, 4],
+                                    [1, 2, 4], [4], (3, 4), [4, 4]])
+def test_unallocated_literal_leaves_store_unchanged(clause):
+    # var 1 is fixed when the clause comes, vars 2 and 3 are free
+    s = SatSession()
+    for _ in range(3):
+        s.new_var()
+    s.add_clause([1, 2])
+    s.add_clause([-1])
+    before = dump_dimacs(s)
+    with pytest.raises(SolverUsageError, match="4 uses unallocated"):
+        s.add_clause(clause)
+    assert s.num_clauses == 2
+    assert dump_dimacs(s) == before
+    m = s.solve()
+    assert m is not None and not m[1] and m[2]
+
+
+def test_dimacs_round_trip_keeps_clauses_as_added():
+    s = SatSession()
+    for _ in range(3):
+        s.new_var()
+    s.add_clause([1, -1])  # tautologies: exported, never watched
+    s.add_clause((2, 1, -2))
+    assert not any(s.watches.values())
+    s.add_clause([-2, 3, -2])  # duplicate merged, first-seen order kept
+    s.add_clause([3])
+    s.add_clause([2, -1])
+    text = dump_dimacs(s)
+    assert text == "p cnf 3 5\n1 -1 0\n2 1 -2 0\n-2 3 0\n3 0\n2 -1 0\n"
+    nvars, clauses = parse_dimacs(text)
+    assert (nvars, clauses) == (3, [[1, -1], [2, 1, -2], [-2, 3], [3], [2, -1]])
+    t = SatSession()
+    load_into_session(text, t)
+    assert t.num_clauses == 5 and dump_dimacs(t) == text
 
 
 def test_determinism_identical_history():
