@@ -28,7 +28,8 @@ from .hddl import (
     parse_ground,
 )
 from .inference import compute_profiles, dump_profiles
-from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, new_tree
+from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
+                    join_name, new_tree, split_name)
 from .planner import BFS, GREEDY, PlannerConfig, plan, verify
 from .sat.amo import SCHEMES
 
@@ -78,19 +79,6 @@ class ScoreRow:
 # -- plan files ---------------------------------------------------------------
 
 
-def _pieces(name: str) -> list[str]:
-    """'walk(p,s1)' -> ['walk', 'p', 's1']; plain names pass through."""
-    if name.endswith(")") and "(" in name:
-        head, inner = name[:-1].split("(", 1)
-        return [head] + (inner.split(",") if inner else [])
-    return [name]
-
-
-def _joined(tokens: list[str]) -> str:
-    return tokens[0] if len(tokens) == 1 else \
-        f"{tokens[0]}({','.join(tokens[1:])})"
-
-
 def write_plan(problem: Problem, tree: DecompositionTree) -> str:
     acts: list[int] = []
     absts: list[int] = []
@@ -108,8 +96,8 @@ def write_plan(problem: Problem, tree: DecompositionTree) -> str:
     fid.update({nid: len(acts) + j for j, nid in enumerate(absts)})
     lines = ["==>"]
     for i, nid in enumerate(acts):
-        name = problem.actions[tree.nodes[nid].ref].name
-        lines.append(f"{i} ({' '.join(_pieces(name))})")
+        head, args = split_name(problem.actions[tree.nodes[nid].ref].name)
+        lines.append(f"{i} ({' '.join((head, *args))})")
     lines.append(f"root {fid[tree.root]}")
     for nid in absts:
         node = tree.nodes[nid]
@@ -143,7 +131,8 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
             inner = ln.split("(", 1)[1].rstrip()
             if not inner.endswith(")") or not inner[:-1].split():
                 raise PlanFormatError(f"bad action line: {ln}")
-            name = _joined(inner[:-1].split())
+            head, *args = inner[:-1].split()
+            name = join_name(head, args)
             if name not in act_by_name:
                 raise PlanFormatError(f"unknown action {name}")
             if nid in act_lines or nid in decomp:
@@ -249,7 +238,6 @@ def _solver_parser() -> _Parser:
     pr.add_argument("--mandpre-prune", choices=("on", "off"), default="on",
                     help="assert inferred preconditions of unexpanded tasks")
     pr.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="instantiation budget for lifted input")
     pr.add_argument("--plan", metavar="PATH", help="write the plan file here")
@@ -279,8 +267,8 @@ def _run_solve(argv: list[str]) -> int:
         amo_scheme=ns.amo,
         use_mutex=not ns.no_mutex,
         mandatory_preconds=ns.mandpre_prune == "on",
-        timeout=ns.timeout,
-        seed=ns.seed,
+        # the budget covers grounding, so the search gets what is left
+        timeout=ns.timeout - (time.monotonic() - t0),
         dump_cnf=ns.dump_cnf,
     )
     res = plan(problem, cfg)
@@ -333,7 +321,6 @@ def _bench_parser() -> _Parser:
     pr.add_argument("--out", metavar="CSV", required=True)
     pr.add_argument("--timeout", type=float, default=None,
                     help="override the manifest's time limit")
-    pr.add_argument("--seed", type=int, default=0)
     return pr
 
 
@@ -363,12 +350,18 @@ def _run_bench(argv: list[str]) -> int:
         else:
             raise UsageError(f"instance {name}: give 'ground' or "
                              f"'domain'+'problem'")
+        modes = inst.get("modes", default_modes)
         runs = []
-        for mode in inst.get("modes", default_modes):
+        for mode in modes:
             t0 = time.monotonic()
-            problem = load_problem(inputs)
-            res = plan(problem, PlannerConfig(mode=mode, timeout=limit,
-                                              seed=ns.seed))
+            try:
+                problem = load_problem(inputs)
+            except UsageError as e:
+                # one unreadable instance scores zero instead of ending the run
+                print(f"error: instance {name}: {e}", file=sys.stderr)
+                runs = [(m, False, 0.0, 0) for m in modes]
+                break
+            res = plan(problem, PlannerConfig(mode=mode, timeout=limit))
             t = time.monotonic() - t0
             solved = res.status == "solved"
             runs.append((mode, solved, t,

@@ -42,7 +42,6 @@ class DtCandidate:
 
     tree: DecompositionTree
     frontier: list[TaskRef]
-    relaxed: bool
     plan: list[int] | None = None
     targets: list[Position] = field(default_factory=list)
 
@@ -56,7 +55,6 @@ class Encoder:
         amo: AmoConfig = AmoConfig(),
         use_mutex: bool = True,
         mandatory_preconds: bool = True,
-        seed: int = 0,
     ):
         self.p = problem
         self.prof = profiles
@@ -64,7 +62,7 @@ class Encoder:
         self.amo = amo
         self.use_mutex = use_mutex
         self.mandatory_preconds = mandatory_preconds
-        self.sess = SatSession(seed=seed)
+        self.sess = SatSession()
         self.opvar: dict[tuple, int] = {}
         self.blankvar: dict[tuple[int, ...], int] = {}
         self.mvar: dict[tuple[tuple[int, ...], int], int] = {}
@@ -117,11 +115,13 @@ class Encoder:
             sess.add_clause([post[f]])
 
     def _encode_layer(self, idx: int) -> None:
+        sites = []
         for parent in self.pdt.layers[idx - 1]:
             kids = parent.children
             if kids and kids[0].copy_of is not None:
                 self.cols[kids[0].path] = self.cols[parent.path]
                 continue
+            sites.append(parent)
             ppre, ppost = self.cols[parent.path]
             bound = ppre
             for i, q in enumerate(kids):
@@ -130,8 +130,8 @@ class Encoder:
                 bound = nxt
             for q in kids:
                 self._encode_position(q)
-        for path in self.pdt.history[idx - 1]:
-            self._encode_linkage(self.pdt.find(path))
+        for site in sites:
+            self._encode_linkage(site)
 
     def _next_column(self, prev: list[int], pos: Position) -> list[int]:
         change = self._change_mask(pos)
@@ -288,34 +288,40 @@ class Encoder:
     def _decode(self, model: list[bool], relaxed: bool) -> DtCandidate:
         dt = new_tree()
         targets: list[Position] = []
-
-        def walk(pos: Position) -> int:
+        # depth-first in slot order; each entry is (position, the method
+        # node whose children the new node joins, or None for the root)
+        stack: list[tuple[Position, int | None]] = [(self.pdt.root, None)]
+        while stack:
+            pos, parent = stack.pop()
             h = pos.holder()
             ref = self._selected(model, pos)
             if ref is None:
                 raise EncoderBugError(f"blank selected at tree position {h.path}")
             if ref.is_action():
-                return dt.add(ACTION, ref.id)
-            node = dt.add(ABSTRACT, ref.id)
-            if h.admitted is None:
-                if not relaxed:
-                    raise EncoderBugError(
-                        f"unexpanded task in a strict answer at {h.path}")
-                targets.append(self.pdt.bottom_of(h))
-                return node
-            chosen = [m for m in h.admitted[ref.id]
-                      if model[self.mvar[(h.site.path, m)]]]
-            if len(chosen) != 1:
-                raise EncoderBugError(
-                    f"{len(chosen)} methods selected for task at {h.path}")
-            mnode = dt.add(METHOD, chosen[0])
-            dt.nodes[node].children.append(mnode)
-            for i in range(len(self.p.methods[chosen[0]].subtasks)):
-                dt.nodes[mnode].children.append(walk(h.site.children[i]))
-            return node
-
-        dt.root = walk(self.pdt.root)
+                node = dt.add(ACTION, ref.id)
+            else:
+                node = dt.add(ABSTRACT, ref.id)
+                if h.admitted is None:
+                    if not relaxed:
+                        raise EncoderBugError(
+                            f"unexpanded task in a strict answer at {h.path}")
+                    targets.append(self.pdt.bottom_of(h))
+                else:
+                    chosen = [m for m in h.admitted[ref.id]
+                              if model[self.mvar[(h.site.path, m)]]]
+                    if len(chosen) != 1:
+                        raise EncoderBugError(
+                            f"{len(chosen)} methods selected for task at {h.path}")
+                    mnode = dt.add(METHOD, chosen[0])
+                    dt.nodes[node].children.append(mnode)
+                    width = len(self.p.methods[chosen[0]].subtasks)
+                    stack.extend((h.site.children[i], mnode)
+                                 for i in reversed(range(width)))
+            if parent is None:
+                dt.root = node
+            else:
+                dt.nodes[parent].children.append(node)
         frontier = dt.leaf_refs()
         plan = None if relaxed else [r.id for r in frontier]
-        return DtCandidate(tree=dt, frontier=frontier, relaxed=relaxed,
-                           plan=plan, targets=targets)
+        return DtCandidate(tree=dt, frontier=frontier, plan=plan,
+                           targets=targets)

@@ -26,6 +26,7 @@ from ..model import (
     Method,
     Problem,
     TaskRef,
+    join_name,
 )
 from .parser import LiftedDomain, LiftedProblem
 
@@ -34,10 +35,6 @@ DEFAULT_CAP = 200_000
 
 class GroundingError(ValueError):
     """Instantiation cannot proceed; the message says why."""
-
-
-def _ground_name(name: str, args) -> str:
-    return name if not args else f"{name}({','.join(args)})"
 
 
 class _Types:
@@ -163,7 +160,7 @@ class _Grounder:
                 raise GroundingError(f"unknown object {o}")
             if not self.types.isa(o, ty):
                 return None
-        return _ground_name(pred, objs)
+        return join_name(pred, objs)
 
     def _compile_precond(self, literals, binding):
         """Fact-name set, or None when the instance is ruled out."""
@@ -177,7 +174,7 @@ class _Grounder:
             fact = self._fact(name, objs)
             if fact is None:
                 return None
-            out.add(fact if positive else _ground_name(f"not-{name}", objs))
+            out.add(fact if positive else join_name(f"not-{name}", objs))
         return out
 
     # -- instance enumeration -----------------------------------------------
@@ -200,25 +197,25 @@ class _Grounder:
                 if self._fact(name, objs) is None:
                     return None
                 bucket.append((name, objs))
-        add = {_ground_name(n, o) for n, o in pos}
-        dele = {_ground_name(n, o) for n, o in neg} - add
+        add = {join_name(n, o) for n, o in pos}
+        dele = {join_name(n, o) for n, o in neg} - add
         for n, o in pos:
             if n in self.neg_preds:
-                dele.add(_ground_name(f"not-{n}", o))
+                dele.add(join_name(f"not-{n}", o))
         for n, o in neg:
-            if _ground_name(n, o) in add:
+            if join_name(n, o) in add:
                 continue  # add wins over delete of the same fact
             if n in self.neg_preds:
-                add.add(_ground_name(f"not-{n}", o))
+                add.add(join_name(f"not-{n}", o))
         args = tuple(binding[v] for v, _ in lifted.params)
-        return _GAction(_ground_name(lifted.name, args), precond,
+        return _GAction(join_name(lifted.name, args), precond,
                         add, dele - add)
 
     def _instantiate_tasks(self) -> None:
         for lifted in self.dom.tasks:
             for binding in _bindings(lifted.params, self.types, self.budget):
                 args = tuple(binding[v] for v, _ in lifted.params)
-                self.gtasks.add(_ground_name(lifted.name, args))
+                self.gtasks.add(join_name(lifted.name, args))
 
     def _instantiate_methods(self) -> None:
         for lifted in self.dom.methods:
@@ -229,12 +226,12 @@ class _Grounder:
         guard_pre = self._compile_precond(lifted.precond, binding)
         if guard_pre is None:
             return
-        tinst = _ground_name(lifted.task[0], _subst(lifted.task[1], binding))
+        tinst = join_name(lifted.task[0], _subst(lifted.task[1], binding))
         if tinst not in self.gtasks:
             return
         subs: list[tuple[str, str]] = []
         for sname, sargs in lifted.subtasks:
-            sinst = _ground_name(sname, _subst(sargs, binding))
+            sinst = join_name(sname, _subst(sargs, binding))
             if sname in self.task_sig:
                 if sinst not in self.gtasks:
                     return
@@ -244,7 +241,7 @@ class _Grounder:
                     return  # that action instance was ruled out
                 subs.append((ACTION, sinst))
         args = tuple(binding[v] for v, _ in lifted.params)
-        mname = _ground_name(lifted.name, args)
+        mname = join_name(lifted.name, args)
         if guard_pre:
             gname = f"guard-{mname}"
             if gname in self.gactions:
@@ -264,7 +261,7 @@ class _Grounder:
             fact = self._fact(name, objs)
             if fact is None:
                 raise GroundingError(
-                    f"init atom {_ground_name(name, objs)} violates the "
+                    f"init atom {join_name(name, objs)} violates the "
                     f"predicate's parameter types")
             init_pos.setdefault(name, set()).add(objs)
             facts.add(fact)
@@ -274,7 +271,7 @@ class _Grounder:
             for combo in product(*pools):
                 self.budget.spend()
                 if combo not in init_pos.get(pred, set()):
-                    facts.add(_ground_name(f"not-{pred}", combo))
+                    facts.add(join_name(f"not-{pred}", combo))
         return facts
 
     def _goal_facts(self) -> set[str]:
@@ -284,7 +281,7 @@ class _Grounder:
             fact = self._fact(name, objs)
             if fact is None:
                 raise GroundingError(
-                    f"goal atom {_ground_name(name, objs)} violates the "
+                    f"goal atom {join_name(name, objs)} violates the "
                     f"predicate's parameter types")
             facts.add(fact)
         return facts
@@ -292,7 +289,7 @@ class _Grounder:
     def _root(self) -> str:
         refs: list[tuple[str, str]] = []
         for name, args in self.prob.top_tasks:
-            inst = _ground_name(name, _subst(args, {}))
+            inst = join_name(name, _subst(args, {}))
             if name in self.task_sig:
                 if inst not in self.gtasks:
                     raise GroundingError(f"initial task {inst} is not a "

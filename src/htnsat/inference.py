@@ -10,9 +10,9 @@ like one object in two places).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import Problem, TaskRef
+from .model import Problem, mask, split_name
 
 
 @dataclass
@@ -27,7 +27,6 @@ class TaskProfile:
     mand_pre: frozenset[int]
     poss_eff_pos: frozenset[int]
     poss_eff_neg: frozenset[int]
-    mand_mask: int = 0
     pos_mask: int = 0
     neg_mask: int = 0
 
@@ -39,25 +38,6 @@ class Profiles:
     tasks: list[TaskProfile]
     mutex_groups: list[list[int]]
     recursion: RecursionInfo
-    group_masks: list[int] = field(default_factory=list)
-
-    # Uniform views over task references; actions answer from their
-    # literal definition, abstract tasks from their profile.
-
-    def pre_mask(self, p: Problem, ref: TaskRef) -> int:
-        if ref.is_action():
-            return p.actions[ref.id].pre_mask
-        return self.tasks[ref.id].mand_mask
-
-    def add_mask(self, p: Problem, ref: TaskRef) -> int:
-        if ref.is_action():
-            return p.actions[ref.id].add_mask
-        return self.tasks[ref.id].pos_mask
-
-    def del_mask(self, p: Problem, ref: TaskRef) -> int:
-        if ref.is_action():
-            return p.actions[ref.id].del_mask
-        return self.tasks[ref.id].neg_mask
 
 
 def compute_recursion(p: Problem) -> RecursionInfo:
@@ -213,7 +193,7 @@ def compute_mutex_groups(p: Problem) -> list[list[int]]:
     """
     seeds: dict[tuple, list[int]] = {}
     for f in p.facts:
-        head, args = _fact_schema(f.name)
+        head, args = split_name(f.name)
         for i in range(len(args)):
             key = (head, i, args[:i], args[i + 1:])
             seeds.setdefault(key, []).append(f.id)
@@ -237,7 +217,7 @@ def compute_mutex_groups(p: Problem) -> list[list[int]]:
 
 
 def _inductive(p: Problem, group: frozenset[int]) -> bool:
-    if (p.init & _mask(group)).bit_count() > 1:
+    if (p.init & mask(group)).bit_count() > 1:
         return False
     for a in p.actions:
         adds = a.eff_pos & group
@@ -261,11 +241,10 @@ def compute_profiles(p: Problem) -> Profiles:
     pos, neg = compute_poss_effects(p, rec)
     mand = compute_mandatory_preconditions(p, rec)
     tasks = [TaskProfile(t.id, mand[t.id], pos[t.id], neg[t.id],
-                         _mask(mand[t.id]), _mask(pos[t.id]), _mask(neg[t.id]))
+                         mask(pos[t.id]), mask(neg[t.id]))
              for t in p.abstracts]
-    groups = compute_mutex_groups(p)
-    return Profiles(tasks=tasks, mutex_groups=groups, recursion=rec,
-                    group_masks=[_mask(g) for g in groups])
+    return Profiles(tasks=tasks, mutex_groups=compute_mutex_groups(p),
+                    recursion=rec)
 
 
 def dump_profiles(p: Problem, prof: Profiles) -> str:
@@ -281,26 +260,12 @@ def dump_profiles(p: Problem, prof: Profiles) -> str:
     return "\n".join(out) + "\n"
 
 
-def _fact_schema(name: str) -> tuple[str, tuple[str, ...]]:
-    if name.endswith(")") and "(" in name:
-        head, rest = name[:-1].split("(", 1)
-        return head, tuple(rest.split(","))
-    return name, ()
-
-
-def _mask(fids) -> int:
-    m = 0
-    for fid in fids:
-        m |= 1 << fid
-    return m
-
-
-def _facts(mask: int) -> frozenset[int]:
+def _facts(bits: int) -> frozenset[int]:
     out = []
     i = 0
-    while mask:
-        if mask & 1:
+    while bits:
+        if bits & 1:
             out.append(i)
-        mask >>= 1
+        bits >>= 1
         i += 1
     return frozenset(out)

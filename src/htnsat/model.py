@@ -8,7 +8,7 @@ over fact ids so that applying an action is two bitwise ops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 ACTION = "action"
 ABSTRACT = "abstract"
@@ -92,9 +92,9 @@ class Problem:
             if a.eff_pos & a.eff_neg:
                 # add-after-delete convention: adds win, deletes drop the overlap
                 a.eff_neg = a.eff_neg - a.eff_pos
-            a.pre_mask = _mask(a.precond)
-            a.add_mask = _mask(a.eff_pos)
-            a.del_mask = _mask(a.eff_neg)
+            a.pre_mask = mask(a.precond)
+            a.add_mask = mask(a.eff_pos)
+            a.del_mask = mask(a.eff_neg)
         for i, t in enumerate(self.abstracts):
             if t.id != i:
                 raise ModelError(f"abstract id {t.id} out of order")
@@ -114,7 +114,7 @@ class Problem:
         for fid in self.goal:
             if not 0 <= fid < nf:
                 raise ModelError(f"bad goal fact id {fid}")
-        self.goal_mask = _mask(self.goal)
+        self.goal_mask = mask(self.goal)
         return self
 
     def _check_ref(self, ref: TaskRef, where: str) -> None:
@@ -150,21 +150,31 @@ class Problem:
                 return f.id
         raise ModelError(f"unknown fact {name!r}")
 
-    def state_from(self, names: Iterable[str]) -> int:
-        return _mask(self.fact_id(n) for n in names)
-
-    def state_facts(self, state: int) -> list[str]:
-        return [f.name for f in self.facts if state >> f.id & 1]
-
     def ref_name(self, ref: TaskRef) -> str:
         return (self.actions[ref.id] if ref.is_action() else self.abstracts[ref.id]).name
 
 
-def _mask(fids: Iterable[int]) -> int:
+def mask(fids: Iterable[int]) -> int:
+    """Bitmask with the bit of every given fact id set."""
     m = 0
     for fid in fids:
         m |= 1 << fid
     return m
+
+
+def join_name(head: str, args: Sequence[str]) -> str:
+    """('walk', ['p', 's1']) -> 'walk(p,s1)'; no arguments give the bare head."""
+    return f"{head}({','.join(args)})" if args else head
+
+
+def split_name(name: str) -> tuple[str, tuple[str, ...]]:
+    """Inverse of join_name: 'walk(p,s1)' -> ('walk', ('p', 's1')).
+    A name without a trailing argument list, or with an empty one, has no
+    arguments."""
+    if name.endswith(")") and "(" in name:
+        head, inner = name[:-1].split("(", 1)
+        return head, tuple(inner.split(",")) if inner else ()
+    return name, ()
 
 
 # -- decomposition trees ----------------------------------------------------

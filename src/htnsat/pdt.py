@@ -13,9 +13,10 @@ through ``holder()`` to the position they mirror.
 Recursion control: a method is blocked at an occurrence when it would
 re-introduce a recursive task that already occurs on a strict ancestor
 position. Blocked pairs can later be reinserted, which rebuilds the
-whole structure by replaying the recorded expansion history with those
-pairs admitted; paths of child-slot indices stay stable across rebuilds
-because reinsertion only ever widens positions.
+whole structure with those pairs admitted by expanding, layer by layer,
+the positions where the old grid was expanded; paths of child-slot
+indices stay stable across rebuilds because reinsertion only ever
+widens positions.
 """
 from __future__ import annotations
 
@@ -63,8 +64,6 @@ class Pdt:
                              tasks=[problem.root])
         self.layers: list[list[Position]] = [[self.root]]
         self.reinserted: set[BlockedPair] = set()
-        self.history: list[list[tuple[int, ...]]] = []
-        self.relaxation_round = 0
         self.methods_developed = 0
 
     # -- structure queries ---------------------------------------------------
@@ -107,12 +106,6 @@ class Pdt:
         return [mid for mid in self.problem.abstracts[task].methods
                 if not self.is_blocked(holder, task, mid)]
 
-    def blocked_methods(self, position: Position) -> set[int]:
-        h = position.holder()
-        return {mid for t in h.tasks
-                for mid in self.problem.abstracts[t].methods
-                if self.is_blocked(h, t, mid)}
-
     def expandable(self, position: Position) -> bool:
         h = position.holder()
         if h.admitted is not None or not h.tasks:
@@ -150,7 +143,6 @@ class Pdt:
                 b.children = [q]
                 new_layer.append(q)
         self.layers.append(new_layer)
-        self.history.append(sorted(b.path for b in targets))
 
     def _expand_one(self, b: Position) -> list[Position]:
         h = b.holder()
@@ -188,16 +180,17 @@ class Pdt:
         return kids
 
     def reinsert_blocked(self) -> "Pdt":
-        """Admit every currently blocked pair and rebuild by replaying the
-        expansion history. Returns the rebuilt structure."""
+        """Admit every currently blocked pair and rebuild by expanding the
+        same positions in the same rounds. Returns the rebuilt structure."""
         pairs = self.blocked_pairs()
         if not pairs:
             raise PdtUsageError("nothing is blocked")
         fresh = Pdt(self.problem, self.profiles)
         fresh.reinserted = self.reinserted | pairs
-        fresh.relaxation_round = self.relaxation_round + 1
-        for round_paths in self.history:
-            fresh.expand([fresh.find(p) for p in round_paths])
+        # layer k holds the targets of expansion round k, in path order
+        for layer in self.layers[:-1]:
+            fresh.expand([fresh.find(b.path) for b in layer
+                          if b.holder().site is b])
         return fresh
 
     # -- debug output --------------------------------------------------------
@@ -208,7 +201,7 @@ class Pdt:
         p = self.problem
         grey: set[str] = set()
         if dt is not None:
-            self._mark(dt, dt.root, self.root, grey)
+            self._mark(dt, grey)
         lines = ["digraph pdt {", "  node [shape=box, fontsize=10];"]
 
         def emit(node_id: str, label: str, shape: str) -> None:
@@ -240,15 +233,20 @@ class Pdt:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _mark(self, dt, node_id: int, pos: Position, grey: set[str]) -> None:
-        node = dt.nodes[node_id]
-        h = pos.holder()
-        tag = ",".join(map(str, h.path)) or "root"
-        grey.add(f"t{tag}_{node.ref}" if node.kind != "action" else f"a{tag}_{node.ref}")
-        if node.kind != "abstract" or not node.children:
-            return
-        method = dt.nodes[node.children[0]]
-        ctag = ",".join(map(str, h.site.path)) or "root"
-        grey.add(f"m{ctag}_{method.ref}")
-        for i, kid in enumerate(method.children):
-            self._mark(dt, kid, h.site.children[i], grey)
+    def _mark(self, dt, grey: set[str]) -> None:
+        """Add the DOT ids of every node of dt to grey."""
+        stack = [(dt.root, self.root)]
+        while stack:
+            node_id, pos = stack.pop()
+            node = dt.nodes[node_id]
+            h = pos.holder()
+            tag = ",".join(map(str, h.path)) or "root"
+            grey.add(f"t{tag}_{node.ref}" if node.kind != "action"
+                     else f"a{tag}_{node.ref}")
+            if node.kind != "abstract" or not node.children:
+                continue
+            method = dt.nodes[node.children[0]]
+            ctag = ",".join(map(str, h.site.path)) or "root"
+            grey.add(f"m{ctag}_{method.ref}")
+            stack.extend((kid, h.site.children[i])
+                         for i, kid in enumerate(method.children))

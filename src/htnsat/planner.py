@@ -31,7 +31,6 @@ class PlannerConfig:
     mandatory_preconds: bool = True
     timeout: float = 600.0
     max_rounds: int = 10_000
-    seed: int = 0
     dump_cnf: str | None = None
 
     def __post_init__(self):
@@ -42,7 +41,6 @@ class PlannerConfig:
 @dataclass
 class RunStats:
     mode: str
-    seed: int
     rounds: int = 0
     reinsertions: int = 0
     methods_developed: int = 0
@@ -68,7 +66,7 @@ class PlanResult:
 def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResult:
     start = time.monotonic()
     deadline = start + config.timeout
-    stats = RunStats(mode=config.mode, seed=config.seed)
+    stats = RunStats(mode=config.mode)
     profiles = compute_profiles(problem)
     pdt = Pdt(problem, profiles)
     enc = _encoder(problem, profiles, pdt, config)
@@ -149,7 +147,6 @@ def _encoder(problem, profiles, pdt, config: PlannerConfig) -> Encoder:
         amo=AmoConfig(config.amo_scheme),
         use_mutex=config.use_mutex,
         mandatory_preconds=config.mandatory_preconds,
-        seed=config.seed,
     )
 
 

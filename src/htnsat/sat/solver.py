@@ -11,7 +11,7 @@ learnt clauses are logical consequences of the store alone (assumptions
 end up as ordinary literals inside learnt clauses), so they stay valid
 across solve() calls. Everything is deterministic: ties in the activity
 order break toward the lowest variable index and no randomness is used,
-so identical call histories replay identically for any seed.
+so identical call histories replay identically.
 
 Clauses are only ever added at decision level 0: every exit from
 solve(), a timeout included, cancels the trail back to level 0 first.
@@ -56,8 +56,7 @@ def luby(i: int) -> int:
 class SatSession:
     """One incremental solving session over a growing clause store."""
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed  # recorded for reproducibility reports; never drawn from
+    def __init__(self):
         self.nvars = 0
         # per-variable state, index 0 unused
         self.assign: list[int] = [0]  # 0 unassigned, 1 true, -1 false

@@ -1,10 +1,13 @@
 """Command line behavior: scores, plan files, exit codes, bench runs."""
+import csv
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
+import htnsat.cli
 from htnsat.cli import (
     PlanFormatError,
     UsageError,
@@ -153,6 +156,15 @@ class TestSolveCommand:
         assert main([fixture("fork3"), "--timeout", "0"]) == 2
         assert ";; status timeout" in capsys.readouterr().out
 
+    def test_timeout_budget_includes_grounding(self, monkeypatch, capsys):
+        def slow_load(inputs, cap):
+            time.sleep(0.3)
+            return load_problem(inputs, cap)
+
+        monkeypatch.setattr(htnsat.cli, "load_problem", slow_load)
+        assert main([fixture("fork3"), "--timeout", "0.2"]) == 2
+        assert ";; status timeout" in capsys.readouterr().out
+
     def test_missing_file_exits_three(self, capsys):
         assert main(["nope.ground"]) == 3
         assert "error:" in capsys.readouterr().err
@@ -206,8 +218,7 @@ class TestSolveCommand:
 
     def test_mode_and_amo_flags_accepted(self, capsys):
         assert main([fixture("fork3"), "--mode", "bfs", "--amo", "binary",
-                     "--no-mutex", "--mandpre-prune=off",
-                     "--seed", "7"]) == 0
+                     "--no-mutex", "--mandpre-prune=off"]) == 0
         capsys.readouterr()
 
     def test_bfs_develops_more_methods_on_wide_choice(self, tmp_path, capsys):
@@ -310,6 +321,30 @@ class TestBench:
         capsys.readouterr()
         row = out.read_text().splitlines()[1]
         assert row.split(",")[7] == f"{1 / 3:.6f}"
+
+    def test_unloadable_instance_scores_zero_and_the_run_goes_on(
+            self, tmp_path, capsys):
+        manifest = {
+            "timeout": 30,
+            "modes": ["greedy", "bfs"],
+            "instances": [{"name": "fork", "ground": "fork3.ground"},
+                          {"name": "gone", "ground": "gone.ground"}],
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        (tmp_path / "fork3.ground").write_text(
+            (FIXTURES / "fork3.ground").read_text())
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 0
+        assert "error: instance gone:" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["mode"]) for r in rows] == [
+            ("fork", "greedy"), ("fork", "bfs"),
+            ("gone", "greedy"), ("gone", "bfs")]
+        assert [r["solved"] for r in rows] == ["1", "1", "0", "0"]
+        for r in rows[2:]:
+            assert float(r["ipc"]) == 0 and float(r["quality"]) == 0
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"

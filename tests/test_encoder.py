@@ -1,8 +1,9 @@
 import pytest
 
 from htnsat.encoder import Encoder
+from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
-from htnsat.model import ABSTRACT, TaskRef
+from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.sat import AmoConfig, parse_dimacs, dump_dimacs
 
@@ -101,6 +102,30 @@ class TestSolutions:
         cand = enc.solve_solution()
         assert cand is not None
         assert [p.actions[a].name for a in cand.plan] == ["pop(2,1)"]
+
+    def test_deep_chain_decodes_and_renders(self):
+        # t0 -> t1 -> ... -> fin: one layer per task, far past Python's
+        # recursion limit, so decoding and the DOT marking must not recurse.
+        n = 1200
+        lines = ["problem chain", "fact done", "action fin add done"]
+        lines += [f"task t{i}" for i in range(n)]
+        lines += [f"method m{i} t{i} -> t{i + 1}" for i in range(n - 1)]
+        lines += [f"method m{n - 1} t{n - 1} -> fin", "goal done", "root t0"]
+        p = parse_ground("\n".join(lines) + "\n")
+        prof = compute_profiles(p)
+        pdt = Pdt(p, prof)
+        while pending := [q for q in pdt.pending_positions()
+                          if pdt.expandable(q)]:
+            pdt.expand(pending)
+        assert len(pdt.layers) == n + 1
+        cand = Encoder(p, prof, pdt).solve_solution()
+        assert cand is not None and cand.plan == [0]
+        tree = cand.tree
+        assert len(tree.nodes) == 2 * n + 1
+        # depth-first node order: task i, its method, then task i + 1
+        assert [(nd.kind, nd.ref) for nd in tree.nodes[:4]] == [
+            (ABSTRACT, 0), (METHOD, 0), (ABSTRACT, 1), (METHOD, 1)]
+        assert pdt.to_dot(tree).count("fillcolor") == 2 * n + 1
 
     def test_unsolvable_has_hard_unsat_goal(self, ground):
         p = ground("unsolvable")

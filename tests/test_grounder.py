@@ -203,7 +203,7 @@ class TestTaxiGrounding:
 
     def test_solves_and_guards_bind_the_route(self):
         p = ground_taxi()
-        res = plan(p, PlannerConfig(seed=3))
+        res = plan(p, PlannerConfig())
         assert res.status == "solved"
         assert verify(p, res.tree) == []
         steps = [p.actions[a].name for a in res.plan]
@@ -391,8 +391,8 @@ class TestDeterminismAndRoundTrip:
     def test_reparsed_problem_plans_identically(self):
         p = ground_taxi()
         q = parse_ground(dump_ground(p), "taxi")
-        rp = plan(p, PlannerConfig(seed=1))
-        rq = plan(q, PlannerConfig(seed=1))
+        rp = plan(p, PlannerConfig())
+        rq = plan(q, PlannerConfig())
         assert rp.status == rq.status == "solved"
         assert [p.actions[a].name for a in rp.plan] \
             == [q.actions[a].name for a in rq.plan]

@@ -33,7 +33,7 @@ def test_apply_requires_precondition():
     p = tiny()
     assert p.apply(0, 0) is None          # f absent
     s = p.apply(p.init, 0)
-    assert p.state_facts(s) == ["g"]      # f deleted, g added
+    assert s == 1 << p.fact_id("g")       # f deleted, g added
 
 
 def test_apply_seq_folds_and_fails_fast():

@@ -16,6 +16,12 @@ def names(problem, ids, kind):
     return {pool[i].name for i in ids}
 
 
+def sites(pdt):
+    """Paths expanded in each round, read off the grid layer by layer."""
+    return [[b.path for b in layer if b.holder().site is b]
+            for layer in pdt.layers[:-1]]
+
+
 def admits(pdt, shape):
     """Is this decomposition-tree shape embeddable in the structure?"""
 
@@ -95,7 +101,7 @@ class TestExpansion:
         assert holder.admitted is not None
         assert holder.site is copy0
         assert copy0.children[0].path == (0, 0, 0)
-        assert pdt.history == [[()], [(1,)], [(0, 0)]]
+        assert sites(pdt) == [[()], [(1,)], [(0, 0)]]
 
     def test_inherited_action_shares_slot_zero_with_subtasks(self, ground):
         p = ground("fork3")
@@ -158,8 +164,12 @@ class TestBlocking:
         pdt.expand([pdt.root])
         assert pdt.methods_developed == 3
         inner = pdt.layers[1][1]
-        blocked = pdt.blocked_methods(inner)
+        blocked = {m for t in inner.tasks for m in p.abstracts[t].methods
+                   if pdt.is_blocked(inner, t, m)}
         assert {p.methods[m].name for m in blocked} == {"step(2,1)", "step(1,0)"}
+        admitted = {m for t in inner.tasks
+                    for m in pdt.admitted_methods(inner, t)}
+        assert admitted and not admitted & blocked
         assert pdt.expandable(inner)
         pdt.expand([inner])
         # only the base method was admitted
@@ -203,11 +213,10 @@ class TestReinsertion:
         assert any(mid == again for _, _, mid in pairs)
 
         fresh = pdt.reinsert_blocked()
-        assert fresh.relaxation_round == 1
         assert fresh.reinserted == pairs
-        assert fresh.history == pdt.history
-        # the replay kept every recorded position addressable
-        for round_paths in pdt.history:
+        assert sites(fresh) == sites(pdt)
+        # the replay kept every expanded position addressable
+        for round_paths in sites(pdt):
             for path in round_paths:
                 assert fresh.find(path).path == path
         # the readmitted method now has children in place

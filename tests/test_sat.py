@@ -248,7 +248,7 @@ def test_dimacs_round_trip_keeps_clauses_as_added():
 
 def test_determinism_identical_history():
     def run():
-        s = SatSession(seed=3)
+        s = SatSession()
         vs = [s.new_var() for _ in range(30)]
         rng = random.Random(11)
         for c in random_3cnf(rng, 30, 100):
