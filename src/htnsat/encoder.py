@@ -1,17 +1,17 @@
 """Incremental CNF encoding of the refinement grid.
 
-Variables: one selector per candidate op at every concrete (non-copy)
-position, one selector per admitted method at its expansion site, one
-blank filler where a position may stay unused, and one boolean per fact
-at every state column. Columns sit between neighbouring positions of a
+Variables: one selector per candidate op at every position, one
+selector per admitted method at its expanded position, one blank filler
+where a position may stay unused, and one boolean per fact at every
+state column. Columns sit between neighbouring positions of a
 layer; a child row reuses its parent's boundary columns at both ends and
 allocates fresh fact variables only where the position to the left can
 actually change the fact. The final column is therefore shared by every
 layer, which lets the goal be asserted once as permanent units.
 
-Transparent copy positions contribute no variables or clauses at all:
-lookups resolve through them to the position they mirror, so leaving a
-branch untouched for ten layers costs nothing.
+A position carried unexpanded into the next layer is encoded once, in
+the layer where it first appears, and keeps its variables and columns
+from then on, so leaving a branch untouched for ten layers costs nothing.
 
 Each layer gets a pair of throwaway query selectors. The strict one
 additionally forbids every still-unexpanded abstract selector; the
@@ -74,8 +74,7 @@ class Encoder:
     # -- variable lookup -----------------------------------------------------
 
     def op_lit(self, pos: Position, ref: TaskRef) -> int:
-        h = pos.holder()
-        return self.opvar[(h.path, ref.kind, ref.id)]
+        return self.opvar[(pos.path, ref.kind, ref.id)]
 
     def _change_mask(self, pos: Position) -> int:
         mask = 0
@@ -115,13 +114,12 @@ class Encoder:
             sess.add_clause([post[f]])
 
     def _encode_layer(self, idx: int) -> None:
-        sites = []
+        expanded = []
         for parent in self.pdt.layers[idx - 1]:
             kids = parent.children
-            if kids and kids[0].copy_of is not None:
-                self.cols[kids[0].path] = self.cols[parent.path]
+            if not (kids and kids[0].layer == idx):
                 continue
-            sites.append(parent)
+            expanded.append(parent)
             ppre, ppost = self.cols[parent.path]
             bound = ppre
             for i, q in enumerate(kids):
@@ -130,8 +128,8 @@ class Encoder:
                 bound = nxt
             for q in kids:
                 self._encode_position(q)
-        for site in sites:
-            self._encode_linkage(site)
+        for parent in expanded:
+            self._encode_linkage(parent)
 
     def _next_column(self, prev: list[int], pos: Position) -> list[int]:
         change = self._change_mask(pos)
@@ -199,16 +197,15 @@ class Encoder:
             self.sess.add_clause(up)
             self.sess.add_clause(down)
 
-    def _encode_linkage(self, site: Position) -> None:
+    def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
-        h = site.holder()
-        kids = site.children
-        for t, methods in h.admitted.items():
-            tv = self.opvar[(h.path, ABSTRACT, t)]
+        kids = pos.children
+        for t, methods in pos.admitted.items():
+            tv = self.opvar[(pos.path, ABSTRACT, t)]
             mvars = []
             for mid in methods:
                 mv = sess.new_var()
-                self.mvar[(site.path, mid)] = mv
+                self.mvar[(pos.path, mid)] = mv
                 mvars.append(mv)
                 sess.add_clause([-mv, tv])
                 subs = self.p.methods[mid].subtasks
@@ -219,13 +216,13 @@ class Encoder:
                         sess.add_clause([-mv, self.blankvar[q.path]])
             sess.add_clause([-tv] + mvars)
             encode_amo(sess, mvars, _PAIRWISE)
-        for a in h.acts:
-            av = self.opvar[(h.path, ACTION, a)]
+        for a in pos.acts:
+            av = self.opvar[(pos.path, ACTION, a)]
             sess.add_clause([-av, self.opvar[(kids[0].path, ACTION, a)]])
             for q in kids[1:]:
                 sess.add_clause([-av, self.blankvar[q.path]])
-        if h.has_blank:
-            bv = self.blankvar[h.path]
+        if pos.has_blank:
+            bv = self.blankvar[pos.path]
             for q in kids:
                 sess.add_clause([-bv, self.blankvar[q.path]])
 
@@ -236,18 +233,11 @@ class Encoder:
             sess.add_clause([-a_old])
             sess.add_clause([-r_old])
         a, r = sess.new_var(), sess.new_var()
-        seen = set()
+        # every position on a layer is unexpanded at its horizon: an
+        # expanded position gives way to its children in the next layer
         for pos in self.pdt.layers[layer_idx]:
-            h = pos.holder()
-            # a task counts as unexpanded at this horizon when its method
-            # children, if any, hang below the layer being closed off
-            if h.admitted is not None and h.site.layer < layer_idx:
-                continue
-            for t in h.tasks:
-                v = self.opvar[(h.path, ABSTRACT, t)]
-                if v not in seen:
-                    seen.add(v)
-                    sess.add_clause([-a, -v])
+            for t in pos.tasks:
+                sess.add_clause([-a, -self.opvar[(pos.path, ABSTRACT, t)]])
         self.queries.append((a, r))
 
     # -- solving and decoding ------------------------------------------------
@@ -271,18 +261,17 @@ class Encoder:
     def _selected(self, model: list[bool], pos: Position) -> TaskRef | None:
         """The op chosen at a position; None means blank. Exactly one must
         be set."""
-        h = pos.holder()
         hits = []
-        for a in h.acts:
-            if model[self.opvar[(h.path, ACTION, a)]]:
+        for a in pos.acts:
+            if model[self.opvar[(pos.path, ACTION, a)]]:
                 hits.append(TaskRef(ACTION, a))
-        for t in h.tasks:
-            if model[self.opvar[(h.path, ABSTRACT, t)]]:
+        for t in pos.tasks:
+            if model[self.opvar[(pos.path, ABSTRACT, t)]]:
                 hits.append(TaskRef(ABSTRACT, t))
-        if h.has_blank and model[self.blankvar[h.path]]:
+        if pos.has_blank and model[self.blankvar[pos.path]]:
             hits.append(None)
         if len(hits) != 1:
-            raise EncoderBugError(f"{len(hits)} ops selected at {h.path}")
+            raise EncoderBugError(f"{len(hits)} ops selected at {pos.path}")
         return hits[0]
 
     def _decode(self, model: list[bool], relaxed: bool) -> DtCandidate:
@@ -293,29 +282,28 @@ class Encoder:
         stack: list[tuple[Position, int | None]] = [(self.pdt.root, None)]
         while stack:
             pos, parent = stack.pop()
-            h = pos.holder()
             ref = self._selected(model, pos)
             if ref is None:
-                raise EncoderBugError(f"blank selected at tree position {h.path}")
+                raise EncoderBugError(f"blank selected at tree position {pos.path}")
             if ref.is_action():
                 node = dt.add(ACTION, ref.id)
             else:
                 node = dt.add(ABSTRACT, ref.id)
-                if h.admitted is None:
+                if pos.admitted is None:
                     if not relaxed:
                         raise EncoderBugError(
-                            f"unexpanded task in a strict answer at {h.path}")
-                    targets.append(self.pdt.bottom_of(h))
+                            f"unexpanded task in a strict answer at {pos.path}")
+                    targets.append(pos)
                 else:
-                    chosen = [m for m in h.admitted[ref.id]
-                              if model[self.mvar[(h.site.path, m)]]]
+                    chosen = [m for m in pos.admitted[ref.id]
+                              if model[self.mvar[(pos.path, m)]]]
                     if len(chosen) != 1:
                         raise EncoderBugError(
-                            f"{len(chosen)} methods selected for task at {h.path}")
+                            f"{len(chosen)} methods selected for task at {pos.path}")
                     mnode = dt.add(METHOD, chosen[0])
                     dt.nodes[node].children.append(mnode)
                     width = len(self.p.methods[chosen[0]].subtasks)
-                    stack.extend((h.site.children[i], mnode)
+                    stack.extend((pos.children[i], mnode)
                                  for i in reversed(range(width)))
             if parent is None:
                 dt.root = node

@@ -22,7 +22,9 @@ text that parses back into an identical problem.
 """
 from __future__ import annotations
 
-from ..model import ABSTRACT, ACTION, AbstractTask, Action, Fact, Method, Problem, TaskRef
+from ..model import (
+    ABSTRACT, ACTION, AbstractTask, Action, Fact, Method, Problem, TaskRef, mask,
+)
 
 _SECTIONS = ("pre", "add", "del")
 _RESERVED = {"problem", "fact", "action", "task", "method",
@@ -151,13 +153,10 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
     if rname not in task_ids:
         fail(ln, f"unknown root task {rname!r}")
 
-    init_mask = 0
-    for fid in fact_list(*(init or (0, []))):
-        init_mask |= 1 << fid
-    goal_set = frozenset(fact_list(*(goal or (0, []))))
     return Problem(name=name, facts=facts, actions=actions, abstracts=tasks,
-                   methods=methods, root=task_ids[rname], init=init_mask,
-                   goal=goal_set).finalize()
+                   methods=methods, root=task_ids[rname],
+                   init=mask(fact_list(*(init or (0, [])))),
+                   goal=frozenset(fact_list(*(goal or (0, []))))).finalize()
 
 
 def dump_ground(p: Problem) -> str:

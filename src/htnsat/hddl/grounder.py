@@ -27,6 +27,7 @@ from ..model import (
     Problem,
     TaskRef,
     join_name,
+    mask,
 )
 from .parser import LiftedDomain, LiftedProblem
 
@@ -408,9 +409,6 @@ class _Grounder:
                     for k, s in g.subs]
             methods.append(Method(i, n, tid[g.task], refs))
             abstracts[tid[g.task]].methods.append(i)
-        init_mask = 0
-        for f in init_facts:
-            init_mask |= 1 << fid[f]
         return Problem(
             name=self.prob.name,
             facts=facts,
@@ -418,7 +416,7 @@ class _Grounder:
             abstracts=abstracts,
             methods=methods,
             root=tid[root],
-            init=init_mask,
+            init=mask(fid[f] for f in init_facts),
             goal=frozenset(fid[f] for f in goal_facts),
         ).finalize()
 

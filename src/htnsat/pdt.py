@@ -6,9 +6,11 @@ position is expanded, every abstract task occupying it gains its
 non-blocked methods, and the next layer gets one child position per
 subtask slot (slot 0 also inherits the position's action candidates;
 slots past a short method are fillable by an explicit blank). A
-position that is not expanded gets a single transparent copy child so
-layers stay rectangular; copies add no content of their own and resolve
-through ``holder()`` to the position they mirror.
+position that is not expanded appears again, as the same object, in the
+next layer; ``Position.layer`` is the layer where it first appears.
+Expanding it in a later round hangs its children directly off it, so
+a position was expanded in round k exactly when its first child sits on
+layer k + 1.
 
 Recursion control: a method is blocked at an occurrence when it would
 re-introduce a recursive task that already occurs on a strict ancestor
@@ -26,7 +28,7 @@ from typing import Optional
 from .inference import Profiles
 from .model import Problem
 
-BlockedPair = tuple[tuple[int, ...], int, int]  # holder path, task id, method id
+BlockedPair = tuple[tuple[int, ...], int, int]  # position path, task id, method id
 
 
 class PdtUsageError(ValueError):
@@ -37,31 +39,20 @@ class PdtUsageError(ValueError):
 class Position:
     layer: int
     path: tuple[int, ...]
-    parent: Optional["Position"]
-    copy_of: Optional["Position"] = None
     acts: list[int] = field(default_factory=list)
     tasks: list[int] = field(default_factory=list)
     has_blank: bool = False
     anc_tasks: frozenset[int] = frozenset()
     children: list["Position"] = field(default_factory=list)
-    # Set on the holder once its tasks are expanded: admitted methods per
-    # task, and the (possibly deeper) position the children hang off.
+    # admitted methods per task, set once the position is expanded
     admitted: Optional[dict[int, list[int]]] = None
-    site: Optional["Position"] = None
-
-    def holder(self) -> "Position":
-        pos = self
-        while pos.copy_of is not None:
-            pos = pos.copy_of
-        return pos
 
 
 class Pdt:
     def __init__(self, problem: Problem, profiles: Profiles):
         self.problem = problem
         self.profiles = profiles
-        self.root = Position(layer=0, path=(), parent=None,
-                             tasks=[problem.root])
+        self.root = Position(layer=0, path=(), tasks=[problem.root])
         self.layers: list[list[Position]] = [[self.root]]
         self.reinserted: set[BlockedPair] = set()
         self.methods_developed = 0
@@ -79,44 +70,32 @@ class Pdt:
 
     def pending_positions(self) -> list[Position]:
         """Bottom positions still carrying unexpanded abstract tasks."""
-        out = []
-        for b in self.bottom():
-            h = b.holder()
-            if h.tasks and h.admitted is None:
-                out.append(b)
-        return out
+        return [b for b in self.bottom() if b.tasks]
 
-    def bottom_of(self, holder: Position) -> Position:
-        pos = holder
-        while pos.children:
-            pos = pos.children[0]
-        return pos
-
-    def is_blocked(self, holder: Position, task: int, mid: int) -> bool:
-        if (holder.path, task, mid) in self.reinserted:
+    def is_blocked(self, pos: Position, task: int, mid: int) -> bool:
+        if (pos.path, task, mid) in self.reinserted:
             return False
         recursive = self.profiles.recursion.recursive
         for ref in self.problem.methods[mid].subtasks:
             if not ref.is_action() and recursive[ref.id] \
-                    and ref.id in holder.anc_tasks:
+                    and ref.id in pos.anc_tasks:
                 return True
         return False
 
-    def admitted_methods(self, holder: Position, task: int) -> list[int]:
+    def admitted_methods(self, pos: Position, task: int) -> list[int]:
         return [mid for mid in self.problem.abstracts[task].methods
-                if not self.is_blocked(holder, task, mid)]
+                if not self.is_blocked(pos, task, mid)]
 
-    def expandable(self, position: Position) -> bool:
-        h = position.holder()
-        if h.admitted is not None or not h.tasks:
+    def expandable(self, pos: Position) -> bool:
+        if pos.admitted is not None or not pos.tasks:
             return False
-        return any(self.admitted_methods(h, t) for t in h.tasks)
+        return any(self.admitted_methods(pos, t) for t in pos.tasks)
 
     def blocked_pairs(self) -> set[BlockedPair]:
         out = set()
-        for layer in self.layers:
+        for k, layer in enumerate(self.layers):
             for pos in layer:
-                if pos.copy_of is not None:
+                if pos.layer != k:
                     continue
                 for t in pos.tasks:
                     for mid in self.problem.abstracts[t].methods:
@@ -128,25 +107,22 @@ class Pdt:
 
     def expand(self, targets: list[Position]) -> None:
         bottom = self.bottom()
+        in_bottom = {id(b) for b in bottom}
         chosen = {id(b) for b in targets}
         for b in targets:
-            h = b.holder()
-            if b.layer != len(self.layers) - 1 or not h.tasks or h.admitted is not None:
+            # an expanded position has left the bottom layer
+            if id(b) not in in_bottom or not b.tasks:
                 raise PdtUsageError(f"position {b.path} is not pending")
         new_layer: list[Position] = []
         for b in bottom:
             if id(b) in chosen:
                 new_layer.extend(self._expand_one(b))
             else:
-                q = Position(layer=b.layer + 1, path=b.path + (0,),
-                             parent=b, copy_of=b)
-                b.children = [q]
-                new_layer.append(q)
+                new_layer.append(b)
         self.layers.append(new_layer)
 
     def _expand_one(self, b: Position) -> list[Position]:
-        h = b.holder()
-        admitted = {t: self.admitted_methods(h, t) for t in h.tasks}
+        admitted = {t: self.admitted_methods(b, t) for t in b.tasks}
         width = max([1] + [len(self.problem.methods[m].subtasks)
                            for ms in admitted.values() for m in ms])
         kids = []
@@ -155,9 +131,9 @@ class Pdt:
             tasks: list[int] = []
             blank = False
             if i == 0:
-                acts.extend(h.acts)
-                blank = h.has_blank
-            elif h.acts or h.has_blank:
+                acts.extend(b.acts)
+                blank = b.has_blank
+            elif b.acts or b.has_blank:
                 blank = True
             for ms in admitted.values():
                 for mid in ms:
@@ -169,13 +145,11 @@ class Pdt:
                             pool.append(ref.id)
                     else:
                         blank = True
-            kids.append(Position(layer=b.layer + 1, path=b.path + (i,),
-                                 parent=b, acts=acts, tasks=tasks,
-                                 has_blank=blank,
-                                 anc_tasks=h.anc_tasks | frozenset(h.tasks)))
+            kids.append(Position(layer=len(self.layers), path=b.path + (i,),
+                                 acts=acts, tasks=tasks, has_blank=blank,
+                                 anc_tasks=b.anc_tasks | frozenset(b.tasks)))
         b.children = kids
-        h.admitted = admitted
-        h.site = b
+        b.admitted = admitted
         self.methods_developed += sum(len(ms) for ms in admitted.values())
         return kids
 
@@ -188,9 +162,9 @@ class Pdt:
         fresh = Pdt(self.problem, self.profiles)
         fresh.reinserted = self.reinserted | pairs
         # layer k holds the targets of expansion round k, in path order
-        for layer in self.layers[:-1]:
+        for k, layer in enumerate(self.layers[:-1]):
             fresh.expand([fresh.find(b.path) for b in layer
-                          if b.holder().site is b])
+                          if b.children and b.children[0].layer == k + 1])
         return fresh
 
     # -- debug output --------------------------------------------------------
@@ -208,9 +182,9 @@ class Pdt:
             fill = ", style=filled, fillcolor=grey80" if node_id in grey else ""
             lines.append(f'  "{node_id}" [label="{label}", shape={shape}{fill}];')
 
-        for layer in self.layers:
+        for k, layer in enumerate(self.layers):
             for pos in layer:
-                if pos.copy_of is not None:
+                if pos.layer != k:
                     continue
                 tag = ",".join(map(str, pos.path)) or "root"
                 for t in pos.tasks:
@@ -219,17 +193,15 @@ class Pdt:
                     emit(f"a{tag}_{a}", p.actions[a].name, "plaintext")
                 if pos.admitted is None:
                     continue
-                ctag = ",".join(map(str, pos.site.path)) or "root"
                 for t, ms in pos.admitted.items():
                     for mid in ms:
-                        emit(f"m{ctag}_{mid}", p.methods[mid].name, "ellipse")
-                        lines.append(f'  "t{tag}_{t}" -> "m{ctag}_{mid}";')
+                        emit(f"m{tag}_{mid}", p.methods[mid].name, "ellipse")
+                        lines.append(f'  "t{tag}_{t}" -> "m{tag}_{mid}";')
                         for i, ref in enumerate(p.methods[mid].subtasks):
-                            child = pos.site.children[i].holder()
-                            ktag = ",".join(map(str, child.path))
+                            ktag = ",".join(map(str, pos.children[i].path))
                             kind = "a" if ref.is_action() else "t"
                             lines.append(
-                                f'  "m{ctag}_{mid}" -> "{kind}{ktag}_{ref.id}";')
+                                f'  "m{tag}_{mid}" -> "{kind}{ktag}_{ref.id}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -239,14 +211,12 @@ class Pdt:
         while stack:
             node_id, pos = stack.pop()
             node = dt.nodes[node_id]
-            h = pos.holder()
-            tag = ",".join(map(str, h.path)) or "root"
+            tag = ",".join(map(str, pos.path)) or "root"
             grey.add(f"t{tag}_{node.ref}" if node.kind != "action"
                      else f"a{tag}_{node.ref}")
             if node.kind != "abstract" or not node.children:
                 continue
             method = dt.nodes[node.children[0]]
-            ctag = ",".join(map(str, h.site.path)) or "root"
-            grey.add(f"m{ctag}_{method.ref}")
-            stack.extend((kid, h.site.children[i])
+            grey.add(f"m{tag}_{method.ref}")
+            stack.extend((kid, pos.children[i])
                          for i, kid in enumerate(method.children))

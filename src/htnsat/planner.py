@@ -80,7 +80,12 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
 
     def query(kind: str, solver):
         t0 = time.monotonic()
-        cand = solver(deadline=deadline)
+        try:
+            cand = solver(deadline=deadline)
+        except SolverTimeout:
+            stats.events.append(
+                f"budget exhausted in the {kind} query of round {stats.rounds}")
+            raise
         entry = {
             "round": stats.rounds,
             "kind": kind,
@@ -98,9 +103,11 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
         if stats.rounds >= config.max_rounds:
             stats.events.append("round budget exhausted")
             return finish("timeout")
-        stats.rounds += 1
         if time.monotonic() >= deadline:
+            stats.events.append(
+                f"budget exhausted before round {stats.rounds + 1}")
             return finish("timeout")
+        stats.rounds += 1
         try:
             cand = query("solution", enc.solve_solution)
             if cand is not None:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from htnsat.encoder import Encoder
@@ -73,7 +75,7 @@ class TestSolutions:
             ("begin-left", "finish-left"),
             ("start-right", "mid-right", "finish-right"),
         }
-        assert all(q.holder().tasks for q in cand.targets)
+        assert all(q.tasks for q in cand.targets)
 
     def test_fork_solves_after_two_expansions(self, ground):
         p = ground("fork3")
@@ -192,6 +194,25 @@ class TestIncrementality:
         assert len(chosen_vars) == len(picked)
         replay = enc.sess.solve([enc.queries[-1][0]] + chosen_vars)
         assert replay is not None
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", TOYS)
+    def test_random_schedule_matches_a_fresh_encoding(self, ground, name, seed):
+        # expanding random subsets leaves positions pending across rounds,
+        # so later rounds expand positions that first appeared long before
+        p = ground(name)
+        prof, pdt, enc = setup(p)
+        rng = random.Random(seed)
+        for _ in range(8):
+            pending = pdt.pending_positions()
+            if not pending:
+                break
+            pdt.expand([q for q in pending if rng.random() < 0.5])
+            enc.sync()
+        fresh = Encoder(p, prof, pdt)
+        assert list(enc.sess.clauses()) == list(fresh.sess.clauses())
+        got, want = enc.solve_solution(), fresh.solve_solution()
+        assert (got and got.plan) == (want and want.plan)
 
 
 class TestSchemesAndDumps:

@@ -18,26 +18,26 @@ def names(problem, ids, kind):
 
 def sites(pdt):
     """Paths expanded in each round, read off the grid layer by layer."""
-    return [[b.path for b in layer if b.holder().site is b]
-            for layer in pdt.layers[:-1]]
+    return [[b.path for b in layer
+             if b.children and b.children[0].layer == k + 1]
+            for k, layer in enumerate(pdt.layers[:-1])]
 
 
 def admits(pdt, shape):
     """Is this decomposition-tree shape embeddable in the structure?"""
 
     def walk(pos, shape):
-        h = pos.holder()
         if shape[0] == "act":
-            return shape[1] in h.acts
+            return shape[1] in pos.acts
         _, task, dev = shape
-        if task not in h.tasks:
+        if task not in pos.tasks:
             return False
         if dev is None:
             return True
         mid, kids = dev
-        if h.admitted is None or mid not in h.admitted.get(task, []):
+        if pos.admitted is None or mid not in pos.admitted.get(task, []):
             return False
-        return all(walk(h.site.children[i], k) for i, k in enumerate(kids))
+        return all(walk(pos.children[i], k) for i, k in enumerate(kids))
 
     return walk(pdt.root, shape)
 
@@ -77,31 +77,32 @@ class TestExpansion:
         grand = kid.children[0]
         assert names(p, grand.anc_tasks, "task") == {"main", "start-right"}
 
-    def test_unexpanded_positions_get_transparent_copies(self, ground):
+    def test_unexpanded_positions_are_carried_as_they_are(self, ground):
         p = ground("fork3")
         pdt = build(p)
         pdt.expand([pdt.root])
         pdt.expand([pdt.layers[1][0]])
         bottom = pdt.bottom()
         assert len(bottom) == 3
-        assert bottom[1].copy_of is pdt.layers[1][1]
-        assert bottom[1].holder() is pdt.layers[1][1]
-        # the copy itself carries nothing
-        assert bottom[1].acts == [] and bottom[1].tasks == []
+        # the carried position is the same object, still unexpanded
+        carried = pdt.layers[1][1]
+        assert bottom[1] is carried
+        assert carried.layer == 1 and carried.path == (1,)
+        assert carried.children == [] and carried.admitted is None
 
-    def test_expansion_at_copy_attaches_children_below(self, ground):
+    def test_late_expansion_attaches_children_directly(self, ground):
         p = ground("fork3")
         pdt = build(p)
         pdt.expand([pdt.root])
         pdt.expand([pdt.layers[1][1]])
-        copy0 = pdt.bottom()[0]
-        assert copy0.path == (0, 0) and copy0.copy_of is not None
-        pdt.expand([copy0])
-        holder = pdt.layers[1][0]
-        assert holder.admitted is not None
-        assert holder.site is copy0
-        assert copy0.children[0].path == (0, 0, 0)
-        assert sites(pdt) == [[()], [(1,)], [(0, 0)]]
+        carried = pdt.bottom()[0]
+        assert carried is pdt.layers[1][0] and carried.path == (0,)
+        pdt.expand([carried])
+        assert carried.admitted is not None
+        kid = carried.children[0]
+        assert kid.path == (0, 0) and kid.layer == 3
+        assert pdt.bottom()[0] is kid
+        assert sites(pdt) == [[()], [(1,)], [(0,)]]
 
     def test_inherited_action_shares_slot_zero_with_subtasks(self, ground):
         p = ground("fork3")
@@ -140,6 +141,19 @@ class TestExpansion:
         kid = pdt.layers[1][0].children[0]
         with pytest.raises(PdtUsageError):
             pdt.expand([kid])
+
+    def test_position_from_before_a_reinsertion_rejected(self, ground):
+        p = ground("reinsert")
+        pdt = build(p)
+        pdt.expand([pdt.root])
+        # expanding countdown at (1,) blocks its recursive method there
+        pdt.expand([pdt.layers[1][1]])
+        fresh = pdt.reinsert_blocked()
+        old = pdt.pending_positions()
+        assert len(old) == 1 and len(pdt.layers) == len(fresh.layers)
+        assert fresh.bottom()[0].path == old[0].path
+        with pytest.raises(PdtUsageError):
+            fresh.expand(old)
 
 
 class TestContainment:
@@ -251,3 +265,18 @@ class TestDot:
         assert dot.startswith("digraph")
         assert "main" in dot and "go-left" in dot and "go-right" in dot
         assert '"troot_0" -> ' in dot
+
+    def test_carried_task_node_emitted_once(self, ground):
+        p = ground("fork3")
+        pdt = build(p)
+        pdt.expand([pdt.root])
+        pdt.expand([pdt.layers[1][0]])
+        pdt.expand(pdt.pending_positions())
+        # finish-right at (2,) sits on layers 1 and 2, then is expanded
+        carried = pdt.layers[1][2]
+        assert pdt.layers[2][-1] is carried
+        assert carried.children and carried.children[0].layer == 3
+        t = carried.tasks[0]
+        dot = pdt.to_dot()
+        node = f'  "t2_{t}" [label="{p.abstracts[t].name}"'
+        assert sum(line.startswith(node) for line in dot.splitlines()) == 1

@@ -1,7 +1,9 @@
 import pytest
 
+from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
+from htnsat.sat import SolverTimeout
 
 from domains import random_acyclic, wide_choice
 from oracles import count_dts, solvable_by_enumeration
@@ -125,6 +127,23 @@ class TestLimits:
         res = plan(ground("taxi"), PlannerConfig(timeout=0.0))
         assert res.status == "timeout"
         assert res.tree is None
+
+    def test_zero_timeout_ends_before_the_first_round(self, ground):
+        res = plan(ground("taxi"), PlannerConfig(timeout=0.0))
+        assert res.stats.rounds == 0
+        assert res.stats.queries == []
+        assert res.stats.events == ["budget exhausted before round 1"]
+
+    def test_timeout_inside_a_query_names_the_query(self, ground, monkeypatch):
+        def expire(self, deadline=None):
+            raise SolverTimeout
+
+        monkeypatch.setattr(Encoder, "solve_relaxed", expire)
+        res = plan(ground("taxi"))
+        assert res.status == "timeout"
+        assert res.stats.rounds == 1
+        assert res.stats.events == [
+            "budget exhausted in the relaxed query of round 1"]
 
     def test_round_budget(self, ground):
         res = plan(ground("fork3"), PlannerConfig(max_rounds=1))
