@@ -13,23 +13,22 @@ A position carried unexpanded into the next layer is encoded once, in
 the layer where it first appears, and keeps its variables and columns
 from then on, so leaving a branch untouched for ten layers costs nothing.
 
-Each layer gets a pair of throwaway query selectors. The strict one
-additionally forbids every still-unexpanded abstract selector; the
-relaxed one just asks for a consistent selection, with unexpanded tasks
-acting through their mandatory preconditions and possible effects. Both
-selectors are retired by unit clauses when the next layer arrives, so
-the clause store only ever grows.
+Each layer gets one throwaway strict query selector, which forbids
+every abstract task still unexpanded on that layer; a unit clause
+retires it when the next layer arrives, so the clause store only ever
+grows. The relaxed query needs no selector: it solves the store with no
+assumption, and unexpanded tasks act through their mandatory
+preconditions and possible effects.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .inference import Profiles
 from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, new_tree
 from .pdt import Pdt, Position
-from .sat import AmoConfig, SatSession, encode_alo, encode_amo
-
-_PAIRWISE = AmoConfig("pairwise")
+from .sat import PAIRWISE, SatSession, SolverTimeout, encode_amo
 
 
 class EncoderBugError(RuntimeError):
@@ -52,9 +51,10 @@ class Encoder:
         problem: Problem,
         profiles: Profiles,
         pdt: Pdt,
-        amo: AmoConfig = AmoConfig(),
+        amo: str = PAIRWISE,
         use_mutex: bool = True,
         mandatory_preconds: bool = True,
+        deadline: float | None = None,
     ):
         self.p = problem
         self.prof = profiles
@@ -67,9 +67,9 @@ class Encoder:
         self.blankvar: dict[tuple[int, ...], int] = {}
         self.mvar: dict[tuple[tuple[int, ...], int], int] = {}
         self.cols: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        self.queries: list[tuple[int, int]] = []
+        self.strict = 0  # the newest layer's strict query selector
         self.encoded = 0
-        self.sync()
+        self.sync(deadline)
 
     # -- variable lookup -----------------------------------------------------
 
@@ -88,14 +88,17 @@ class Encoder:
 
     # -- encoding ------------------------------------------------------------
 
-    def sync(self) -> None:
-        """Encode every grid layer not yet in the clause store."""
+    def sync(self, deadline: float | None = None) -> None:
+        """Encode every grid layer not yet in the clause store. Raises
+        SolverTimeout before a layer once the deadline has passed."""
         while self.encoded < len(self.pdt.layers):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolverTimeout
             if self.encoded == 0:
                 self._encode_root()
             else:
                 self._encode_layer(self.encoded)
-            self._open_queries(self.encoded)
+            self._open_query(self.encoded)
             self.encoded += 1
 
     def _encode_root(self) -> None:
@@ -106,7 +109,7 @@ class Encoder:
             sess.add_clause([pre[f] if self.p.init >> f & 1 else -pre[f]])
         post = self._next_column(pre, root)
         self.cols[root.path] = (pre, post)
-        self._mutex_column(pre)
+        self._mutex_column(pre, (1 << len(self.p.facts)) - 1)  # all fresh
         # the root slot has a single candidate, so its at-least-one clause
         # already pins the initial task there
         self._encode_position(root)
@@ -137,14 +140,18 @@ class Encoder:
             return prev
         col = [self.sess.new_var() if change >> f & 1 else prev[f]
                for f in range(len(self.p.facts))]
-        self._mutex_column(col)
+        self._mutex_column(col, change)
         return col
 
-    def _mutex_column(self, col: list[int]) -> None:
+    def _mutex_column(self, col: list[int], change: int) -> None:
+        """AMO over each mutex group with a fact in change. Every other
+        group keeps the variables of an earlier column, whose AMO over
+        them is in the store already."""
         if not self.use_mutex:
             return
         for group in self.prof.mutex_groups:
-            encode_amo(self.sess, [col[f] for f in group], self.amo)
+            if any(change >> f & 1 for f in group):
+                encode_amo(self.sess, [col[f] for f in group], self.amo)
 
     def _encode_position(self, pos: Position) -> None:
         sess = self.sess
@@ -173,7 +180,7 @@ class Encoder:
             self.blankvar[pos.path] = v
             tier1.append(v)
         encode_amo(sess, tier1, self.amo)
-        encode_alo(sess, tier1)
+        sess.add_clause(tier1)
         self._frame(pos, pre, post)
 
     def _frame(self, pos: Position, pre: list[int], post: list[int]) -> None:
@@ -215,7 +222,7 @@ class Encoder:
                     else:
                         sess.add_clause([-mv, self.blankvar[q.path]])
             sess.add_clause([-tv] + mvars)
-            encode_amo(sess, mvars, _PAIRWISE)
+            encode_amo(sess, mvars)
         for a in pos.acts:
             av = self.opvar[(pos.path, ACTION, a)]
             sess.add_clause([-av, self.opvar[(kids[0].path, ACTION, a)]])
@@ -226,24 +233,21 @@ class Encoder:
             for q in kids:
                 sess.add_clause([-bv, self.blankvar[q.path]])
 
-    def _open_queries(self, layer_idx: int) -> None:
+    def _open_query(self, layer_idx: int) -> None:
         sess = self.sess
-        if self.queries:
-            a_old, r_old = self.queries[-1]
-            sess.add_clause([-a_old])
-            sess.add_clause([-r_old])
-        a, r = sess.new_var(), sess.new_var()
+        if self.strict:
+            sess.add_clause([-self.strict])
+        a = self.strict = sess.new_var()
         # every position on a layer is unexpanded at its horizon: an
         # expanded position gives way to its children in the next layer
         for pos in self.pdt.layers[layer_idx]:
             for t in pos.tasks:
                 sess.add_clause([-a, -self.opvar[(pos.path, ABSTRACT, t)]])
-        self.queries.append((a, r))
 
     # -- solving and decoding ------------------------------------------------
 
     def solve_solution(self, deadline: float | None = None) -> DtCandidate | None:
-        model = self.sess.solve([self.queries[-1][0]], deadline=deadline)
+        model = self.sess.solve([self.strict], deadline=deadline)
         if model is None:
             return None
         cand = self._decode(model, relaxed=False)
@@ -253,7 +257,7 @@ class Encoder:
         return cand
 
     def solve_relaxed(self, deadline: float | None = None) -> DtCandidate | None:
-        model = self.sess.solve([self.queries[-1][1]], deadline=deadline)
+        model = self.sess.solve(deadline=deadline)
         if model is None:
             return None
         return self._decode(model, relaxed=True)

@@ -17,7 +17,7 @@ from .encoder import Encoder
 from .inference import compute_profiles
 from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem
 from .pdt import Pdt
-from .sat import AmoConfig, SolverTimeout, dump_dimacs
+from .sat import PAIRWISE, SCHEMES, SolverTimeout, dump_dimacs
 
 GREEDY = "greedy"
 BFS = "bfs"
@@ -26,7 +26,7 @@ BFS = "bfs"
 @dataclass(frozen=True)
 class PlannerConfig:
     mode: str = GREEDY
-    amo_scheme: str = "pairwise"
+    amo_scheme: str = PAIRWISE
     use_mutex: bool = True
     mandatory_preconds: bool = True
     timeout: float = 600.0
@@ -36,6 +36,8 @@ class PlannerConfig:
     def __post_init__(self):
         if self.mode not in (GREEDY, BFS):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.amo_scheme not in SCHEMES:
+            raise ValueError(f"unknown AMO scheme {self.amo_scheme!r}")
 
 
 @dataclass
@@ -69,7 +71,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
     stats = RunStats(mode=config.mode)
     profiles = compute_profiles(problem)
     pdt = Pdt(problem, profiles)
-    enc = _encoder(problem, profiles, pdt, config)
+    enc: Encoder | None = None  # (re)built at the start of a round
 
     def finish(status: str, tree=None) -> PlanResult:
         stats.methods_developed = pdt.methods_developed
@@ -79,13 +81,10 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
         return PlanResult(status=status, tree=tree, stats=stats, pdt=pdt)
 
     def query(kind: str, solver):
+        nonlocal where
+        where = f"in the {kind} query of"
         t0 = time.monotonic()
-        try:
-            cand = solver(deadline=deadline)
-        except SolverTimeout:
-            stats.events.append(
-                f"budget exhausted in the {kind} query of round {stats.rounds}")
-            raise
+        cand = solver(deadline=deadline)
         entry = {
             "round": stats.rounds,
             "kind": kind,
@@ -108,7 +107,13 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                 f"budget exhausted before round {stats.rounds + 1}")
             return finish("timeout")
         stats.rounds += 1
+        where = "while encoding"  # the phase a SolverTimeout interrupts
         try:
+            if enc is None:
+                enc = Encoder(problem, profiles, pdt, amo=config.amo_scheme,
+                              use_mutex=config.use_mutex,
+                              mandatory_preconds=config.mandatory_preconds,
+                              deadline=deadline)
             cand = query("solution", enc.solve_solution)
             if cand is not None:
                 stats.events.append(f"solved at round {stats.rounds}")
@@ -124,7 +129,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                     f"fixpoint, reinserting {len(blocked)} blocked pairs")
                 stats.reinsertions += 1
                 pdt = pdt.reinsert_blocked()
-                enc = _encoder(problem, profiles, pdt, config)
+                enc = None
                 continue
 
             if config.mode == BFS:
@@ -139,22 +144,15 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                     if not targets:
                         targets = expandable
             pdt.expand(targets)
-            enc.sync()
+            where = "while encoding"
+            enc.sync(deadline)
             if config.dump_cnf:
                 path = f"{config.dump_cnf}.round{stats.rounds}.cnf"
                 with open(path, "w") as fh:
                     fh.write(dump_dimacs(enc.sess))
         except SolverTimeout:
+            stats.events.append(f"budget exhausted {where} round {stats.rounds}")
             return finish("timeout")
-
-
-def _encoder(problem, profiles, pdt, config: PlannerConfig) -> Encoder:
-    return Encoder(
-        problem, profiles, pdt,
-        amo=AmoConfig(config.amo_scheme),
-        use_mutex=config.use_mutex,
-        mandatory_preconds=config.mandatory_preconds,
-    )
 
 
 def verify(problem: Problem, tree: DecompositionTree) -> list[str]:

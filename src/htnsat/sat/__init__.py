@@ -2,8 +2,6 @@
 
 from .solver import SatSession, SolverTimeout, SolverUsageError, luby
 from .amo import (
-    AmoConfig,
-    encode_alo,
     encode_amo,
     PAIRWISE,
     BINARY,
@@ -18,9 +16,7 @@ __all__ = [
     "SolverTimeout",
     "SolverUsageError",
     "luby",
-    "AmoConfig",
     "encode_amo",
-    "encode_alo",
     "PAIRWISE",
     "BINARY",
     "BIMANDER_HALF",

@@ -1,15 +1,19 @@
 """At-most-one constraint encodings over a SatSession.
 
-Three families: pairwise (quadratic, no auxiliaries), binary (each variable
-implies its index code over log2 n auxiliary bits), and bimander (variables
-partitioned into groups; pairwise inside a group, binary commander bits
-telling groups apart). All are equivalent under projection onto the input
-variables: exactly the n+1 assignments with at most one true survive.
+One routine, the bimander encoding (Nguyen & Mai, 2015): the variables
+are split into g contiguous groups, pairwise clauses forbid two true
+variables inside a group, and ceil(log2 g) commander bits give each
+group a binary code that every variable in it implies. The scheme only
+picks g. At the extremes, one group is the pairwise encoding (quadratic,
+no auxiliaries) and one variable per group is the binary encoding (each
+variable implies its index code); the bimander schemes sit in between
+with ceil(n/2) or ceil(sqrt n) groups. All are equivalent under
+projection onto the input variables: exactly the n+1 assignments with at
+most one true survive.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .solver import SatSession
@@ -19,81 +23,46 @@ BINARY = "binary"
 BIMANDER_HALF = "bimander-half"
 BIMANDER_SQRT = "bimander-sqrt"
 
-SCHEMES = (PAIRWISE, BINARY, BIMANDER_HALF, BIMANDER_SQRT)
+# group count per scheme, for n >= 2 variables
+_GROUPS = {
+    PAIRWISE: lambda n: 1,
+    BINARY: lambda n: n,
+    BIMANDER_HALF: lambda n: math.ceil(n / 2),
+    BIMANDER_SQRT: lambda n: math.ceil(math.sqrt(n)),
+}
+
+SCHEMES = tuple(_GROUPS)
 
 
-@dataclass(frozen=True)
-class AmoConfig:
-    scheme: str = PAIRWISE
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown AMO scheme {self.scheme!r}")
-
-
-def encode_amo(sess: SatSession, lits: Sequence[int], cfg: AmoConfig = AmoConfig()) -> list[int]:
-    """Constrain at most one of lits to be true. Returns auxiliary vars."""
-    lits = list(lits)
+def encode_amo(sess: SatSession, lits: Sequence[int], scheme: str = PAIRWISE) -> list[int]:
+    """Constrain at most one of lits to be true. Returns the commander
+    bits, none for a single group."""
+    if scheme not in _GROUPS:
+        raise ValueError(f"unknown AMO scheme {scheme!r}")
     if len(lits) < 2:
         return []
-    if cfg.scheme == PAIRWISE:
-        return _pairwise(sess, lits)
-    if cfg.scheme == BINARY:
-        return _binary(sess, lits)
-    groups = _split(lits, _group_count(len(lits), cfg.scheme))
-    return _bimander(sess, groups)
-
-
-def _pairwise(sess: SatSession, lits: Sequence[int]) -> list[int]:
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            sess.add_clause([-lits[i], -lits[j]])
-    return []
-
-
-def _binary(sess: SatSession, lits: Sequence[int]) -> list[int]:
-    n = len(lits)
-    k = max(1, math.ceil(math.log2(n)))
-    bits = [sess.new_var() for _ in range(k)]
-    for i, lit in enumerate(lits):
-        for j, b in enumerate(bits):
-            sess.add_clause([-lit, b if i >> j & 1 else -b])
-    return bits
-
-
-def _group_count(n: int, scheme: str) -> int:
-    if scheme == BIMANDER_HALF:
-        return max(1, math.ceil(n / 2))
-    return max(1, math.ceil(math.sqrt(n)))
-
-
-def _split(lits: Sequence[int], m: int) -> list[list[int]]:
-    """Deterministic near-even contiguous partition into m groups."""
-    groups = []
-    n = len(lits)
-    start = 0
-    for g in range(m):
-        size = n // m + (1 if g < n % m else 0)
-        groups.append(list(lits[start:start + size]))
-        start += size
-    return [g for g in groups if g]
-
-
-def _bimander(sess: SatSession, groups: list[list[int]]) -> list[int]:
-    for g in groups:
-        _pairwise(sess, g)
-    m = len(groups)
-    if m < 2:
+    groups = _split(lits, _GROUPS[scheme](len(lits)))
+    for group in groups:
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                sess.add_clause([-a, -b])
+    if len(groups) < 2:
         return []
-    k = max(1, math.ceil(math.log2(m)))
-    bits = [sess.new_var() for _ in range(k)]
-    for gi, g in enumerate(groups):
-        for lit in g:
+    bits = [sess.new_var() for _ in range((len(groups) - 1).bit_length())]
+    for code, group in enumerate(groups):
+        for lit in group:
             for j, b in enumerate(bits):
-                sess.add_clause([-lit, b if gi >> j & 1 else -b])
+                sess.add_clause([-lit, b if code >> j & 1 else -b])
     return bits
 
 
-def encode_alo(sess: SatSession, lits: Sequence[int]) -> None:
-    """At least one of lits (a single clause)."""
-    sess.add_clause(list(lits))
+def _split(lits: Sequence[int], g: int) -> list[Sequence[int]]:
+    """Near-even contiguous partition into g groups, larger groups first."""
+    size, extra = divmod(len(lits), g)
+    groups = []
+    start = 0
+    for i in range(g):
+        end = start + size + (i < extra)
+        groups.append(lits[start:end])
+        start = end
+    return groups

@@ -39,7 +39,7 @@ class SolverUsageError(ValueError):
 
 
 class SolverTimeout(Exception):
-    """The per-call deadline expired inside solve()."""
+    """The deadline expired inside solve() or while encoding."""
 
 
 def luby(i: int) -> int:
@@ -57,7 +57,7 @@ class SatSession:
     """One incremental solving session over a growing clause store."""
 
     def __init__(self):
-        self.nvars = 0
+        self.num_vars = 0
         # per-variable state, index 0 unused
         self.assign: list[int] = [0]  # 0 unassigned, 1 true, -1 false
         self.level: list[int] = [0]
@@ -68,7 +68,7 @@ class SatSession:
         self.var_inc = 1.0
         self.watches: dict[int, list[list[int]]] = {}
         self.store = array("i")  # problem clauses as added, each 0-terminated
-        self.n_clauses = 0
+        self.num_clauses = 0
         self.n_learnt = 0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -84,16 +84,16 @@ class SatSession:
     # -- store construction -------------------------------------------------
 
     def new_var(self) -> int:
-        self.nvars += 1
+        self.num_vars += 1
         self.assign.append(0)
         self.level.append(0)
         self.reason.append(None)
         self.saved.append(False)
         self.act.append(0.0)
         self.marks.append(False)
-        self.watches[self.nvars] = []
-        self.watches[-self.nvars] = []
-        return self.nvars
+        self.watches[self.num_vars] = []
+        self.watches[-self.num_vars] = []
+        return self.num_vars
 
     def value(self, lit: int) -> int:
         """1 if lit true, -1 if false, 0 if unassigned."""
@@ -106,7 +106,7 @@ class SatSession:
         Duplicate literals are merged, tautologies accepted and dropped,
         the empty clause marks the store permanently UNSAT.
         """
-        nvars = self.nvars
+        nvars = self.num_vars
         store = self.store
         if type(lits) is list and len(lits) == 2:
             a, b = lits
@@ -118,14 +118,14 @@ class SatSession:
             if a == -b:  # tautology: exported, never watched
                 store.fromlist(lits)
                 store.append(0)
-                self.n_clauses += 1
+                self.num_clauses += 1
                 return
             assign = self.assign
             if a != b and not (assign[va] or assign[vb] or self.trail_lim):
                 # both free: watch both, lower variable first
                 store.fromlist(lits)
                 store.append(0)
-                self.n_clauses += 1
+                self.num_clauses += 1
                 clause = [a, b] if va < vb else [b, a]
                 self.watches[a].append(clause)
                 self.watches[b].append(clause)
@@ -144,7 +144,7 @@ class SatSession:
                 clause.append(lit)
         store.fromlist(clause)
         store.append(0)
-        self.n_clauses += 1
+        self.num_clauses += 1
         if taut:
             return
         if not clause:
@@ -250,7 +250,7 @@ class SatSession:
     def _bump(self, v: int) -> None:
         self.act[v] += self.var_inc
         if self.act[v] > _RESCALE_AT:
-            for u in range(1, self.nvars + 1):
+            for u in range(1, self.num_vars + 1):
                 self.act[u] *= 1e-100
             self.var_inc *= 1e-100
         heappush(self.order, (-self.act[v], v))
@@ -310,11 +310,11 @@ class SatSession:
     # -- search -------------------------------------------------------------
 
     def _pick_branch(self) -> int:
+        """The most active unassigned variable, or 0 when all are assigned.
+        solve() heaps every unassigned variable and _cancel_to pushes each
+        one it unassigns, so the heap always holds every free variable."""
         while self.order:
             _, v = heappop(self.order)
-            if self.assign[v] == 0:
-                return v
-        for v in range(1, self.nvars + 1):  # vars never bumped nor cancelled
             if self.assign[v] == 0:
                 return v
         return 0
@@ -327,7 +327,7 @@ class SatSession:
         under the assumptions. Raises SolverTimeout past the deadline.
         """
         for lit in assumptions:
-            if not 0 < abs(lit) <= self.nvars:
+            if not 0 < abs(lit) <= self.num_vars:
                 raise SolverUsageError(f"assumption {lit} uses unallocated variable")
         if self.hard_unsat:
             return None
@@ -336,7 +336,7 @@ class SatSession:
             self.hard_unsat = True
             return None
         act, assign = self.act, self.assign
-        self.order = [(-act[v], v) for v in range(1, self.nvars + 1)
+        self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
                       if assign[v] == 0]
         heapify(self.order)
 
@@ -386,8 +386,8 @@ class SatSession:
                 continue
             v = self._pick_branch()
             if v == 0:
-                model = [False] * (self.nvars + 1)
-                for u in range(1, self.nvars + 1):
+                model = [False] * (self.num_vars + 1)
+                for u in range(1, self.num_vars + 1):
                     model[u] = self.assign[u] == 1
                 self._cancel_to(0)
                 return model
@@ -396,14 +396,6 @@ class SatSession:
             self._enqueue(v if self.saved[v] else -v, None)
 
     # -- reporting ----------------------------------------------------------
-
-    @property
-    def num_vars(self) -> int:
-        return self.nvars
-
-    @property
-    def num_clauses(self) -> int:
-        return self.n_clauses
 
     def clauses(self) -> Iterator[list[int]]:
         """The problem clauses in the order added, duplicates merged."""
@@ -417,8 +409,8 @@ class SatSession:
 
     def stats(self) -> dict:
         return {
-            "vars": self.nvars,
-            "clauses": self.n_clauses,
+            "vars": self.num_vars,
+            "clauses": self.num_clauses,
             "learnt": self.n_learnt,
             "conflicts": self.conflicts,
             "decisions": self.decisions,

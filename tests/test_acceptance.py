@@ -19,7 +19,7 @@ from htnsat.inference import (
 )
 from htnsat.model import ABSTRACT, TaskRef
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
-from htnsat.sat import AmoConfig, SCHEMES, SatSession, encode_amo
+from htnsat.sat import SCHEMES, SatSession, encode_amo
 
 from domains import random_acyclic, wide_choice
 from oracles import (
@@ -82,7 +82,7 @@ def test_02_amo_projection_counts():
     for scheme, n in itertools.product(SCHEMES, range(2, 9)):
         sess = SatSession()
         vs = [sess.new_var() for _ in range(n)]
-        encode_amo(sess, vs, AmoConfig(scheme))
+        encode_amo(sess, vs, scheme)
         models = enumerate_session_models(sess, vs)
         ok &= len(models) == n + 1 and all(sum(m) <= 1 for m in models)
     report(2, "every AMO scheme admits exactly n+1 projected models", ok)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from htnsat import encoder
 from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
-from htnsat.sat import AmoConfig, parse_dimacs, dump_dimacs
+from htnsat.planner import plan
+from htnsat.sat import dump_dimacs, encode_amo, parse_dimacs
 
 from oracles import relaxed_plan_realizable, solvable_by_enumeration
 
@@ -192,7 +194,7 @@ class TestIncrementality:
         chosen_vars = [var for (_, mid), var in sorted(enc.mvar.items())
                        if mid in picked]
         assert len(chosen_vars) == len(picked)
-        replay = enc.sess.solve([enc.queries[-1][0]] + chosen_vars)
+        replay = enc.sess.solve([enc.strict] + chosen_vars)
         assert replay is not None
 
     @pytest.mark.parametrize("seed", range(3))
@@ -214,13 +216,40 @@ class TestIncrementality:
         got, want = enc.solve_solution(), fresh.solve_solution()
         assert (got and got.plan) == (want and want.plan)
 
+    def test_no_amo_is_encoded_twice(self, monkeypatch):
+        # a mutex group whose facts the position cannot change keeps the
+        # variables of the column before, whose AMO is already stored
+        p = parse_ground("""\
+problem tokens
+fact at(a,l1)
+fact at(a,l2)
+fact at(b,l1)
+fact at(b,l2)
+action ma pre at(a,l1) add at(a,l2) del at(a,l1)
+action mb pre at(b,l1) add at(b,l2) del at(b,l1)
+task top
+method m top -> ma mb
+init at(a,l1) at(b,l1)
+goal at(a,l2) at(b,l2)
+root top
+""")
+        calls = []
+
+        def record(sess, lits, *args):
+            calls.append(tuple(lits))
+            return encode_amo(sess, lits, *args)
+
+        monkeypatch.setattr(encoder, "encode_amo", record)
+        assert plan(p).status == "solved"
+        assert len(calls) == len(set(calls))
+
 
 class TestSchemesAndDumps:
     @pytest.mark.parametrize("scheme", ["pairwise", "binary",
                                         "bimander-half", "bimander-sqrt"])
     def test_all_amo_schemes_reach_the_same_plan(self, ground, scheme):
         p = ground("taxi")
-        _, pdt, enc = setup(p, amo=AmoConfig(scheme))
+        _, pdt, enc = setup(p, amo=scheme)
         while grow(pdt, enc):
             pass
         cand = enc.solve_solution()

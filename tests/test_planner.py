@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from htnsat.encoder import Encoder
@@ -59,6 +61,10 @@ class TestBfs:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             PlannerConfig(mode="dfs")
+
+    def test_unknown_amo_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown AMO scheme"):
+            PlannerConfig(amo_scheme="bogus")
 
 
 class TestReinsertion:
@@ -144,6 +150,23 @@ class TestLimits:
         assert res.stats.rounds == 1
         assert res.stats.events == [
             "budget exhausted in the relaxed query of round 1"]
+
+    def test_timeout_while_encoding_a_rebuild(self, ground, monkeypatch):
+        # layers 1-2 take 0.6 s before the reinsertion in round 3; the
+        # rebuild in round 4 passes the 0.75 s budget inside its layer 1
+        nap = 0.3
+        encode_layer = Encoder._encode_layer
+
+        def slow(self, idx):
+            time.sleep(nap)
+            encode_layer(self, idx)
+
+        monkeypatch.setattr(Encoder, "_encode_layer", slow)
+        res = plan(ground("reinsert"), PlannerConfig(timeout=0.75))
+        assert res.status == "timeout"
+        assert res.stats.reinsertions == 1
+        assert res.stats.events[-1] == "budget exhausted while encoding round 4"
+        assert res.stats.wall_time < 0.75 + nap
 
     def test_round_budget(self, ground):
         res = plan(ground("fork3"), PlannerConfig(max_rounds=1))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htnsat.sat import (
-    AmoConfig,
     BINARY,
     BIMANDER_HALF,
     BIMANDER_SQRT,
@@ -275,7 +274,7 @@ def test_determinism_identical_history():
 def test_amo_projection_model_count(scheme, n):
     s = SatSession()
     vs = [s.new_var() for _ in range(n)]
-    encode_amo(s, vs, AmoConfig(scheme))
+    encode_amo(s, vs, scheme)
     models = enumerate_session_models(s, vs)
     assert len(models) == n + 1
     assert all(sum(m) <= 1 for m in models)
@@ -284,11 +283,11 @@ def test_amo_projection_model_count(scheme, n):
 def test_amo_clause_counts():
     s = SatSession()
     vs = [s.new_var() for _ in range(3)]
-    encode_amo(s, vs, AmoConfig(PAIRWISE))
+    encode_amo(s, vs, PAIRWISE)
     assert s.num_clauses == 3
     s = SatSession()
     vs = [s.new_var() for _ in range(4)]
-    aux = encode_amo(s, vs, AmoConfig(BINARY))
+    aux = encode_amo(s, vs, BINARY)
     assert s.num_clauses == 8 and len(aux) == 2
 
 
@@ -300,12 +299,20 @@ def test_amo_trivial_sizes():
     assert encode_amo(s, []) == []
 
 
+def test_amo_unknown_scheme_rejected():
+    s = SatSession()
+    vs = [s.new_var() for _ in range(3)]
+    with pytest.raises(ValueError, match="unknown AMO scheme"):
+        encode_amo(s, vs, "bogus")
+    assert s.num_clauses == 0
+
+
 @pytest.mark.parametrize("scheme", [BIMANDER_HALF, BIMANDER_SQRT])
 def test_bimander_group_shapes(scheme):
     # n=8: half rule gives 4 groups of 2, sqrt rule gives 3 groups (3,3,2)
     s = SatSession()
     vs = [s.new_var() for _ in range(8)]
-    aux = encode_amo(s, vs, AmoConfig(scheme))
+    aux = encode_amo(s, vs, scheme)
     assert len(aux) == 2  # ceil(log2(4)) == ceil(log2(3)) == 2
     models = enumerate_session_models(s, vs)
     assert len(models) == 9
