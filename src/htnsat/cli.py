@@ -30,8 +30,9 @@ from .hddl import (
 from .inference import compute_profiles, dump_profiles
 from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
                     join_name, new_tree, split_name)
-from .planner import BFS, GREEDY, PlannerConfig, plan, verify
-from .sat.amo import SCHEMES
+from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
+                      verify)
+from .sat import SCHEMES, SolverTimeout
 
 
 class UsageError(ValueError):
@@ -195,7 +196,10 @@ def _num(tok: str, ln: str) -> int:
 # -- problem loading ----------------------------------------------------------
 
 
-def load_problem(inputs: list[str], cap: int = DEFAULT_CAP) -> Problem:
+def load_problem(inputs: list[str], cap: int = DEFAULT_CAP,
+                 deadline: float | None = None) -> Problem:
+    """Read a .ground file, or parse and ground a DOMAIN PROBLEM pair.
+    Grounding raises SolverTimeout once the deadline has passed."""
     try:
         if len(inputs) == 1:
             path = Path(inputs[0])
@@ -209,7 +213,7 @@ def load_problem(inputs: list[str], cap: int = DEFAULT_CAP) -> Problem:
             dom, prob = parse(dom_path.read_text(), prob_path.read_text(),
                               domain_src=dom_path.name,
                               problem_src=prob_path.name)
-            return ground(dom, prob, cap)
+            return ground(dom, prob, cap, deadline)
     except (OSError, HddlParseError, GroundingError, GroundFormatError) as e:
         raise UsageError(str(e)) from e
     raise UsageError("expected DOMAIN PROBLEM or a single .ground file")
@@ -256,22 +260,29 @@ def _solver_parser() -> _Parser:
 def _run_solve(argv: list[str]) -> int:
     ns = _solver_parser().parse_args(argv)
     t0 = time.monotonic()
-    problem = load_problem(ns.inputs, ns.cap)
+    try:
+        problem = load_problem(ns.inputs, ns.cap, deadline=t0 + ns.timeout)
+    except SolverTimeout:
+        problem = None
     grounding_time = time.monotonic() - t0
-    if ns.validate_only is not None:
+    if problem is None:
+        res = PlanResult(status="timeout", tree=None, stats=RunStats(
+            mode=ns.mode, events=["budget exhausted while grounding"]))
+    elif ns.validate_only is not None:
         return _validate_only(problem, ns.validate_only)
-    if ns.dump_profiles:
-        print(dump_profiles(problem, compute_profiles(problem)))
-    cfg = PlannerConfig(
-        mode=ns.mode,
-        amo_scheme=ns.amo,
-        use_mutex=not ns.no_mutex,
-        mandatory_preconds=ns.mandpre_prune == "on",
-        # the budget covers grounding, so the search gets what is left
-        timeout=ns.timeout - (time.monotonic() - t0),
-        dump_cnf=ns.dump_cnf,
-    )
-    res = plan(problem, cfg)
+    else:
+        if ns.dump_profiles:
+            print(dump_profiles(problem, compute_profiles(problem)))
+        cfg = PlannerConfig(
+            mode=ns.mode,
+            amo_scheme=ns.amo,
+            use_mutex=not ns.no_mutex,
+            mandatory_preconds=ns.mandpre_prune == "on",
+            # the budget covers grounding, so the search gets what is left
+            timeout=ns.timeout - (time.monotonic() - t0),
+            dump_cnf=ns.dump_cnf,
+        )
+        res = plan(problem, cfg)
     res.stats.grounding_time = grounding_time
     if ns.emit_dot and res.pdt is not None:
         Path(ns.emit_dot).write_text(res.pdt.to_dot(res.tree))
@@ -355,13 +366,18 @@ def _run_bench(argv: list[str]) -> int:
         for mode in modes:
             t0 = time.monotonic()
             try:
-                problem = load_problem(inputs)
+                problem = load_problem(inputs, deadline=t0 + limit)
             except UsageError as e:
                 # one unreadable instance scores zero instead of ending the run
                 print(f"error: instance {name}: {e}", file=sys.stderr)
                 runs = [(m, False, 0.0, 0) for m in modes]
                 break
-            res = plan(problem, PlannerConfig(mode=mode, timeout=limit))
+            except SolverTimeout:
+                runs.append((mode, False, time.monotonic() - t0, 0))
+                continue
+            # the limit covers loading, so the search gets what is left
+            res = plan(problem, PlannerConfig(
+                mode=mode, timeout=limit - (time.monotonic() - t0)))
             t = time.monotonic() - t0
             solved = res.status == "solved"
             runs.append((mode, solved, t,

@@ -222,7 +222,7 @@ class Encoder:
                     else:
                         sess.add_clause([-mv, self.blankvar[q.path]])
             sess.add_clause([-tv] + mvars)
-            encode_amo(sess, mvars)
+            encode_amo(sess, mvars, self.amo)
         for a in pos.acts:
             av = self.opvar[(pos.path, ACTION, a)]
             sess.add_clause([-av, self.opvar[(kids[0].path, ACTION, a)]])

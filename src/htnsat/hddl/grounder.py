@@ -10,10 +10,12 @@ delete relaxation or can never be reached by decomposing the initial
 task are pruned by a joint fixpoint; abstract tasks left without
 methods are marked unrefinable and methods mentioning them fall with
 them. Total instantiation work is capped; hitting the cap aborts with
-an error instead of grinding on.
+an error instead of grinding on, and an optional deadline, checked at
+the same points, raises SolverTimeout once it has passed.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -29,6 +31,7 @@ from ..model import (
     join_name,
     mask,
 )
+from ..sat import SolverTimeout
 from .parser import LiftedDomain, LiftedProblem
 
 DEFAULT_CAP = 200_000
@@ -78,8 +81,9 @@ class _Types:
 
 
 class _Budget:
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, deadline: float | None):
         self.cap = cap
+        self.deadline = deadline
         self.used = 0
 
     def spend(self, n: int = 1) -> None:
@@ -88,6 +92,8 @@ class _Budget:
             raise GroundingError(
                 f"instantiation cap of {self.cap} candidate instances "
                 f"exceeded; pass a larger cap to ground this problem")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SolverTimeout
 
 
 def _bindings(params, types: _Types, budget: _Budget):
@@ -126,11 +132,12 @@ class _GMethod:
 
 
 class _Grounder:
-    def __init__(self, dom: LiftedDomain, prob: LiftedProblem, cap: int):
+    def __init__(self, dom: LiftedDomain, prob: LiftedProblem, cap: int,
+                 deadline: float | None):
         self.dom = dom
         self.prob = prob
         self.types = _Types(dom, prob.objects)
-        self.budget = _Budget(cap)
+        self.budget = _Budget(cap, deadline)
         self.task_sig = {t.name: t for t in dom.tasks}
         self.action_sig = {a.name: a for a in dom.actions}
         self.neg_preds = self._negatively_used()
@@ -421,6 +428,8 @@ class _Grounder:
         ).finalize()
 
 
-def ground(dom: LiftedDomain, prob: LiftedProblem,
-           cap: int = DEFAULT_CAP) -> Problem:
-    return _Grounder(dom, prob, cap).build()
+def ground(dom: LiftedDomain, prob: LiftedProblem, cap: int = DEFAULT_CAP,
+           deadline: float | None = None) -> Problem:
+    """Ground the problem. Raises GroundingError past cap candidate
+    instances, and SolverTimeout once the monotonic deadline has passed."""
+    return _Grounder(dom, prob, cap, deadline).build()

@@ -12,13 +12,17 @@ Expanding it in a later round hangs its children directly off it, so
 a position was expanded in round k exactly when its first child sits on
 layer k + 1.
 
-Recursion control: a method is blocked at an occurrence when it would
-re-introduce a recursive task that already occurs on a strict ancestor
-position. Blocked pairs can later be reinserted, which rebuilds the
-whole structure with those pairs admitted by expanding, layer by layer,
-the positions where the old grid was expanded; paths of child-slot
-indices stay stable across rebuilds because reinsertion only ever
-widens positions.
+Recursion control: every position counts, per task, the strict ancestor
+positions whose candidate tasks include it. A method is blocked at a
+position when one of its recursive subtasks already has a count at or
+above the grid's nesting limit. The limit starts at 1, so a recursive
+task is not re-introduced below itself at all. When the search reaches
+a fixpoint with blocked pairs left, reinsertion doubles the limit and
+rebuilds the whole structure by expanding, layer by layer, the
+positions where the old grid was expanded. A recursion that needs depth
+d therefore costs about log2(d) rebuilds. Paths of child-slot indices
+stay stable across rebuilds because a larger limit only ever widens
+positions.
 """
 from __future__ import annotations
 
@@ -42,7 +46,8 @@ class Position:
     acts: list[int] = field(default_factory=list)
     tasks: list[int] = field(default_factory=list)
     has_blank: bool = False
-    anc_tasks: frozenset[int] = frozenset()
+    # task id -> number of strict ancestors whose candidate tasks include it
+    anc_counts: dict[int, int] = field(default_factory=dict)
     children: list["Position"] = field(default_factory=list)
     # admitted methods per task, set once the position is expanded
     admitted: Optional[dict[int, list[int]]] = None
@@ -54,7 +59,7 @@ class Pdt:
         self.profiles = profiles
         self.root = Position(layer=0, path=(), tasks=[problem.root])
         self.layers: list[list[Position]] = [[self.root]]
-        self.reinserted: set[BlockedPair] = set()
+        self.nesting_limit = 1
         self.methods_developed = 0
 
     # -- structure queries ---------------------------------------------------
@@ -73,12 +78,10 @@ class Pdt:
         return [b for b in self.bottom() if b.tasks]
 
     def is_blocked(self, pos: Position, task: int, mid: int) -> bool:
-        if (pos.path, task, mid) in self.reinserted:
-            return False
         recursive = self.profiles.recursion.recursive
         for ref in self.problem.methods[mid].subtasks:
             if not ref.is_action() and recursive[ref.id] \
-                    and ref.id in pos.anc_tasks:
+                    and pos.anc_counts.get(ref.id, 0) >= self.nesting_limit:
                 return True
         return False
 
@@ -125,6 +128,9 @@ class Pdt:
         admitted = {t: self.admitted_methods(b, t) for t in b.tasks}
         width = max([1] + [len(self.problem.methods[m].subtasks)
                            for ms in admitted.values() for m in ms])
+        counts = dict(b.anc_counts)  # shared by the children, never mutated
+        for t in b.tasks:
+            counts[t] = counts.get(t, 0) + 1
         kids = []
         for i in range(width):
             acts: list[int] = []
@@ -147,20 +153,19 @@ class Pdt:
                         blank = True
             kids.append(Position(layer=len(self.layers), path=b.path + (i,),
                                  acts=acts, tasks=tasks, has_blank=blank,
-                                 anc_tasks=b.anc_tasks | frozenset(b.tasks)))
+                                 anc_counts=counts))
         b.children = kids
         b.admitted = admitted
         self.methods_developed += sum(len(ms) for ms in admitted.values())
         return kids
 
     def reinsert_blocked(self) -> "Pdt":
-        """Admit every currently blocked pair and rebuild by expanding the
-        same positions in the same rounds. Returns the rebuilt structure."""
-        pairs = self.blocked_pairs()
-        if not pairs:
+        """Double the nesting limit and rebuild by expanding the same
+        positions in the same rounds. Returns the rebuilt structure."""
+        if not self.blocked_pairs():
             raise PdtUsageError("nothing is blocked")
         fresh = Pdt(self.problem, self.profiles)
-        fresh.reinserted = self.reinserted | pairs
+        fresh.nesting_limit = 2 * self.nesting_limit
         # layer k holds the targets of expansion round k, in path order
         for k, layer in enumerate(self.layers[:-1]):
             fresh.expand([fresh.find(b.path) for b in layer

@@ -4,9 +4,10 @@ Each round first asks for a finished plan. Failing that, the greedy mode
 asks the relaxed query which unexpanded tasks a consistent state
 trajectory would actually use, and develops exactly those; a breadth
 first mode develops everything instead and never poses the relaxed
-query. When nothing is expandable and no plan exists, any method pairs
-held back by the recursion blocker are readmitted and the grid rebuilt;
-with nothing held back the problem is genuinely unsolvable.
+query. When nothing is expandable and no plan exists while the
+recursion blocker holds method pairs back, the grid is rebuilt with
+twice the nesting limit, so a recursion of depth d needs about log2(d)
+rebuilds; with nothing held back the problem is genuinely unsolvable.
 """
 from __future__ import annotations
 
@@ -84,7 +85,9 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
         nonlocal where
         where = f"in the {kind} query of"
         t0 = time.monotonic()
+        before = enc.sess.stats()
         cand = solver(deadline=deadline)
+        after = enc.sess.stats()
         entry = {
             "round": stats.rounds,
             "kind": kind,
@@ -93,6 +96,8 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             "vars": enc.sess.num_vars,
             "clauses": enc.sess.num_clauses,
         }
+        for k in ("conflicts", "decisions", "propagations"):
+            entry[k] = after[k] - before[k]
         if cand is not None:
             entry["frontier"] = [problem.ref_name(r) for r in cand.frontier]
         stats.queries.append(entry)
@@ -125,10 +130,12 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                 if not blocked:
                     stats.events.append("fixpoint without blocked methods")
                     return finish("unsolvable")
-                stats.events.append(
-                    f"fixpoint, reinserting {len(blocked)} blocked pairs")
-                stats.reinsertions += 1
+                limit = pdt.nesting_limit
                 pdt = pdt.reinsert_blocked()
+                stats.events.append(
+                    f"fixpoint, reinserting {len(blocked)} blocked pairs, "
+                    f"nesting limit {limit} -> {pdt.nesting_limit}")
+                stats.reinsertions += 1
                 enc = None
                 continue
 

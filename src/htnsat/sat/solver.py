@@ -39,7 +39,8 @@ class SolverUsageError(ValueError):
 
 
 class SolverTimeout(Exception):
-    """The deadline expired inside solve() or while encoding."""
+    """The deadline expired inside solve(), while encoding or while
+    grounding."""
 
 
 def luby(i: int) -> int:

@@ -19,13 +19,35 @@ from htnsat.cli import (
     write_plan,
 )
 from htnsat.hddl import parse_ground
-from htnsat.planner import PlannerConfig, plan, verify
+from htnsat.planner import PlannerConfig, PlanResult, RunStats, plan, verify
+from htnsat.sat import SolverTimeout
 
 from domains import wide_choice
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SOLVABLE = ["fork3", "taxi", "tower", "mpre", "addonly", "reinsert",
             "empty_goal", "empty_method"]
+
+BLOWUP_DOMAIN = """\
+(define (domain blowup)
+  (:requirements :typing :hierarchy)
+  (:types thing)
+  (:predicates (p ?a - thing))
+  (:task t :parameters ())
+  (:method m :parameters () :task (t) :ordered-subtasks (and))
+  (:action a
+    :parameters (?a - thing ?b - thing ?c - thing ?d - thing)
+    :precondition (and (= ?a ?b) (= ?b ?c) (= ?c ?d))
+    :effect (p ?a)))
+"""
+BLOWUP_PROBLEM = """\
+(define (problem blowup1)
+  (:domain blowup)
+  (:objects {objs} - thing)
+  (:htn :parameters () :subtasks (and (t0 (t))) :ordering ())
+  (:init)
+  (:goal (and)))
+"""
 
 
 def fixture(name):
@@ -157,13 +179,29 @@ class TestSolveCommand:
         assert ";; status timeout" in capsys.readouterr().out
 
     def test_timeout_budget_includes_grounding(self, monkeypatch, capsys):
-        def slow_load(inputs, cap):
+        def slow_load(inputs, cap, **kw):
             time.sleep(0.3)
-            return load_problem(inputs, cap)
+            return load_problem(inputs, cap, **kw)
 
         monkeypatch.setattr(htnsat.cli, "load_problem", slow_load)
         assert main([fixture("fork3"), "--timeout", "0.2"]) == 2
         assert ";; status timeout" in capsys.readouterr().out
+
+    def test_grounding_stops_at_the_deadline(self, tmp_path, capsys):
+        # 30**4 candidate bindings take seconds to enumerate; the equality
+        # preconditions rule all but 30 of them out, so memory stays small
+        (tmp_path / "d.hddl").write_text(BLOWUP_DOMAIN)
+        objs = " ".join(f"o{i}" for i in range(30))
+        (tmp_path / "p.hddl").write_text(BLOWUP_PROBLEM.format(objs=objs))
+        dest = tmp_path / "stats.json"
+        t0 = time.monotonic()
+        assert main([str(tmp_path / "d.hddl"), str(tmp_path / "p.hddl"),
+                     "--timeout", "0.05", "--cap", "100000000",
+                     "--stats", str(dest)]) == 2
+        assert time.monotonic() - t0 < 0.5
+        assert ";; status timeout" in capsys.readouterr().out
+        stats = json.loads(dest.read_text())
+        assert stats["events"] == ["budget exhausted while grounding"]
 
     def test_missing_file_exits_three(self, capsys):
         assert main(["nope.ground"]) == 3
@@ -197,6 +235,19 @@ class TestSolveCommand:
         assert stats["reinsertions"] == 1
         assert stats["rounds"] >= 1
         assert any(q["kind"] == "solution" for q in stats["queries"])
+
+    def test_stats_explain_reinsertions_and_solver_work(self, tmp_path, capsys):
+        dest = tmp_path / "stats.json"
+        assert main([fixture("reinsert"), "--stats", str(dest)]) == 0
+        capsys.readouterr()
+        stats = json.loads(dest.read_text())
+        assert [e for e in stats["events"] if e.startswith("fixpoint")] == [
+            "fixpoint, reinserting 1 blocked pairs, nesting limit 1 -> 2"]
+        for q in stats["queries"]:
+            assert all(isinstance(q[k], int) and q[k] >= 0
+                       for k in ("conflicts", "decisions", "propagations"))
+        # the solving query propagates the plan into place
+        assert stats["queries"][-1]["propagations"] > 0
 
     def test_emit_dot(self, tmp_path, capsys):
         dest = tmp_path / "grid.dot"
@@ -345,6 +396,50 @@ class TestBench:
         assert [r["solved"] for r in rows] == ["1", "1", "0", "0"]
         for r in rows[2:]:
             assert float(r["ipc"]) == 0 and float(r["quality"]) == 0
+
+    def test_search_gets_what_loading_left(self, tmp_path, capsys,
+                                           monkeypatch):
+        # with the whole limit after loading, a row would take limit + nap
+        limit, nap = 1.2, 0.4
+
+        def slow_load(inputs, *args, **kw):
+            time.sleep(nap)
+            return load_problem(inputs, *args, **kw)
+
+        def plan_to_the_deadline(problem, config):
+            time.sleep(max(config.timeout, 0.0))
+            return PlanResult(status="timeout", tree=None,
+                              stats=RunStats(mode=config.mode))
+
+        monkeypatch.setattr(htnsat.cli, "load_problem", slow_load)
+        monkeypatch.setattr(htnsat.cli, "plan", plan_to_the_deadline)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "timeout": limit,
+            "instances": [{"name": "fork", "ground": "fork3.ground"}]}))
+        (tmp_path / "fork3.ground").write_text(
+            (FIXTURES / "fork3.ground").read_text())
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            times = [float(r["time_s"]) for r in csv.DictReader(fh)]
+        assert len(times) == 1 and times[0] <= limit + nap / 2
+
+    def test_grounding_timeout_scores_zero(self, tmp_path, capsys,
+                                           monkeypatch):
+        def expire(inputs, *args, **kw):
+            raise SolverTimeout
+
+        monkeypatch.setattr(htnsat.cli, "load_problem", expire)
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(FIXTURES / "bench.json"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert all(r["solved"] == "0" and float(r["ipc"]) == 0 for r in rows)
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"

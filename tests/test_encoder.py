@@ -8,7 +8,7 @@ from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
-from htnsat.planner import plan
+from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import dump_dimacs, encode_amo, parse_dimacs
 
 from oracles import relaxed_plan_realizable, solvable_by_enumeration
@@ -254,6 +254,34 @@ class TestSchemesAndDumps:
             pass
         cand = enc.solve_solution()
         assert cand is not None and len(cand.plan) == 2
+
+    def test_binary_scheme_gives_the_method_choice_commander_bits(
+            self, ground, monkeypatch):
+        calls = []
+
+        def record(sess, lits, *args):
+            bits = encode_amo(sess, lits, *args)
+            calls.append((list(lits), args, bits))
+            return bits
+
+        monkeypatch.setattr(encoder, "encode_amo", record)
+        p = ground("fork3")
+        _, pdt, enc = setup(p, amo="binary")
+        grow(pdt, enc)
+        choice = [enc.mvar[((), m)] for m in pdt.root.admitted[p.root]]
+        assert len(choice) == 2
+        assert [(args, len(bits)) for lits, args, bits in calls
+                if lits == choice] == [(("binary",), 1)]
+
+    @pytest.mark.parametrize("name", ["fork3", "taxi", "tower", "mpre",
+                                      "addonly", "reinsert", "empty_goal",
+                                      "empty_method"])
+    @pytest.mark.parametrize("mode", ["greedy", "bfs"])
+    def test_binary_scheme_plans_validate(self, ground, name, mode):
+        p = ground(name)
+        res = plan(p, PlannerConfig(mode=mode, amo_scheme="binary"))
+        assert res.status == "solved"
+        assert verify(p, res.tree) == []
 
     def test_dimacs_dump_round_trips(self, ground):
         p = ground("fork3")

@@ -1,5 +1,6 @@
 """Lifted front end: reader subset enforcement and instantiation."""
 import pathlib
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from htnsat.hddl import (
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, ACTION
 from htnsat.planner import PlannerConfig, plan, verify
+from htnsat.sat import SolverTimeout
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -401,3 +403,10 @@ class TestDeterminismAndRoundTrip:
         dom, prob = load_taxi()
         with pytest.raises(GroundingError, match="cap of 5"):
             ground(dom, prob, cap=5)
+
+    def test_passed_deadline_stops_grounding(self):
+        dom, prob = load_taxi()
+        with pytest.raises(SolverTimeout):
+            ground(dom, prob, deadline=time.monotonic() - 1)
+        later = ground(dom, prob, deadline=time.monotonic() + 60)
+        assert dump_ground(later) == dump_ground(ground_taxi())

@@ -16,6 +16,11 @@ def names(problem, ids, kind):
     return {pool[i].name for i in ids}
 
 
+def counts(problem, pos):
+    """Ancestor counts of a position, keyed by task name."""
+    return {problem.abstracts[t].name: c for t, c in pos.anc_counts.items()}
+
+
 def sites(pdt):
     """Paths expanded in each round, read off the grid layer by layer."""
     return [[b.path for b in layer
@@ -72,10 +77,20 @@ class TestExpansion:
         pdt = build(p)
         pdt.expand([pdt.root])
         kid = pdt.layers[1][0]
-        assert names(p, kid.anc_tasks, "task") == {"main"}
+        assert counts(p, kid) == {"main": 1}
         pdt.expand([kid])
         grand = kid.children[0]
-        assert names(p, grand.anc_tasks, "task") == {"main", "start-right"}
+        assert counts(p, grand) == {"main": 1, "start-right": 1}
+
+    def test_ancestor_counts_add_up_along_a_recursion(self, ground):
+        p = ground("reinsert")
+        pdt = build(p)
+        pdt.expand([pdt.root])
+        inner = pdt.layers[1][1]
+        assert counts(p, inner) == {"countdown": 1}
+        pdt.nesting_limit = 2
+        pdt.expand([inner])
+        assert counts(p, inner.children[1]) == {"countdown": 2}
 
     def test_unexpanded_positions_are_carried_as_they_are(self, ground):
         p = ground("fork3")
@@ -227,7 +242,9 @@ class TestReinsertion:
         assert any(mid == again for _, _, mid in pairs)
 
         fresh = pdt.reinsert_blocked()
-        assert fresh.reinserted == pairs
+        assert fresh.nesting_limit == 2 * pdt.nesting_limit == 2
+        for path, task, mid in pairs:
+            assert not fresh.is_blocked(fresh.find(path), task, mid)
         assert sites(fresh) == sites(pdt)
         # the replay kept every expanded position addressable
         for round_paths in sites(pdt):

@@ -77,6 +77,31 @@ class TestReinsertion:
         assert [p.actions[a].name for a in res.plan] == \
             ["pop(2,1)", "pop(1,0)", "check"]
 
+    @pytest.mark.parametrize("mode", [GREEDY, BFS])
+    def test_nesting_limit_doubles_per_reinsertion(self, mode):
+        # the reinsert fixture's countdown, 16 deep: 16 nested uses of
+        # "again" need a limit of 16, reached from 1 by four doublings
+        n = 16
+        lines = ["problem countdown16"]
+        lines += [f"fact n{k}" for k in range(n, -1, -1)] + ["fact done"]
+        lines += [f"action pop({k},{k - 1}) pre n{k} add n{k - 1} del n{k}"
+                  for k in range(n, 0, -1)]
+        lines += ["action check pre n0 add done", "task countdown", "task dec",
+                  "method base countdown -> check",
+                  "method again countdown -> dec countdown"]
+        lines += [f"method dec({k},{k - 1}) dec -> pop({k},{k - 1})"
+                  for k in range(n, 0, -1)]
+        lines += [f"init n{n}", "goal done", "root countdown"]
+        p = parse_ground("\n".join(lines) + "\n")
+        res = plan(p, PlannerConfig(mode=mode))
+        assert res.status == "solved"
+        assert res.stats.reinsertions == 4
+        assert [e for e in res.stats.events if e.startswith("fixpoint")] == [
+            f"fixpoint, reinserting 1 blocked pairs, nesting limit {k} -> {2 * k}"
+            for k in (1, 2, 4, 8)]
+        assert res.stats.plan_length == n + 1
+        assert verify(p, res.tree) == []
+
     def test_tower_needs_none(self, ground):
         res = plan(ground("tower"))
         assert res.status == "solved"
