@@ -12,30 +12,31 @@ def dump_dimacs(sess: SatSession) -> str:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Returns (nvars, clauses). Accepts comment lines and a p-header."""
+    """Returns (nvars, clauses). Accepts comment lines and a p-header;
+    nvars is the larger of the header's count and the highest variable.
+    A clause may span lines, and the last one may lack its 0."""
     nvars = 0
+    body: list[str] = []
+    for line in text.splitlines():
+        head = line.lstrip()[:1]
+        if head == "c" or not head:
+            continue
+        if head == "p":
+            nvars = int(line.split()[2])
+            continue
+        body.append(line)
+    lits = list(map(int, " ".join(body).split()))
     clauses: list[list[int]] = []
-    cur: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            nvars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(cur)
-                cur = []
-            else:
-                cur.append(lit)
-    if cur:
-        clauses.append(cur)
-    for c in clauses:
-        for lit in c:
-            nvars = max(nvars, abs(lit))
+    start = 0
+    try:
+        while True:
+            end = lits.index(0, start)
+            clauses.append(lits[start:end])
+            start = end + 1
+    except ValueError:  # no 0 left: what remains is the last clause
+        if start < len(lits):
+            clauses.append(lits[start:])
+    nvars = max(nvars, max(lits, default=0), -min(lits, default=0))
     return nvars, clauses
 
 

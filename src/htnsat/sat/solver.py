@@ -20,6 +20,23 @@ the common case, a binary clause over two unassigned variables, is two
 list appends. For export, each clause is kept as added (duplicates
 merged, tautologies included) in one flat ``array('i')`` of
 0-terminated literals rather than as a list of its own.
+
+What gets watched is simplified by the level-0 assignment, as in
+MiniSat (Een & Sorensson, SAT 2003). A clause with a literal true at
+level 0 is not watched at all; literals false at level 0 are left out;
+if one literal is left it is put on the trail as a level-0 unit, and if
+none is left the store is UNSAT. A level-0 assignment is never undone,
+because the search never backtracks below level 0, so none of this
+changes the search. A clause true at level 0 can never become unit or
+conflicting, and taking it out of the watch lists leaves every other
+watcher in the same order. A literal false at level 0 is never picked as
+a new watch, and conflict analysis skips level-0 variables without
+bumping them. So the trail, the learnt clauses, the counters and the
+models are the same as with every clause watched in full.
+
+_propagate, _analyze, _cancel_to and the branch pick in solve() are the
+hot loops: they keep attributes in locals and inline the value test,
+the enqueue and the activity bump.
 """
 from __future__ import annotations
 
@@ -96,16 +113,13 @@ class SatSession:
         self.watches[-self.num_vars] = []
         return self.num_vars
 
-    def value(self, lit: int) -> int:
-        """1 if lit true, -1 if false, 0 if unassigned."""
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause over previously allocated variables.
 
         Duplicate literals are merged, tautologies accepted and dropped,
-        the empty clause marks the store permanently UNSAT.
+        the empty clause marks the store permanently UNSAT. Every clause
+        is exported as added; what gets watched is simplified by the
+        level-0 assignment (see the module docstring).
         """
         nvars = self.num_vars
         store = self.store
@@ -116,22 +130,32 @@ class SatSession:
                 raise SolverUsageError(f"literal {a} uses unallocated variable")
             if not 0 < vb <= nvars:
                 raise SolverUsageError(f"literal {b} uses unallocated variable")
-            if a == -b:  # tautology: exported, never watched
+            if a != b and not self.trail_lim:
                 store.fromlist(lits)
                 store.append(0)
                 self.num_clauses += 1
+                if a == -b:  # tautology: exported, never watched
+                    return
+                assign = self.assign
+                xa, xb = assign[va], assign[vb]
+                if not (xa or xb):
+                    # both free: watch both, lower variable first
+                    clause = [a, b] if va < vb else [b, a]
+                    self.watches[a].append(clause)
+                    self.watches[b].append(clause)
+                    return
+                if a < 0:
+                    xa = -xa
+                if b < 0:
+                    xb = -xb
+                if xa > 0 or xb > 0:
+                    return  # satisfied at level 0
+                if xa < 0 and xb < 0:
+                    self.hard_unsat = True
+                else:
+                    self._enqueue(b if xa else a, None)
                 return
-            assign = self.assign
-            if a != b and not (assign[va] or assign[vb] or self.trail_lim):
-                # both free: watch both, lower variable first
-                store.fromlist(lits)
-                store.append(0)
-                self.num_clauses += 1
-                clause = [a, b] if va < vb else [b, a]
-                self.watches[a].append(clause)
-                self.watches[b].append(clause)
-                return
-        # general path, also for binaries over assigned variables
+        # general path: longer clauses, duplicates, non-lists
         seen: set[int] = set()
         clause = []
         taut = False
@@ -148,144 +172,156 @@ class SatSession:
         self.num_clauses += 1
         if taut:
             return
-        if not clause:
-            self.hard_unsat = True
-            return
         if self.trail_lim:
             self._cancel_to(0)
-        # non-false literals first, each part in variable order, so the
-        # watch slots hold non-false literals where there are any
+        # keep the free literals; one true at level 0 satisfies the clause
         assign = self.assign
         free: list[int] = []
-        false: list[int] = []
-        clause.sort(key=abs)
         for lit in clause:
-            v = assign[abs(lit)]
-            if (v if lit > 0 else -v) < 0:
-                false.append(lit)
-            else:
+            v = assign[lit] if lit > 0 else -assign[-lit]
+            if not v:
                 free.append(lit)
-        if not free:
+            elif v > 0:
+                return
+        if len(free) > 1:
+            free.sort(key=abs)  # in variable order, the lowest two watched
+            self.watches[free[0]].append(free)
+            self.watches[free[1]].append(free)
+        elif free:
+            self._enqueue(free[0], None)
+        else:
             self.hard_unsat = True
-            return
-        if len(free) == 1:
-            if self.value(free[0]) == 0:
-                self._enqueue(free[0], None)
-            if len(clause) == 1:
-                return  # plain unit, nothing to watch
-        clause = free + false
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
 
     # -- trail management ---------------------------------------------------
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> None:
+        """Assign lit at the current level; the hot loops inline this."""
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else -1
-        self.level[v] = self._decision_level()
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def _cancel_to(self, lvl: int) -> None:
-        if self._decision_level() <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        bound = self.trail_lim[lvl]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.saved[v] = lit > 0
-            self.assign[v] = 0
-            self.reason[v] = None
-            heappush(self.order, (-self.act[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
-        self.qhead = min(self.qhead, len(self.trail))
+        bound = trail_lim[lvl]
+        trail, saved, assign, reason = self.trail, self.saved, self.assign, self.reason
+        act, order = self.act, self.order
+        for lit in reversed(trail[bound:]):
+            if lit > 0:
+                saved[lit] = True
+                v = lit
+            else:
+                v = -lit
+                saved[v] = False
+            assign[v] = 0
+            reason[v] = None
+            heappush(order, (-act[v], v))
+        del trail[bound:]
+        del trail_lim[lvl:]
+        if self.qhead > bound:
+            self.qhead = bound
 
     def _propagate(self) -> Optional[list[int]]:
         """Exhaust unit propagation; return a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            ws = self.watches[-lit]
+        trail, assign, level, reason = self.trail, self.assign, self.level, self.reason
+        watches = self.watches
+        dl = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
             i = j = 0
             n = len(ws)
             while i < n:
                 c = ws[i]
                 i += 1
                 # make sure the false literal sits in slot 1
-                if c[0] == -lit:
-                    c[0], c[1] = c[1], c[0]
                 first = c[0]
-                if self.value(first) == 1:
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                val = assign[first] if first > 0 else -assign[-first]
+                if val == 1:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self.value(c[k]) >= 0:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1]].append(c)
-                        moved = True
+                    lit = c[k]
+                    if (assign[lit] if lit > 0 else -assign[-lit]) >= 0:
+                        c[1] = lit
+                        c[k] = false_lit
+                        watches[lit].append(c)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if self.value(first) == -1:
-                    # conflict: keep remaining watchers, report
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    return c
-                self._enqueue(first, c)
+                else:  # no new watch: the clause is unit or conflicting
+                    ws[j] = c
+                    j += 1
+                    if val == -1:
+                        # conflict: keep remaining watchers, report
+                        ws[j:] = ws[i:n]
+                        self.propagations += qhead - start
+                        self.qhead = qhead
+                        return c
+                    if first > 0:
+                        assign[first] = 1
+                        v = first
+                    else:
+                        v = -first
+                        assign[v] = -1
+                    level[v] = dl
+                    reason[v] = c
+                    trail.append(first)
             del ws[j:]
+        self.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     # -- conflict analysis --------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self.act[v] += self.var_inc
-        if self.act[v] > _RESCALE_AT:
-            for u in range(1, self.num_vars + 1):
-                self.act[u] *= 1e-100
-            self.var_inc *= 1e-100
-        heappush(self.order, (-self.act[v], v))
-
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
-        """First-UIP learning. Returns (learnt clause, backjump level)."""
+        """First-UIP learning. Returns (learnt clause, backjump level).
+        Each newly seen variable above level 0 is bumped, in clause order."""
         learnt: list[int] = []
-        seen = self.marks
+        seen, level, trail, reason = self.marks, self.level, self.trail, self.reason
+        act, order = self.act, self.order
+        var_inc = self.var_inc
         counter = 0
         p = 0  # implied literal whose reason is being resolved (0 on first round)
-        idx = len(self.trail) - 1
-        cur = self._decision_level()
+        idx = len(trail) - 1
+        cur = len(self.trail_lim)
         while True:
             for q in confl:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] == cur:
+                    a = act[v] + var_inc
+                    act[v] = a
+                    if a > _RESCALE_AT:
+                        for u in range(1, self.num_vars + 1):
+                            act[u] *= 1e-100
+                        var_inc *= 1e-100
+                        a = act[v]
+                    heappush(order, (-a, v))
+                    if level[v] == cur:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             v = abs(p)
             seen[v] = False
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[v]  # type: ignore[assignment]
+            confl = reason[v]  # type: ignore[assignment]
+        self.var_inc = var_inc
         learnt.insert(0, -p)
         for q in learnt:  # the tail is all that is still marked
             seen[abs(q)] = False
@@ -294,10 +330,10 @@ class SatSession:
         # place the highest-level tail literal second for watching
         mx = 1
         for k in range(2, len(learnt)):
-            if self.level[abs(learnt[k])] > self.level[abs(learnt[mx])]:
+            if level[abs(learnt[k])] > level[abs(learnt[mx])]:
                 mx = k
         learnt[1], learnt[mx] = learnt[mx], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _record_learnt(self, learnt: list[int]) -> None:
         self.n_learnt += 1
@@ -309,16 +345,6 @@ class SatSession:
             self._enqueue(learnt[0], None)
 
     # -- search -------------------------------------------------------------
-
-    def _pick_branch(self) -> int:
-        """The most active unassigned variable, or 0 when all are assigned.
-        solve() heaps every unassigned variable and _cancel_to pushes each
-        one it unassigns, so the heap always holds every free variable."""
-        while self.order:
-            _, v = heappop(self.order)
-            if self.assign[v] == 0:
-                return v
-        return 0
 
     def solve(self, assumptions: Sequence[int] = (), deadline: Optional[float] = None):
         """Solve under assumptions.
@@ -336,10 +362,14 @@ class SatSession:
         if self._propagate() is not None:
             self.hard_unsat = True
             return None
-        act, assign = self.act, self.assign
-        self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
-                      if assign[v] == 0]
-        heapify(self.order)
+        act, assign, saved = self.act, self.assign, self.saved
+        trail, trail_lim, level, reason = self.trail, self.trail_lim, self.level, self.reason
+        # the heap holds every free variable: _cancel_to pushes each one
+        # it unassigns
+        order = self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
+                              if assign[v] == 0]
+        heapify(order)
+        n_assumptions = len(assumptions)
 
         restart_n = 0
         limit = _RESTART_BASE * luby(1)
@@ -356,7 +386,7 @@ class SatSession:
                     if time.monotonic() > deadline:
                         self._cancel_to(0)
                         raise SolverTimeout
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.hard_unsat = True
                     return None
                 learnt, bj = self._analyze(confl)
@@ -374,27 +404,36 @@ class SatSession:
                     raise SolverTimeout
                 continue
             # assumption levels first, then activity-driven decisions
-            dl = self._decision_level()
-            if dl < len(assumptions):
+            dl = len(trail_lim)
+            if dl < n_assumptions:
                 lit = assumptions[dl]
-                val = self.value(lit)
+                v = abs(lit)
+                val = assign[v] if lit > 0 else -assign[v]
                 if val == -1:
                     self._cancel_to(0)
                     return None
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if val == 0:
                     self._enqueue(lit, None)
                 continue
-            v = self._pick_branch()
+            # branch on the most active free variable
+            v = 0
+            while order:
+                u = heappop(order)[1]
+                if assign[u] == 0:
+                    v = u
+                    break
             if v == 0:
-                model = [False] * (self.num_vars + 1)
-                for u in range(1, self.num_vars + 1):
-                    model[u] = self.assign[u] == 1
+                model = [x == 1 for x in assign]  # entry 0 is never assigned
                 self._cancel_to(0)
                 return model
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(v if self.saved[v] else -v, None)
+            trail_lim.append(len(trail))
+            lit = v if saved[v] else -v
+            assign[v] = 1 if lit > 0 else -1
+            level[v] = dl + 1
+            reason[v] = None
+            trail.append(lit)
 
     # -- reporting ----------------------------------------------------------
 

@@ -426,6 +426,30 @@ class TestBench:
             times = [float(r["time_s"]) for r in csv.DictReader(fh)]
         assert len(times) == 1 and times[0] <= limit + nap / 2
 
+    def test_each_instance_is_loaded_once(self, tmp_path, capsys,
+                                          monkeypatch):
+        calls = []
+
+        def counting_load(inputs, *args, **kw):
+            calls.append(inputs)
+            return load_problem(inputs, *args, **kw)
+
+        monkeypatch.setattr(htnsat.cli, "load_problem", counting_load)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "timeout": 30, "modes": ["greedy", "bfs"],
+            "instances": [{"name": "fork", "ground": "fork3.ground"}]}))
+        (tmp_path / "fork3.ground").write_text(
+            (FIXTURES / "fork3.ground").read_text())
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["mode"], r["solved"]) for r in rows] == [
+            ("greedy", "1"), ("bfs", "1")]
+
     def test_grounding_timeout_scores_zero(self, tmp_path, capsys,
                                            monkeypatch):
         def expire(inputs, *args, **kw):

@@ -28,6 +28,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
+def self_calls(tree: ast.Module) -> list[str]:
+    """Calls by which a function calls itself: by its name, or for a
+    method as ``self.<name>``. A method's bare name means another function."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found: list[tuple[int, str]] = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if id(fn) in methods:
+                hit = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                       and isinstance(f.value, ast.Name) and f.value.id == "self")
+            else:
+                hit = isinstance(f, ast.Name) and f.id == fn.name
+            if hit:
+                found.append((node.lineno, fn.name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -36,3 +59,27 @@ def test_every_import_is_used(path):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nimport a.b\nfrom x import y as z\nprint(a.b)\n")
     assert unused_imports(tree) == ["line 1: os", "line 3: z"]
+
+
+# Input of any depth must not crash the planner, so no function recurses.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_function_calls_itself(path):
+    assert self_calls(ast.parse(path.read_text())) == []
+
+
+def test_checker_sees_a_function_that_calls_itself():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    return f(n - 1) if n else 0\n"
+        "class C:\n"
+        "    def walk(self, x):\n"
+        "        return self.walk(x)\n"
+        "    def f(self):\n"
+        "        return f(2)\n"  # the module's f, not the method
+        "def outer():\n"
+        "    def inner():\n"
+        "        return outer()\n"
+        "    return inner\n"
+        "def g():\n"
+        "    return f(1) + self.g()\n")
+    assert self_calls(tree) == ["line 2: f", "line 5: walk", "line 10: outer"]

@@ -153,6 +153,44 @@ class TestDeterminism:
             [q["verdict"] for q in b.stats.queries]
 
 
+# Per query: (kind, conflicts, decisions, propagations), then the plan.
+# A change to these is a change of the search, and has to be made on purpose.
+PINNED_SEARCH = {
+    ("fork3", GREEDY): (
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 1, 0, 5), ("r", 0, 4, 22),
+         ("s", 0, 0, 31)],
+        ["begin-right", "mid-right", "end-right"]),
+    ("fork3", BFS): (
+        [("s", 0, 0, 10), ("s", 1, 0, 5), ("s", 0, 1, 40)],
+        ["begin-right", "mid-right", "end-right"]),
+    ("tower", GREEDY): (
+        [("s", 0, 0, 6), ("r", 0, 2, 2), ("s", 1, 0, 21), ("r", 0, 1, 1),
+         ("s", 0, 0, 4)],
+        ["pop(2,1)"]),
+    ("tower", BFS): (
+        [("s", 0, 0, 6), ("s", 1, 0, 21), ("s", 0, 0, 4)],
+        ["pop(2,1)"]),
+    ("reinsert", GREEDY): (
+        [("s", 0, 0, 7), ("r", 0, 3, 3), ("s", 0, 0, 8), ("r", 0, 5, 6),
+         ("s", 0, 0, 0), ("s", 0, 0, 34), ("r", 0, 3, 4), ("s", 0, 0, 14)],
+        ["pop(2,1)", "pop(1,0)", "check"]),
+    ("reinsert", BFS): (
+        [("s", 0, 0, 7), ("s", 0, 0, 8), ("s", 0, 0, 0), ("s", 0, 0, 34),
+         ("s", 0, 0, 14)],
+        ["pop(2,1)", "pop(1,0)", "check"]),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_SEARCH))
+def test_solver_work_per_query_is_pinned(ground, name, mode):
+    p = ground(name)
+    res = plan(p, PlannerConfig(mode=mode))
+    work = [(q["kind"][0], q["conflicts"], q["decisions"], q["propagations"])
+            for q in res.stats.queries]
+    assert (work, [p.actions[a].name for a in res.plan]) == \
+        PINNED_SEARCH[name, mode]
+
+
 class TestLimits:
     def test_zero_timeout(self, ground):
         res = plan(ground("taxi"), PlannerConfig(timeout=0.0))

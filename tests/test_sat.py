@@ -266,6 +266,72 @@ def test_determinism_identical_history():
     assert st1 == st2
 
 
+def test_level0_assignments_simplify_what_gets_watched():
+    s = SatSession()
+    for _ in range(5):
+        s.new_var()
+    s.add_clause([-1])  # var 1 is false from here on
+    s.add_clause([-1, 2])  # satisfied at level 0
+    s.add_clause([-3, 4, -1])  # satisfied too, on the general path
+    assert dump_dimacs(s).splitlines()[1:] == ["-1 0", "-1 2 0", "-3 4 -1 0"]
+    assert not any(s.watches.values())
+    s.add_clause([1, 3])  # the other literal is false: 3 becomes a unit
+    s.add_clause([1, -3, 4])
+    assert s.trail == [-1, 3, 4]
+    assert not any(s.watches.values())
+    s.add_clause([5, 1, 2])  # the false literal is left out of the watch
+    assert s.watches[2] == s.watches[5] == [[2, 5]]
+    s.add_clause([-4, 1])  # every literal false
+    assert s.hard_unsat and s.solve() is None
+    assert s.num_clauses == 7
+
+
+def _seeded_history(var_inc: float) -> list[tuple]:
+    """Clauses, units and solves under assumptions, interleaved."""
+    rng = random.Random(19)
+    s = SatSession()
+    s.var_inc = var_inc
+    n = 80
+    for _ in range(n):
+        s.new_var()
+
+    def lit():
+        v = rng.randint(1, n)
+        return v if rng.random() < 0.5 else -v
+
+    out = []
+    for step in range(8):
+        for _ in range(45):
+            r = rng.random()
+            s.add_clause([lit() for _ in range(1 if r < 0.02 else 2 if r < 0.1 else 3)])
+        m = s.solve([lit() for _ in range(step % 3)])
+        out.append((s.conflicts, s.decisions, s.propagations,
+                    None if m is None else "".join("1" if x else "0" for x in m[1:])))
+    return out
+
+
+# (conflicts, decisions, propagations, model) after each solve. A change
+# to these is a change of the search, and has to be made on purpose.
+_HISTORY_PREFIX = [
+    (0, 69, 80, "00000000000000000000000000000000000100000001000000000100010000010001000001000000"),
+    (0, 125, 160, "00000000000000000000000000000000000101000001000100000100010000010010100011010001"),
+    (0, 161, 240, "00000000010000000000001000000010000110010011000101000110110001110010101011110100"),
+    (3, 207, 370, "00000000010000000001101000010010000110010011100001110110010111110011100010100001"),
+    (7, 230, 543, "11011000111001011011011110101010011111011000100111110001011110001111100011000111"),
+]
+
+
+def test_seeded_history_is_pinned():
+    assert _seeded_history(1.0) == _HISTORY_PREFIX + [
+        (22, 250, 836, None), (43, 272, 1249, None), (43, 272, 1249, None)]
+
+
+def test_seeded_history_with_activity_rescale_is_pinned():
+    # the first bumps push activities past the rescale threshold
+    assert _seeded_history(1e99) == _HISTORY_PREFIX + [
+        (22, 254, 890, None), (46, 278, 1317, None), (46, 278, 1317, None)]
+
+
 # -- AMO encodings -----------------------------------------------------------
 
 
@@ -328,3 +394,44 @@ def test_dimacs_round_trip():
     nvars, clauses = parse_dimacs(text)
     assert nvars == 3
     assert clauses == [[1, -2], [2, 3]]
+
+
+def test_dimacs_parse_comments_header_and_an_unterminated_last_clause():
+    text = "c made by hand\np cnf 5 4\n1 -2 0\nc between\n\n  -3 0 2\n0 0\n4 -1"
+    assert parse_dimacs(text) == (5, [[1, -2], [-3], [2], [], [4, -1]])
+    assert parse_dimacs("1 2 0\n-7\n") == (7, [[1, 2], [-7]])
+    assert parse_dimacs("p cnf 0 0\n") == (0, [])
+
+
+def _reference_parse_dimacs(text):
+    """Token by token: the plain reading parse_dimacs must agree with."""
+    nvars, clauses, cur = 0, [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            nvars = int(line.split()[2])
+            continue
+        for tok in line.split():
+            if int(tok) == 0:
+                clauses.append(cur)
+                cur = []
+            else:
+                cur.append(int(tok))
+    if cur:
+        clauses.append(cur)
+    return max([nvars] + [abs(l) for c in clauses for l in c]), clauses
+
+
+_dimacs_line = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda ls: " ".join(map(str, ls))),
+    st.just("c a comment"), st.just(""), st.just("   "),
+    st.integers(0, 12).map(lambda n: f"p cnf {n} 3"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_dimacs_line, max_size=8))
+def test_dimacs_parse_matches_a_token_by_token_reading(lines):
+    text = "\n".join(lines)
+    assert parse_dimacs(text) == _reference_parse_dimacs(text)
