@@ -120,6 +120,9 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
     meth_by_name = {m.name: m.id for m in problem.methods}
     act_lines: dict[int, int] = {}  # file id -> action id
     decomp: dict[int, tuple[int, int, list[int]]] = {}
+    # each node has one parent, so every id is expanded at most once and
+    # no cycle can be reached from the root
+    kid_ids: set[int] = set()
     root_fid = None
     for ln in lines[1:-1]:
         toks = ln.split()
@@ -141,7 +144,7 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
             act_lines[nid] = act_by_name[name]
         elif "->" in toks:
             arrow = toks.index("->")
-            if arrow != 2:
+            if arrow != 2 or len(toks) < 4:
                 raise PlanFormatError(f"bad decomposition line: {ln}")
             nid = _num(toks[0], ln)
             tname, mname = toks[1], toks[3]
@@ -151,20 +154,24 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
                 raise PlanFormatError(f"unknown method {mname}")
             if nid in act_lines or nid in decomp:
                 raise PlanFormatError(f"duplicate node id {nid}")
-            decomp[nid] = (task_by_name[tname], meth_by_name[mname],
-                           [_num(t, ln) for t in toks[4:]])
+            kids = [_num(t, ln) for t in toks[4:]]
+            for k in kids:
+                if k in kid_ids:
+                    raise PlanFormatError(f"node id {k} is a child twice")
+                kid_ids.add(k)
+            decomp[nid] = (task_by_name[tname], meth_by_name[mname], kids)
         else:
             raise PlanFormatError(f"unrecognized plan line: {ln}")
     if root_fid is None:
         raise PlanFormatError("plan lacks a root line")
+    if root_fid in kid_ids:
+        raise PlanFormatError(f"root node id {root_fid} is also a child")
     tree = new_tree()
-    # depth-first in file order; each entry is (file id, depth, the method
-    # node whose children the new node joins, or None for the root)
-    stack: list[tuple[int, int, int | None]] = [(root_fid, 0, None)]
+    # depth-first in file order; each entry is (file id, the method node
+    # whose children the new node joins, or None for the root)
+    stack: list[tuple[int, int | None]] = [(root_fid, None)]
     while stack:
-        nid, depth, parent = stack.pop()
-        if depth > len(act_lines) + len(decomp) + 1:
-            raise PlanFormatError("decomposition lines form a cycle")
+        nid, parent = stack.pop()
         if nid in act_lines:
             out = tree.add(ACTION, act_lines[nid])
         elif nid not in decomp:
@@ -174,7 +181,7 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
             out = tree.add(ABSTRACT, tid)
             mnode = tree.add(METHOD, mid)
             tree.nodes[out].children = [mnode]
-            stack.extend((k, depth + 1, mnode) for k in reversed(kids))
+            stack.extend((k, mnode) for k in reversed(kids))
         if parent is None:
             tree.root = out
         else:

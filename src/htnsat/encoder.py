@@ -19,11 +19,18 @@ retires it when the next layer arrives, so the clause store only ever
 grows. The relaxed query needs no selector: it solves the store with no
 assumption, and unexpanded tasks act through their mandatory
 preconditions and possible effects.
+
+A relaxed answer is read off the bottom layer in one pass. The linkage
+clauses force every position's op from its parent's, and an unexpanded
+position is carried down as the same object, so the bottom layer's
+non-blank selections are the answer's leaves in order, and those that
+select an abstract task are the positions to develop next. Only a
+strict answer, which ends the search, is decoded into a tree.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .inference import Profiles
 from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, new_tree
@@ -35,14 +42,12 @@ class EncoderBugError(RuntimeError):
     """A decoded model failed an internal consistency check."""
 
 
-@dataclass
-class DtCandidate:
-    """One decoded query answer."""
+class RelaxedAnswer(NamedTuple):
+    """What a relaxed answer tells the search: the leaves in order, and
+    the bottom positions whose selected task is still abstract."""
 
-    tree: DecompositionTree
     frontier: list[TaskRef]
-    plan: list[int] | None = None
-    targets: list[Position] = field(default_factory=list)
+    targets: list[Position]
 
 
 class Encoder:
@@ -246,21 +251,24 @@ class Encoder:
 
     # -- solving and decoding ------------------------------------------------
 
-    def solve_solution(self, deadline: float | None = None) -> DtCandidate | None:
+    def solve_solution(self, deadline: float | None = None) -> DecompositionTree | None:
         model = self.sess.solve([self.strict], deadline=deadline)
         if model is None:
             return None
-        cand = self._decode(model, relaxed=False)
-        final = self.p.apply_seq(self.p.init, cand.plan)
+        tree = self._decode(model)
+        final = self.p.apply_seq(self.p.init, tree.plan())
         if final is None or not self.p.is_goal(final):
             raise EncoderBugError("decoded plan failed re-execution")
-        return cand
+        return tree
 
-    def solve_relaxed(self, deadline: float | None = None) -> DtCandidate | None:
+    def solve_relaxed(self, deadline: float | None = None) -> RelaxedAnswer | None:
         model = self.sess.solve(deadline=deadline)
         if model is None:
             return None
-        return self._decode(model, relaxed=True)
+        picks = [(pos, self._selected(model, pos)) for pos in self.pdt.bottom()]
+        return RelaxedAnswer(
+            [ref for _, ref in picks if ref is not None],
+            [pos for pos, ref in picks if ref is not None and not ref.is_action()])
 
     def _selected(self, model: list[bool], pos: Position) -> TaskRef | None:
         """The op chosen at a position; None means blank. Exactly one must
@@ -278,9 +286,9 @@ class Encoder:
             raise EncoderBugError(f"{len(hits)} ops selected at {pos.path}")
         return hits[0]
 
-    def _decode(self, model: list[bool], relaxed: bool) -> DtCandidate:
+    def _decode(self, model: list[bool]) -> DecompositionTree:
+        """The fully primitive decomposition tree a strict answer selects."""
         dt = new_tree()
-        targets: list[Position] = []
         # depth-first in slot order; each entry is (position, the method
         # node whose children the new node joins, or None for the root)
         stack: list[tuple[Position, int | None]] = [(self.pdt.root, None)]
@@ -294,26 +302,20 @@ class Encoder:
             else:
                 node = dt.add(ABSTRACT, ref.id)
                 if pos.admitted is None:
-                    if not relaxed:
-                        raise EncoderBugError(
-                            f"unexpanded task in a strict answer at {pos.path}")
-                    targets.append(pos)
-                else:
-                    chosen = [m for m in pos.admitted[ref.id]
-                              if model[self.mvar[(pos.path, m)]]]
-                    if len(chosen) != 1:
-                        raise EncoderBugError(
-                            f"{len(chosen)} methods selected for task at {pos.path}")
-                    mnode = dt.add(METHOD, chosen[0])
-                    dt.nodes[node].children.append(mnode)
-                    width = len(self.p.methods[chosen[0]].subtasks)
-                    stack.extend((pos.children[i], mnode)
-                                 for i in reversed(range(width)))
+                    raise EncoderBugError(
+                        f"unexpanded task in a strict answer at {pos.path}")
+                chosen = [m for m in pos.admitted[ref.id]
+                          if model[self.mvar[(pos.path, m)]]]
+                if len(chosen) != 1:
+                    raise EncoderBugError(
+                        f"{len(chosen)} methods selected for task at {pos.path}")
+                mnode = dt.add(METHOD, chosen[0])
+                dt.nodes[node].children.append(mnode)
+                width = len(self.p.methods[chosen[0]].subtasks)
+                stack.extend((pos.children[i], mnode)
+                             for i in reversed(range(width)))
             if parent is None:
                 dt.root = node
             else:
                 dt.nodes[parent].children.append(node)
-        frontier = dt.leaf_refs()
-        plan = None if relaxed else [r.id for r in frontier]
-        return DtCandidate(tree=dt, frontier=frontier, plan=plan,
-                           targets=targets)
+        return dt

@@ -195,27 +195,20 @@ class DecompositionTree:
     nodes: list[DtNode]
     root: int
 
-    def leaf_refs(self) -> list[TaskRef]:
-        """In-order frontier: action leaves plus undeveloped abstract leaves."""
-        out: list[TaskRef] = []
+    def plan(self) -> Optional[list[int]]:
+        """Action ids in leaf order, or None if an abstract leaf remains."""
+        out: list[int] = []
         stack = [self.root]
         while stack:
             nid = stack.pop()
             n = self.nodes[nid]
             if n.kind == ACTION:
-                out.append(TaskRef(ACTION, n.ref))
+                out.append(n.ref)
             elif n.kind == ABSTRACT and not n.children:
-                out.append(TaskRef(ABSTRACT, n.ref))
+                return None
             else:
                 stack.extend(reversed(n.children))
         return out
-
-    def plan(self) -> Optional[list[int]]:
-        """Action ids in leaf order, or None if an abstract leaf remains."""
-        refs = self.leaf_refs()
-        if any(not r.is_action() for r in refs):
-            return None
-        return [r.id for r in refs]
 
     def add(self, kind: str, ref: int) -> int:
         self.nodes.append(DtNode(kind, ref))

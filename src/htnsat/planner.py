@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .encoder import Encoder
 from .inference import compute_profiles
-from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem
+from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef
 from .pdt import Pdt
 from .sat import PAIRWISE, SCHEMES, SolverTimeout, dump_dimacs
 
@@ -81,27 +81,27 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             stats.plan_length = len(tree.plan() or [])
         return PlanResult(status=status, tree=tree, stats=stats, pdt=pdt)
 
-    def query(kind: str, solver):
+    def query(kind: str, solver, frontier):  # frontier: answer -> leaf refs
         nonlocal where
         where = f"in the {kind} query of"
         t0 = time.monotonic()
         before = enc.sess.stats()
-        cand = solver(deadline=deadline)
+        ans = solver(deadline=deadline)
         after = enc.sess.stats()
         entry = {
             "round": stats.rounds,
             "kind": kind,
-            "verdict": "sat" if cand is not None else "unsat",
+            "verdict": "sat" if ans is not None else "unsat",
             "time": time.monotonic() - t0,
             "vars": enc.sess.num_vars,
             "clauses": enc.sess.num_clauses,
         }
         for k in ("conflicts", "decisions", "propagations"):
             entry[k] = after[k] - before[k]
-        if cand is not None:
-            entry["frontier"] = [problem.ref_name(r) for r in cand.frontier]
+        if ans is not None:
+            entry["frontier"] = [problem.ref_name(r) for r in frontier(ans)]
         stats.queries.append(entry)
-        return cand
+        return ans
 
     while True:
         if stats.rounds >= config.max_rounds:
@@ -119,10 +119,11 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                               use_mutex=config.use_mutex,
                               mandatory_preconds=config.mandatory_preconds,
                               deadline=deadline)
-            cand = query("solution", enc.solve_solution)
-            if cand is not None:
+            tree = query("solution", enc.solve_solution,
+                         lambda t: [TaskRef(ACTION, a) for a in t.plan()])
+            if tree is not None:
                 stats.events.append(f"solved at round {stats.rounds}")
-                return finish("solved", cand.tree)
+                return finish("solved", tree)
 
             expandable = [q for q in pdt.pending_positions() if pdt.expandable(q)]
             if not expandable:
@@ -142,7 +143,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             if config.mode == BFS:
                 targets = expandable
             else:
-                rel = query("relaxed", enc.solve_relaxed)
+                rel = query("relaxed", enc.solve_relaxed, lambda r: r.frontier)
                 if rel is None:
                     targets = expandable
                 else:

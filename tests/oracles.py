@@ -256,3 +256,35 @@ def relaxed_plan_realizable(
         if not states:
             return False
     return any(p.is_goal(s) for s in states)
+
+
+def relaxed_leaves_by_tree_walk(enc, model):
+    """Reference read of a relaxed model: walk the decomposition tree it
+    selects from the root, through each chosen method's subtask slots,
+    and return the tree's leaves in order and the grid positions of its
+    undeveloped abstract leaves. Takes the encoder's variable maps and
+    grid as given and checks that each visited position selects exactly
+    one non-blank op and each developed task exactly one method."""
+    frontier: list[TaskRef] = []
+    targets = []
+    stack = [enc.pdt.root]
+    while stack:
+        pos = stack.pop()
+        hits = [TaskRef(ACTION, a) for a in pos.acts
+                if model[enc.opvar[(pos.path, ACTION, a)]]]
+        hits += [TaskRef(ABSTRACT, t) for t in pos.tasks
+                 if model[enc.opvar[(pos.path, ABSTRACT, t)]]]
+        blank = pos.has_blank and model[enc.blankvar[pos.path]]
+        assert len(hits) == 1 and not blank, f"bad selection at {pos.path}"
+        ref = hits[0]
+        if ref.is_action() or pos.admitted is None:
+            frontier.append(ref)
+            if not ref.is_action():
+                targets.append(pos)
+            continue
+        chosen = [m for m in pos.admitted[ref.id]
+                  if model[enc.mvar[(pos.path, m)]]]
+        assert len(chosen) == 1, f"{len(chosen)} methods at {pos.path}"
+        width = len(enc.p.methods[chosen[0]].subtasks)
+        stack.extend(pos.children[i] for i in reversed(range(width)))
+    return frontier, targets

@@ -162,6 +162,23 @@ class TestPlanFiles:
         with pytest.raises(PlanFormatError):
             parse_plan(p, text)
 
+    def test_rejects_a_decomposition_line_without_a_method(self):
+        p, _ = solved("fork3")
+        with pytest.raises(PlanFormatError, match="bad decomposition line"):
+            parse_plan(p, "==>\nroot 0\n0 main ->\n<==\n")
+
+    @pytest.mark.parametrize("body, message", [
+        # one abstract node under both slots: each slot would expand it
+        ("root 0\n0 top -> pair 1 1\n1 sub -> skip", "child twice"),
+        ("root 0\n0 top -> pair 1 0\n1 sub -> skip", "also a child"),
+    ], ids=["child-twice", "root-as-child"])
+    def test_rejects_a_shared_node_id(self, body, message):
+        p = parse_ground("problem share\ntask top\ntask sub\n"
+                         "method pair top -> sub sub\nmethod skip sub ->\n"
+                         "root top\n")
+        with pytest.raises(PlanFormatError, match=message):
+            parse_plan(p, f"==>\n{body}\n<==\n")
+
 
 class TestSolveCommand:
     def test_solved_prints_plan_and_exits_zero(self, capsys):
@@ -337,6 +354,13 @@ class TestValidateOnly:
         dest.write_text("\n".join(lines) + "\n")
         assert main([str(source), "--validate-only", str(dest)]) == 0
         assert "plan valid" in capsys.readouterr().out
+
+    def test_truncated_decomposition_line_exits_one(self, tmp_path, capsys):
+        dest = tmp_path / "cut.plan"
+        dest.write_text("==>\nroot 0\n0 main ->\n<==\n")
+        assert main([fixture("fork3"), "--validate-only", str(dest)]) == 1
+        assert "invalid plan file: bad decomposition line" in \
+            capsys.readouterr().out
 
     def test_missing_plan_file_exits_three(self, capsys):
         assert main([fixture("taxi"), "--validate-only", "gone.plan"]) == 3

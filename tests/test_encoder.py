@@ -1,17 +1,27 @@
+import functools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from htnsat import encoder
 from htnsat.encoder import Encoder
-from htnsat.hddl import parse_ground
+from htnsat.hddl import ground as ground_lifted, parse, parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import dump_dimacs, encode_amo, parse_dimacs
 
-from oracles import relaxed_plan_realizable, solvable_by_enumeration
+from oracles import (
+    relaxed_leaves_by_tree_walk,
+    relaxed_plan_realizable,
+    solvable_by_enumeration,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 TOYS = ["fork3", "taxi", "tower", "mpre", "addonly", "reinsert",
         "unsolvable", "empty_goal", "empty_method"]
@@ -36,6 +46,15 @@ def frontier_names(problem, cand):
     return tuple(problem.ref_name(r) for r in cand.frontier)
 
 
+def chain(n):
+    """t0 -> t1 -> ... -> t(n-1) -> fin: a grid n + 1 layers deep."""
+    lines = ["problem chain", "fact done", "action fin add done"]
+    lines += [f"task t{i}" for i in range(n)]
+    lines += [f"method m{i} t{i} -> t{i + 1}" for i in range(n - 1)]
+    lines += [f"method m{n - 1} t{n - 1} -> fin", "goal done", "root t0"]
+    return parse_ground("\n".join(lines) + "\n")
+
+
 class TestFreshGrid:
     def test_solution_query_rejects_abstract_root(self, ground):
         _, _, enc = setup(ground("fork3"))
@@ -48,7 +67,7 @@ class TestFreshGrid:
         assert cand is not None
         assert frontier_names(p, cand) == ("main",)
         assert cand.targets == [pdt.root]
-        assert cand.plan is None
+        assert cand.frontier == [TaskRef(ABSTRACT, p.root)]
 
     @pytest.mark.parametrize("name", TOYS)
     def test_first_relaxed_verdict_matches_realizability(self, ground, name):
@@ -65,8 +84,8 @@ class TestSolutions:
         _, pdt, enc = setup(p)
         assert enc.solve_solution() is None
         grow(pdt, enc)
-        cand = enc.solve_solution()
-        assert cand is not None and cand.plan == []
+        tree = enc.solve_solution()
+        assert tree is not None and tree.plan() == []
 
     def test_fork_round_two_candidates(self, ground):
         p = ground("fork3")
@@ -85,51 +104,63 @@ class TestSolutions:
         grow(pdt, enc)
         assert enc.solve_solution() is None
         grow(pdt, enc)
-        cand = enc.solve_solution()
-        assert cand is not None and len(cand.plan) == 3
+        tree = enc.solve_solution()
+        assert tree is not None and len(tree.plan()) == 3
 
     def test_taxi_solves_with_a_two_step_plan(self, ground):
         p = ground("taxi")
         _, pdt, enc = setup(p)
         while grow(pdt, enc):
             pass
-        cand = enc.solve_solution()
-        assert cand is not None
-        assert len(cand.plan) == 2
-        assert [p.actions[a].name for a in cand.plan][1].startswith("call")
+        tree = enc.solve_solution()
+        assert tree is not None
+        assert len(tree.plan()) == 2
+        assert [p.actions[a].name for a in tree.plan()][1].startswith("call")
 
     def test_recursive_tower_solves_under_blocking(self, ground):
         p = ground("tower")
         _, pdt, enc = setup(p)
         while grow(pdt, enc):
             pass
-        cand = enc.solve_solution()
-        assert cand is not None
-        assert [p.actions[a].name for a in cand.plan] == ["pop(2,1)"]
+        tree = enc.solve_solution()
+        assert tree is not None
+        assert [p.actions[a].name for a in tree.plan()] == ["pop(2,1)"]
 
     def test_deep_chain_decodes_and_renders(self):
-        # t0 -> t1 -> ... -> fin: one layer per task, far past Python's
-        # recursion limit, so decoding and the DOT marking must not recurse.
+        # one layer per task, far past Python's recursion limit, so
+        # decoding and the DOT marking must not recurse
         n = 1200
-        lines = ["problem chain", "fact done", "action fin add done"]
-        lines += [f"task t{i}" for i in range(n)]
-        lines += [f"method m{i} t{i} -> t{i + 1}" for i in range(n - 1)]
-        lines += [f"method m{n - 1} t{n - 1} -> fin", "goal done", "root t0"]
-        p = parse_ground("\n".join(lines) + "\n")
+        p = chain(n)
         prof = compute_profiles(p)
         pdt = Pdt(p, prof)
         while pending := [q for q in pdt.pending_positions()
                           if pdt.expandable(q)]:
             pdt.expand(pending)
         assert len(pdt.layers) == n + 1
-        cand = Encoder(p, prof, pdt).solve_solution()
-        assert cand is not None and cand.plan == [0]
-        tree = cand.tree
+        tree = Encoder(p, prof, pdt).solve_solution()
+        assert tree is not None and tree.plan() == [0]
         assert len(tree.nodes) == 2 * n + 1
         # depth-first node order: task i, its method, then task i + 1
         assert [(nd.kind, nd.ref) for nd in tree.nodes[:4]] == [
             (ABSTRACT, 0), (METHOD, 0), (ABSTRACT, 1), (METHOD, 1)]
         assert pdt.to_dot(tree).count("fillcolor") == 2 * n + 1
+
+    def test_relaxed_reads_stay_linear_in_grid_depth(self, monkeypatch):
+        # a relaxed answer reads the bottom layer alone, so greedy search
+        # down the chain looks at each position a bounded number of times
+        n = 1200
+        calls = 0
+        selected = Encoder._selected
+
+        def counted(self, model, pos):
+            nonlocal calls
+            calls += 1
+            return selected(self, model, pos)
+
+        monkeypatch.setattr(Encoder, "_selected", counted)
+        res = plan(chain(n))
+        assert res.status == "solved" and res.plan == [0]
+        assert calls <= 3 * n
 
     def test_unsolvable_has_hard_unsat_goal(self, ground):
         p = ground("unsolvable")
@@ -169,6 +200,53 @@ class TestRelaxedSoundness:
                 break
 
 
+@functools.cache
+def generated(name):
+    """A walker or wide instance of the benchmark's seed 1, by name."""
+    for inst in workloads.build(name.split("-")[0], 1):
+        if inst.name == name:
+            if inst.ground_text is not None:
+                return parse_ground(inst.ground_text)
+            return ground_lifted(*parse(inst.domain_text, inst.problem_text))
+    raise KeyError(name)
+
+
+GENERATED = [inst.name for wl in ("walker", "wide")
+             for inst in workloads.build(wl, 1)]
+
+
+class TestRelaxedRead:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", TOYS + GENERATED)
+    def test_bottom_layer_read_matches_a_tree_walk(self, ground, name, seed):
+        p = generated(name) if name in GENERATED else ground(name)
+        prof, pdt, enc = setup(p)
+        models = []
+        solve = enc.sess.solve
+
+        def keep(*args, **kw):
+            models.append(solve(*args, **kw))
+            return models[-1]
+
+        enc.sess.solve = keep
+        rng = random.Random(seed)
+        compared = 0
+        for _ in range(8):
+            ans = enc.solve_relaxed()
+            if ans is None:
+                assert models[-1] is None
+            else:
+                assert tuple(ans) == relaxed_leaves_by_tree_walk(
+                    enc, models[-1])
+                compared += 1
+            pending = pdt.pending_positions()
+            if not pending:
+                break
+            pdt.expand([q for q in pending if rng.random() < 0.5])
+            enc.sync()
+        assert compared or name == "unsolvable"
+
+
 class TestIncrementality:
     def test_store_only_grows_and_verdicts_are_stable(self, ground):
         p = ground("fork3")
@@ -186,11 +264,11 @@ class TestIncrementality:
         _, pdt, enc = setup(p)
         grow(pdt, enc)
         grow(pdt, enc)
-        cand = enc.solve_solution()
-        assert cand is not None
+        tree = enc.solve_solution()
+        assert tree is not None
         # every method id occurs at a single site in this domain, so the
         # tree's method choices map straight onto selector variables
-        picked = {n.ref for n in cand.tree.nodes if n.kind == "method"}
+        picked = {n.ref for n in tree.nodes if n.kind == "method"}
         chosen_vars = [var for (_, mid), var in sorted(enc.mvar.items())
                        if mid in picked]
         assert len(chosen_vars) == len(picked)
@@ -214,7 +292,7 @@ class TestIncrementality:
         fresh = Encoder(p, prof, pdt)
         assert list(enc.sess.clauses()) == list(fresh.sess.clauses())
         got, want = enc.solve_solution(), fresh.solve_solution()
-        assert (got and got.plan) == (want and want.plan)
+        assert (got and got.plan()) == (want and want.plan())
 
     def test_no_amo_is_encoded_twice(self, monkeypatch):
         # a mutex group whose facts the position cannot change keeps the
@@ -252,8 +330,8 @@ class TestSchemesAndDumps:
         _, pdt, enc = setup(p, amo=scheme)
         while grow(pdt, enc):
             pass
-        cand = enc.solve_solution()
-        assert cand is not None and len(cand.plan) == 2
+        tree = enc.solve_solution()
+        assert tree is not None and len(tree.plan()) == 2
 
     def test_binary_scheme_gives_the_method_choice_commander_bits(
             self, ground, monkeypatch):

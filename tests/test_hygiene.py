@@ -51,6 +51,23 @@ def self_calls(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+def unused_private_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """Private functions and methods (``_name``, not dunder) whose name no
+    module of the package mentions, as a name or as an attribute."""
+    mentioned = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+    return [f"{module} line {fn.lineno}: {fn.name}"
+            for module, tree in sorted(trees.items()) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name.startswith("_") and not fn.name.endswith("__")
+            and fn.name not in mentioned]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -83,3 +100,25 @@ def test_checker_sees_a_function_that_calls_itself():
         "def g():\n"
         "    return f(1) + self.g()\n")
     assert self_calls(tree) == ["line 2: f", "line 5: walk", "line 10: outer"]
+
+
+def test_no_private_function_is_unused():
+    trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text())
+             for p in PACKAGE.rglob("*.py")}
+    assert unused_private_functions(trees) == []
+
+
+def test_checker_sees_an_unused_private_function():
+    trees = {
+        "a.py": ast.parse(
+            "def _called(): pass\n"
+            "def _orphan(): pass\n"
+            "class C:\n"
+            "    def __init__(self): self._step()\n"
+            "    def _step(self): pass\n"
+            "    def _spare(self): pass\n"
+            "    def public(self): pass\n"),
+        "b.py": ast.parse("import a\na._called()\n"),
+    }
+    assert unused_private_functions(trees) == [
+        "a.py line 2: _orphan", "a.py line 6: _spare"]

@@ -88,12 +88,10 @@ def test_tree_frontier_order_and_plan():
     a = dt.add(ACTION, 0)
     b = dt.add(ACTION, 1)
     dt.nodes[m].children = [a, b]
-    assert dt.leaf_refs() == [TaskRef(ACTION, 0), TaskRef(ACTION, 1)]
     assert dt.plan() == [0, 1]
 
 
 def test_tree_plan_none_with_abstract_leaf():
     dt = DecompositionTree(nodes=[], root=0)
     dt.add(ABSTRACT, 0)
-    assert dt.leaf_refs() == [TaskRef(ABSTRACT, 0)]
     assert dt.plan() is None
