@@ -170,8 +170,10 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
     # depth-first in file order; each entry is (file id, the method node
     # whose children the new node joins, or None for the root)
     stack: list[tuple[int, int | None]] = [(root_fid, None)]
+    reached: set[int] = set()
     while stack:
         nid, parent = stack.pop()
+        reached.add(nid)
         if nid in act_lines:
             out = tree.add(ACTION, act_lines[nid])
         elif nid not in decomp:
@@ -190,6 +192,11 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
     if tree.plan() != listed:
         raise PlanFormatError("numbered action lines disagree with the "
                               "decomposition's leaf order")
+    # an unreached action line already fails the leaf-order check
+    unreached = decomp.keys() - reached
+    if unreached:
+        raise PlanFormatError(
+            f"node id {min(unreached)} is not reached from the root")
     return tree
 
 
@@ -339,6 +346,8 @@ def _bench_parser() -> _Parser:
     pr.add_argument("--out", metavar="CSV", required=True)
     pr.add_argument("--timeout", type=float, default=None,
                     help="override the manifest's time limit")
+    pr.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                    help="instantiation budget for lifted input")
     return pr
 
 
@@ -372,7 +381,7 @@ def _run_bench(argv: list[str]) -> int:
         # one load serves every mode; each row's time includes it
         t0 = time.monotonic()
         try:
-            problem = load_problem(inputs, deadline=t0 + limit)
+            problem = load_problem(inputs, ns.cap, deadline=t0 + limit)
         except UsageError as e:
             # one unreadable instance scores zero instead of ending the run
             print(f"error: instance {name}: {e}", file=sys.stderr)

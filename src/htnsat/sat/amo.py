@@ -10,6 +10,10 @@ variable implies its index code); the bimander schemes sit in between
 with ceil(n/2) or ceil(sqrt n) groups. All are equivalent under
 projection onto the input variables: exactly the n+1 assignments with at
 most one true survive.
+
+Each group's pairwise clauses go in through one SatSession.add_pairwise
+call, which builds them in bulk; the commander implications go through
+add_clause one by one.
 """
 from __future__ import annotations
 
@@ -43,9 +47,7 @@ def encode_amo(sess: SatSession, lits: Sequence[int], scheme: str = PAIRWISE) ->
         return []
     groups = _split(lits, _GROUPS[scheme](len(lits)))
     for group in groups:
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                sess.add_clause([-a, -b])
+        sess.add_pairwise(group)
     if len(groups) < 2:
         return []
     bits = [sess.new_var() for _ in range((len(groups) - 1).bit_length())]

@@ -17,9 +17,29 @@ Clauses are only ever added at decision level 0: every exit from
 solve(), a timeout included, cancels the trail back to level 0 first.
 So add_clause attaches a clause without touching the search state, and
 the common case, a binary clause over two unassigned variables, is two
-list appends. For export, each clause is kept as added (duplicates
-merged, tautologies included) in one flat ``array('i')`` of
-0-terminated literals rather than as a list of its own.
+list appends. add_pairwise adds the pairwise at-most-one clauses of a
+whole group in one call, leaving the store and the watch lists exactly
+as one add_clause per pair would. For export, each clause is kept as
+added (duplicates merged, tautologies included) in one flat
+``array('i')`` of 0-terminated literals rather than as a list of its own.
+
+A clause watched over two literals is not a list either: as in
+MiniSat's binary watches, its entry in the watch list of one literal is
+the bare int of the other, so a watch list mixes ints and clause lists.
+It takes the spot a two-element list would take, whether the clause
+came through add_clause, was cut down to two free literals there, or
+was learnt. _propagate keeps an int entry where it is and tests only the
+other literal; a literal it implies records the false literal, an int,
+as its reason, which _analyze reads as the one literal to resolve on;
+and a conflict is returned as the fresh list [other, false literal].
+This leaves the search unchanged. A two-element list never finds a new
+watch, so it also stayed in place, and it was always turned to put the
+false literal second before it became a reason or a conflict. So
+clauses are visited in the same order, the same literals are implied,
+and analysis meets the same literals in the same order: the trail, the
+learnt clauses, the counters and the models are the same. What goes is
+one list per binary clause, an object the cyclic garbage collector
+tracks and walks; an int is not tracked.
 
 What gets watched is simplified by the level-0 assignment, as in
 MiniSat (Een & Sorensson, SAT 2003). A clause with a literal true at
@@ -79,12 +99,16 @@ class SatSession:
         # per-variable state, index 0 unused
         self.assign: list[int] = [0]  # 0 unassigned, 1 true, -1 false
         self.level: list[int] = [0]
-        self.reason: list[Optional[list[int]]] = [None]
+        # an implied literal's reason: its clause, or for a binary clause
+        # the clause's other literal
+        self.reason: list[Optional[list[int] | int]] = [None]
         self.saved: list[bool] = [False]  # phase saving
         self.act: list[float] = [0.0]
         self.marks: list[bool] = [False]  # _analyze seen flags, cleared after use
         self.var_inc = 1.0
-        self.watches: dict[int, list[list[int]]] = {}
+        # per literal, the clauses to visit when it becomes false: a
+        # binary clause as its other literal, a longer one as its list
+        self.watches: dict[int, list[list[int] | int]] = {}
         self.store = array("i")  # problem clauses as added, each 0-terminated
         self.num_clauses = 0
         self.n_learnt = 0
@@ -138,11 +162,9 @@ class SatSession:
                     return
                 assign = self.assign
                 xa, xb = assign[va], assign[vb]
-                if not (xa or xb):
-                    # both free: watch both, lower variable first
-                    clause = [a, b] if va < vb else [b, a]
-                    self.watches[a].append(clause)
-                    self.watches[b].append(clause)
+                if not (xa or xb):  # both free: watch both
+                    self.watches[a].append(b)
+                    self.watches[b].append(a)
                     return
                 if a < 0:
                     xa = -xa
@@ -183,18 +205,55 @@ class SatSession:
                 free.append(lit)
             elif v > 0:
                 return
-        if len(free) > 1:
+        if len(free) > 2:
             free.sort(key=abs)  # in variable order, the lowest two watched
             self.watches[free[0]].append(free)
             self.watches[free[1]].append(free)
+        elif len(free) == 2:
+            a, b = free
+            self.watches[a].append(b)
+            self.watches[b].append(a)
         elif free:
             self._enqueue(free[0], None)
         else:
             self.hard_unsat = True
 
+    def add_pairwise(self, lits: Sequence[int]) -> None:
+        """Add [-a, -b] for every pair of lits, a before b, in that order.
+
+        The store and the watch lists end up exactly as after one
+        add_clause call per pair. When every literal is over its own
+        allocated variable, free at level 0, they are built in bulk: the
+        watch list of -a gains the negations of the literals before a,
+        then of those after it. Otherwise each pair goes through
+        add_clause.
+        """
+        neg = [-x for x in lits]
+        n = len(neg)
+        nvars, assign = self.num_vars, self.assign
+        vs = {abs(x) for x in neg}
+        if (len(vs) < n or self.trail_lim
+                or not all(0 < v <= nvars and not assign[v] for v in vs)):
+            for i, a in enumerate(neg):
+                for b in neg[i + 1:]:
+                    self.add_clause([a, b])
+            return
+        flat: list[int] = []
+        for i, a in enumerate(neg):
+            pairs = [a, 0, 0] * (n - 1 - i)
+            pairs[1::3] = neg[i + 1:]
+            flat += pairs
+        self.store.fromlist(flat)
+        self.num_clauses += n * (n - 1) // 2
+        watches = self.watches
+        for i, a in enumerate(neg):
+            ws = watches[a]
+            ws += neg[:i]
+            ws += neg[i + 1:]
+
     # -- trail management ---------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: Optional[list[int]]) -> None:
+    def _enqueue(self, lit: int, reason: Optional[list[int] | int]) -> None:
         """Assign lit at the current level; the hot loops inline this."""
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else -1
@@ -239,6 +298,27 @@ class SatSession:
             while i < n:
                 c = ws[i]
                 i += 1
+                if type(c) is int:  # binary clause [c, false_lit]: stays
+                    ws[j] = c
+                    j += 1
+                    val = assign[c] if c > 0 else -assign[-c]
+                    if val == 1:
+                        continue
+                    if val == -1:
+                        ws[j:] = ws[i:n]
+                        self.propagations += qhead - start
+                        self.qhead = qhead
+                        return [c, false_lit]
+                    if c > 0:
+                        assign[c] = 1
+                        v = c
+                    else:
+                        v = -c
+                        assign[v] = -1
+                    level[v] = dl
+                    reason[v] = false_lit
+                    trail.append(c)
+                    continue
                 # make sure the false literal sits in slot 1
                 first = c[0]
                 if first == false_lit:
@@ -321,6 +401,8 @@ class SatSession:
             if counter == 0:
                 break
             confl = reason[v]  # type: ignore[assignment]
+            if type(confl) is int:  # a binary reason: its other literal
+                confl = (confl,)
         self.var_inc = var_inc
         learnt.insert(0, -p)
         for q in learnt:  # the tail is all that is still marked
@@ -337,7 +419,12 @@ class SatSession:
 
     def _record_learnt(self, learnt: list[int]) -> None:
         self.n_learnt += 1
-        if len(learnt) > 1:
+        if len(learnt) == 2:
+            a, b = learnt
+            self.watches[a].append(b)
+            self.watches[b].append(a)
+            self._enqueue(a, b)
+        elif len(learnt) > 2:
             self.watches[learnt[0]].append(learnt)
             self.watches[learnt[1]].append(learnt)
             self._enqueue(learnt[0], learnt)

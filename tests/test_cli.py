@@ -139,6 +139,18 @@ class TestPlanFiles:
         with pytest.raises(PlanFormatError, match="disagree"):
             parse_plan(p, "\n".join(lines))
 
+    @pytest.mark.parametrize("extra, unreached", [
+        (["99 main -> go-left 98 97"], 99),
+        (["99 main -> go-left 98 97", "98 detour -> spin-once 96"], 98),
+    ], ids=["undefined-children", "unreached-chain"])
+    def test_rejects_an_unreached_decomposition_line(self, extra, unreached):
+        p, res = solved("fork3")
+        lines = write_plan(p, res.tree).splitlines()
+        lines[-1:-1] = extra
+        with pytest.raises(PlanFormatError,
+                           match=f"node id {unreached} is not reached"):
+            parse_plan(p, "\n".join(lines))
+
     def test_swapped_action_lines_parse_but_fail_verification(self):
         # Swapping two action names keeps the file self-consistent; the
         # damage only shows up when the plan is executed.
@@ -488,6 +500,19 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert all(r["solved"] == "0" and float(r["ipc"]) == 0 for r in rows)
+
+    def test_cap_reaches_grounding(self, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(FIXTURES / "bench.json"),
+                     "--out", str(out), "--cap", "1"]) == 0
+        assert "error: instance taxi: instantiation cap of 1 " in \
+            capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # ground input takes no cap, so only the lifted instance fails
+        assert [(r["instance"], r["solved"]) for r in rows] == [
+            ("fork3", "1"), ("fork3", "1"), ("taxi", "0"), ("taxi", "0"),
+            ("unsolvable", "0")]
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"

@@ -215,6 +215,41 @@ GENERATED = [inst.name for wl in ("walker", "wide")
              for inst in workloads.build(wl, 1)]
 
 
+# The benchmark's own instances, seed 1. Per query: (kind, conflicts,
+# decisions, propagations); then methods developed and plan length. A
+# change to these is a change of the search, and has to be made on purpose.
+PINNED_BENCH_SEARCH = {
+    ("walker-8x3", "greedy"): (
+        [("s", 0, 0, 47), ("r", 0, 24, 24), ("s", 0, 0, 7), ("r", 0, 24, 40),
+         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 156), ("r", 0, 1, 10),
+         ("s", 0, 0, 0), ("s", 0, 0, 413), ("r", 0, 4, 53), ("s", 0, 0, 0),
+         ("s", 0, 0, 512), ("r", 0, 7, 123), ("s", 0, 0, 78),
+         ("r", 0, 10, 214), ("s", 0, 0, 0), ("s", 0, 0, 647),
+         ("r", 0, 13, 326), ("s", 0, 0, 34), ("r", 0, 16, 461),
+         ("s", 1, 0, 50), ("r", 0, 25, 617), ("s", 0, 0, 730)],
+        349, 49),
+    ("wide-100x4", "greedy"): (
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 209), ("r", 0, 5, 5),
+         ("s", 0, 0, 210), ("r", 0, 4, 4), ("s", 0, 0, 210), ("r", 0, 3, 3),
+         ("s", 0, 0, 212), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        405, 5),
+    ("wide-100x4", "bfs"): (
+        [("s", 0, 0, 10), ("s", 0, 0, 209), ("s", 0, 0, 416),
+         ("s", 0, 0, 621), ("s", 0, 0, 827), ("s", 0, 0, 823)],
+        1405, 5),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_BENCH_SEARCH))
+def test_search_on_benchmark_instances_is_pinned(name, mode):
+    res = plan(generated(name), PlannerConfig(mode=mode))
+    assert res.status == "solved"
+    work = [(q["kind"][0], q["conflicts"], q["decisions"], q["propagations"])
+            for q in res.stats.queries]
+    assert (work, res.stats.methods_developed, res.stats.plan_length) == \
+        PINNED_BENCH_SEARCH[name, mode]
+
+
 class TestRelaxedRead:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", TOYS + GENERATED)

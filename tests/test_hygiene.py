@@ -68,6 +68,33 @@ def unused_private_functions(trees: dict[str, ast.Module]) -> list[str]:
             and fn.name not in mentioned]
 
 
+def collector_policy_calls(tree: ast.Module) -> list[str]:
+    """Calls of gc.disable, gc.freeze or gc.set_threshold, under any name
+    the module imports them by."""
+    modules: set[str] = set()
+    functions: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update((a.asname or a.name, a.name) for a in node.names)
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id in modules):
+            name = f.attr
+        elif isinstance(f, ast.Name):
+            name = functions.get(f.id)
+        else:
+            continue
+        if name in ("disable", "freeze", "set_threshold"):
+            found.append((node.lineno, name))
+    return [f"line {line}: gc.{name}" for line, name in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -122,3 +149,29 @@ def test_checker_sees_an_unused_private_function():
     }
     assert unused_private_functions(trees) == [
         "a.py line 2: _orphan", "a.py line 6: _spare"]
+
+
+# Collector policy belongs to the caller: the package keeps the collector's
+# cost down by holding fewer tracked objects, not by switching it off.
+def test_no_collector_policy_in_the_package():
+    found = [f"{p.relative_to(PACKAGE)} {hit}"
+             for p in sorted(PACKAGE.rglob("*.py"))
+             for hit in collector_policy_calls(ast.parse(p.read_text()))]
+    assert found == []
+
+
+def test_checker_sees_a_collector_policy_call():
+    tree = ast.parse(
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import freeze, set_threshold as threshold\n"
+        "gc.disable()\n"
+        "collector.set_threshold(0)\n"
+        "freeze()\n"
+        "threshold(1)\n"
+        "gc.collect()\n"
+        "gc.enable()\n"
+        "other.disable()\n")
+    assert collector_policy_calls(tree) == [
+        "line 4: gc.disable", "line 5: gc.set_threshold", "line 6: gc.freeze",
+        "line 7: gc.set_threshold"]

@@ -280,10 +280,108 @@ def test_level0_assignments_simplify_what_gets_watched():
     assert s.trail == [-1, 3, 4]
     assert not any(s.watches.values())
     s.add_clause([5, 1, 2])  # the false literal is left out of the watch
-    assert s.watches[2] == s.watches[5] == [[2, 5]]
+    # what is left is binary: each watch entry is the other literal
+    assert s.watches[2] == [5] and s.watches[5] == [2]
     s.add_clause([-4, 1])  # every literal false
     assert s.hard_unsat and s.solve() is None
     assert s.num_clauses == 7
+
+
+def _replay_pairwise_both_ways(nvars: int, steps: list[tuple]) -> None:
+    """Replay steps on two sessions, one taking each AMO step through
+    add_pairwise and one pair by pair through add_clause; after every
+    step the two must be in the same state."""
+    bulk, loop = SatSession(), SatSession()
+    for s in (bulk, loop):
+        for _ in range(nvars):
+            s.new_var()
+
+    def by_clauses(lits):
+        for i, a in enumerate(lits):
+            for b in lits[i + 1:]:
+                loop.add_clause([-a, -b])
+
+    def attempt(add, lits):
+        try:
+            add(lits)
+        except SolverUsageError as e:
+            return str(e)
+
+    def state(s):
+        return (s.store.tolist(), s.num_clauses, s.trail, s.hard_unsat,
+                s.watches, s.stats())
+
+    for kind, lits in steps:
+        if kind == "clause":
+            bulk.add_clause(list(lits))
+            loop.add_clause(list(lits))
+        elif kind == "amo":
+            assert attempt(bulk.add_pairwise, lits) == attempt(by_clauses, lits)
+        else:
+            assert bulk.solve(lits) == loop.solve(lits)
+        assert state(bulk) == state(loop)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_add_pairwise_matches_one_add_clause_per_pair(data):
+    # Clauses of 1-3 literals, AMO groups and solves under 0-2 assumptions.
+    # A group may repeat a variable, take both signs, reuse a literal fixed
+    # by an earlier unit, or, rarely, name an unallocated variable.
+    nvars = data.draw(st.integers(2, 8))
+
+    def lits(top, size):
+        v = st.integers(1, top)
+        return data.draw(st.lists(v.flatmap(lambda v: st.sampled_from([v, -v])),
+                                  min_size=size[0], max_size=size[1]))
+
+    steps = []
+    for _ in range(data.draw(st.integers(1, 14))):
+        kind = data.draw(st.sampled_from(["clause", "clause", "amo", "solve"]))
+        if kind == "clause":
+            steps.append((kind, lits(nvars, (1, 3))))
+        elif kind == "amo":
+            top = nvars + data.draw(st.sampled_from([0] * 9 + [1]))
+            steps.append((kind, lits(top, (0, 8))))
+        else:
+            steps.append((kind, lits(nvars, (0, 2))))
+    _replay_pairwise_both_ways(nvars, steps)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
+    # Everything added holds under a hidden assignment, so the store stays
+    # satisfiable and the solves in between do conflicts and learning.
+    rng = random.Random(seed)
+    nvars = 50
+    hidden = [rng.random() < 0.5 for _ in range(nvars + 1)]
+
+    def lit(v=None):
+        v = v or rng.randint(1, nvars)
+        return v if rng.random() < 0.5 else -v
+
+    def false_lit(v):
+        return -v if hidden[v] else v
+
+    steps = []
+    for _ in range(250):
+        r = rng.random()
+        if r < 0.7:
+            c = [lit() for _ in range(3)]
+            if not any(hidden[abs(x)] == (x > 0) for x in c):
+                c[0] = -c[0]
+            steps.append(("clause", c))
+        elif r < 0.85:
+            vs = rng.sample(range(1, nvars + 1), rng.randint(2, 8))
+            group = [false_lit(v) for v in vs]
+            if rng.random() < 0.5:  # one literal true under the hidden one
+                group[0] = -group[0]
+            elif rng.random() < 0.2:  # a repeated variable, either sign
+                group.append(lit(vs[-1]))
+            steps.append(("amo", group))
+        else:
+            steps.append(("solve", [lit() for _ in range(rng.randint(0, 3))]))
+    _replay_pairwise_both_ways(nvars, steps)
 
 
 def _seeded_history(var_inc: float) -> list[tuple]:
