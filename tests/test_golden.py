@@ -1,0 +1,103 @@
+"""Golden outputs: every fixture through the command line, compared by hash.
+
+Each case runs ``htnsat`` in-process on one fixture with ``--plan``,
+``--emit-dot``, ``--dump-cnf``, ``--dump-profiles`` and ``--stats`` and
+hashes everything it writes, minus the parts that measure time: the
+``;; time`` line of stdout and the time fields of the stats JSON. The
+hashes live in ``fixtures/golden.json``; a refactor that is meant to
+change no output must leave every one of them equal.
+
+To regenerate the file after a change that is meant to alter outputs:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from htnsat.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden.json"
+
+INPUTS = {p.stem: [p] for p in sorted(FIXTURES.glob("*.ground"))}
+INPUTS["taxi-hddl"] = [FIXTURES / "taxi.hddl", FIXTURES / "taxi1.hddl"]
+CONFIGS = {
+    "greedy": ["--mode", "greedy"],
+    "bfs": ["--mode", "bfs"],
+    "lean": ["--mode", "greedy", "--amo", "binary", "--no-mutex",
+             "--mandpre-prune", "off"],
+}
+CASES = [f"{name}/{cfg}" for name in INPUTS for cfg in CONFIGS]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _timeless_stats(text: str) -> str:
+    stats = json.loads(text)
+    del stats["wall_time"], stats["grounding_time"]
+    for q in stats["queries"]:
+        del q["time"]
+    return json.dumps(stats, indent=2)
+
+
+def run_case(case: str, work: Path) -> dict:
+    """Run one case with every output flag and hash what it writes."""
+    name, cfg = case.split("/")
+    out = {k: work / k for k in ("plan", "dot", "cnf", "stats")}
+    argv = [str(p) for p in INPUTS[name]] + CONFIGS[cfg] + [
+        "--dump-profiles", "--plan", str(out["plan"]),
+        "--emit-dot", str(out["dot"]), "--dump-cnf", str(out["cnf"]),
+        "--stats", str(out["stats"])]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    profiles, status, rest = buf.getvalue().partition(";; status")
+    stdout = "".join(line for line in (status + rest).splitlines(True)
+                     if not line.startswith(";; time"))
+    rounds = sorted(work.glob("cnf.round*.cnf"),
+                    key=lambda p: int(re.search(r"round(\d+)", p.name)[1]))
+    return {
+        "exit": code,
+        "stdout": _sha(stdout),
+        "profiles": _sha(profiles),
+        "plan": _sha(out["plan"].read_text()) if out["plan"].exists() else None,
+        "dot": _sha(out["dot"].read_text()),
+        "cnf": [_sha(p.read_text()) for p in rounds],
+        "stats": _sha(_timeless_stats(out["stats"].read_text())),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden(case, golden, tmp_path):
+    assert run_case(case, tmp_path) == golden[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    table = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as d:
+            table[case] = run_case(case, Path(d))
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
