@@ -33,7 +33,7 @@ import time
 from typing import NamedTuple
 
 from .inference import Profiles
-from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, new_tree
+from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, bits, new_tree
 from .pdt import Pdt, Position
 from .sat import PAIRWISE, SatSession, SolverTimeout, encode_amo
 
@@ -85,10 +85,10 @@ class Encoder:
         mask = 0
         for a in pos.acts:
             act = self.p.actions[a]
-            mask |= act.add_mask | act.del_mask
+            mask |= act.eff_pos | act.eff_neg
         for t in pos.tasks:
             prof = self.prof.tasks[t]
-            mask |= prof.pos_mask | prof.neg_mask
+            mask |= prof.poss_eff_pos | prof.poss_eff_neg
         return mask
 
     # -- encoding ------------------------------------------------------------
@@ -118,7 +118,7 @@ class Encoder:
         # the root slot has a single candidate, so its at-least-one clause
         # already pins the initial task there
         self._encode_position(root)
-        for f in sorted(self.p.goal):
+        for f in bits(self.p.goal):
             sess.add_clause([post[f]])
 
     def _encode_layer(self, idx: int) -> None:
@@ -167,18 +167,18 @@ class Encoder:
             self.opvar[(pos.path, ACTION, a)] = v
             tier1.append(v)
             act = self.p.actions[a]
-            for f in sorted(act.precond):
+            for f in bits(act.precond):
                 sess.add_clause([-v, pre[f]])
-            for f in sorted(act.eff_pos):
+            for f in bits(act.eff_pos):
                 sess.add_clause([-v, post[f]])
-            for f in sorted(act.eff_neg):
+            for f in bits(act.eff_neg):
                 sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = sess.new_var()
             self.opvar[(pos.path, ABSTRACT, t)] = v
             tier1.append(v)
             if self.mandatory_preconds:
-                for f in sorted(self.prof.tasks[t].mand_pre):
+                for f in bits(self.prof.tasks[t].mand_pre):
                     sess.add_clause([-v, pre[f]])
         if pos.has_blank:
             v = sess.new_var()
@@ -196,15 +196,15 @@ class Encoder:
             down = [-pre[f], post[f]]
             for a in pos.acts:
                 act = self.p.actions[a]
-                if act.add_mask >> f & 1:
+                if act.eff_pos >> f & 1:
                     up.append(self.opvar[(pos.path, ACTION, a)])
-                if act.del_mask >> f & 1:
+                if act.eff_neg >> f & 1:
                     down.append(self.opvar[(pos.path, ACTION, a)])
             for t in pos.tasks:
                 prof = self.prof.tasks[t]
-                if prof.pos_mask >> f & 1:
+                if prof.poss_eff_pos >> f & 1:
                     up.append(self.opvar[(pos.path, ABSTRACT, t)])
-                if prof.neg_mask >> f & 1:
+                if prof.poss_eff_neg >> f & 1:
                     down.append(self.opvar[(pos.path, ABSTRACT, t)])
             self.sess.add_clause(up)
             self.sess.add_clause(down)

@@ -18,12 +18,13 @@ Records may appear in any order; method subtask lists (``S``) name
 actions or tasks declared anywhere in the file, which is why actions and
 tasks must not share a name. ``init`` and ``goal`` default to empty when
 the line is absent; ``root`` is required. dump_ground writes canonical
-text that parses back into an identical problem.
+text that parses back into an identical problem, naming the facts of
+every set in ascending id order.
 """
 from __future__ import annotations
 
 from ..model import (
-    ABSTRACT, ACTION, AbstractTask, Action, Fact, Method, Problem, TaskRef, mask,
+    ABSTRACT, ACTION, AbstractTask, Action, Fact, Method, Problem, TaskRef, bits, mask,
 )
 
 _SECTIONS = ("pre", "add", "del")
@@ -58,13 +59,11 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
             fail(ln, f"name {nm!r} already declared")
         return nm
 
-    def fact_list(ln: int, toks: list[str]) -> list[int]:
-        out = []
+    def fact_mask(ln: int, toks: list[str]) -> int:
         for t in toks:
             if t not in fact_ids:
                 fail(ln, f"unknown fact {t!r}")
-            out.append(fact_ids[t])
-        return out
+        return mask(fact_ids[t] for t in toks)
 
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -98,9 +97,7 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
                     secs[cur].append(t)
             action_ids[nm] = len(actions)
             actions.append(Action(len(actions), nm,
-                                  frozenset(fact_list(ln, secs["pre"])),
-                                  frozenset(fact_list(ln, secs["add"])),
-                                  frozenset(fact_list(ln, secs["del"]))))
+                                  *(fact_mask(ln, secs[k]) for k in _SECTIONS)))
         elif kind == "task":
             if len(rest) != 1:
                 fail(ln, "task takes exactly one name")
@@ -144,8 +141,6 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
         mid = len(methods)
         methods.append(Method(mid, nm, task_ids[tname], refs))
         tasks[task_ids[tname]].methods.append(mid)
-    for t in tasks:
-        t.unrefinable = not t.methods
 
     if root is None:
         raise GroundFormatError("missing root record")
@@ -155,13 +150,13 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
 
     return Problem(name=name, facts=facts, actions=actions, abstracts=tasks,
                    methods=methods, root=task_ids[rname],
-                   init=mask(fact_list(*(init or (0, [])))),
-                   goal=frozenset(fact_list(*(goal or (0, []))))).finalize()
+                   init=fact_mask(*(init or (0, []))),
+                   goal=fact_mask(*(goal or (0, [])))).finalize()
 
 
 def dump_ground(p: Problem) -> str:
-    def names(fids) -> str:
-        return " ".join(p.facts[i].name for i in sorted(fids))
+    def names(m: int) -> str:
+        return " ".join(p.facts[i].name for i in bits(m))
 
     out = [f"problem {p.name}"]
     for f in p.facts:
@@ -178,9 +173,8 @@ def dump_ground(p: Problem) -> str:
         subs = " ".join(p.ref_name(r) for r in m.subtasks)
         head = f"method {m.name} {p.abstracts[m.task].name} ->"
         out.append(f"{head} {subs}" if subs else head)
-    init = [f.id for f in p.facts if p.init >> f.id & 1]
-    if init:
-        out.append(f"init {names(init)}")
+    if p.init:
+        out.append(f"init {names(p.init)}")
     if p.goal:
         out.append(f"goal {names(p.goal)}")
     out.append(f"root {p.abstracts[p.root].name}")

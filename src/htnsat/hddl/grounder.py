@@ -8,7 +8,7 @@ precondition compiles into a zero-effect guard action slotted in front
 of the method's first subtask. Instances that can never execute under
 delete relaxation or can never be reached by decomposing the initial
 task are pruned by a joint fixpoint; abstract tasks left without
-methods are marked unrefinable and methods mentioning them fall with
+methods stay, with no method, and methods mentioning them fall with
 them. Total instantiation work is capped; hitting the cap aborts with
 an error instead of grinding on, and an optional deadline, checked at
 the same points, raises SolverTimeout once it has passed.
@@ -144,7 +144,6 @@ class _Grounder:
         self.gactions: dict[str, _GAction] = {}
         self.gtasks: set[str] = set()
         self.gmethods: dict[str, _GMethod] = {}
-        self.unrefinable: set[str] = set()
 
     # -- shared pieces ------------------------------------------------------
 
@@ -323,29 +322,20 @@ class _Grounder:
 
     def _prune(self, init_facts: set[str], root: str) -> None:
         while True:
-            before = (len(self.gactions), len(self.gmethods),
-                      len(self.gtasks), len(self.unrefinable))
+            before = (len(self.gactions), len(self.gmethods), len(self.gtasks))
             applicable = self._delete_relaxed_applicable(init_facts)
             rtasks, ractions = self._decomposition_reachable(root)
             self.gactions = {n: a for n, a in self.gactions.items()
                              if n in applicable and n in ractions}
-            kept: dict[str, _GMethod] = {}
-            for m in self.gmethods.values():
-                if m.task not in rtasks or m.task in self.unrefinable:
-                    continue
-                if any((k == ACTION and s not in self.gactions)
-                       or (k == ABSTRACT and (s not in self.gtasks
-                                              or s in self.unrefinable))
-                       for k, s in m.subs):
-                    continue
-                kept[m.name] = m
-            self.gmethods = kept
+            # a task left without methods cannot be refined
+            refinable = {m.task for m in self.gmethods.values()}
+            self.gmethods = {
+                n: m for n, m in self.gmethods.items()
+                if m.task in rtasks and all(
+                    s in (self.gactions if k == ACTION else refinable)
+                    for k, s in m.subs)}
             self.gtasks &= rtasks
-            with_methods = {m.task for m in self.gmethods.values()}
-            self.unrefinable |= self.gtasks - with_methods
-            after = (len(self.gactions), len(self.gmethods),
-                     len(self.gtasks), len(self.unrefinable))
-            if after == before:
+            if (len(self.gactions), len(self.gmethods), len(self.gtasks)) == before:
                 return
 
     def _delete_relaxed_applicable(self, init_facts: set[str]) -> set[str]:
@@ -400,14 +390,10 @@ class _Grounder:
         actions = []
         for i, n in enumerate(sorted(self.gactions)):
             g = self.gactions[n]
-            actions.append(Action(
-                i, n,
-                frozenset(fid[f] for f in g.precond),
-                frozenset(fid[f] for f in g.add),
-                frozenset(fid[f] for f in g.dele)))
+            actions.append(Action(i, n, *(mask(fid[f] for f in s)
+                                          for s in (g.precond, g.add, g.dele))))
         aid = {a.name: a.id for a in actions}
-        abstracts = [AbstractTask(i, n, unrefinable=n in self.unrefinable)
-                     for i, n in enumerate(sorted(self.gtasks))]
+        abstracts = [AbstractTask(i, n) for i, n in enumerate(sorted(self.gtasks))]
         tid = {t.name: t.id for t in abstracts}
         methods = []
         for i, n in enumerate(sorted(self.gmethods)):
@@ -424,7 +410,7 @@ class _Grounder:
             methods=methods,
             root=tid[root],
             init=mask(fid[f] for f in init_facts),
-            goal=frozenset(fid[f] for f in goal_facts),
+            goal=mask(fid[f] for f in goal_facts),
         ).finalize()
 
 

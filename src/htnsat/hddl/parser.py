@@ -36,7 +36,7 @@ class SList(list):
 # -- s-expression reading ----------------------------------------------------
 
 
-def _tokenize(text: str, src: str) -> list[Tok]:
+def _tokenize(text: str) -> list[Tok]:
     toks: list[Tok] = []
     line, i, n = 1, 0, len(text)
     while i < n:
@@ -62,7 +62,7 @@ def _tokenize(text: str, src: str) -> list[Tok]:
 
 
 def _read_forms(text: str, src: str) -> list:
-    toks = _tokenize(text, src)
+    toks = _tokenize(text)
     forms: list = []
     stack: list[SList] = []
     for tok in toks:
@@ -181,6 +181,7 @@ def _atom(form, src) -> tuple[str, tuple[str, ...]]:
 
 
 _REJECTED_CONNECTIVES = {"or", "imply", "forall", "exists", "when", "oneof"}
+_SUBTASK_KEYS = (":ordered-subtasks", ":subtasks", ":ordered-tasks", ":tasks")
 
 
 def _conjunction(form, src, what: str) -> list:
@@ -256,11 +257,11 @@ def _parse_domain(text: str, src: str) -> LiftedDomain:
                 dom.types[name] = parent
         elif head == ":predicates":
             for pred in form[1:]:
-                name, *rest = pred
-                if isinstance(name, SList):
+                if (not isinstance(pred, SList) or not pred
+                        or isinstance(pred[0], SList)):
                     _fail(src, pred, "expected (predicate ?params...)")
-                dom.predicates[str(name)] = \
-                    [t for _, t in _typed_names(rest, src)]
+                dom.predicates[str(pred[0])] = \
+                    [t for _, t in _typed_names(pred[1:], src)]
         elif head == ":task":
             dom.tasks.append(_parse_task(form, src))
         elif head == ":action":
@@ -319,23 +320,25 @@ def _parse_method(form, src) -> LiftedMethod:
         elif key == ":precondition":
             meth.precond = _literals(_single(values, key, src), src,
                                      "method precondition")
-        elif key in (":ordered-subtasks", ":subtasks", ":ordered-tasks",
-                     ":tasks"):
+        elif key in _SUBTASK_KEYS:
             if saw_subtasks:
                 _fail(src, key, "duplicate subtask list")
             saw_subtasks = True
             meth.subtasks = _parse_subtasks(_single(values, key, src), src)
         elif key == ":ordering":
-            val = _single(values, key, src)
-            if isinstance(val, SList) and (not val or list(val) == ["and"]):
-                continue
-            _fail(src, key, "partial-order ':ordering' constraints are "
-                            "outside the supported subset")
+            _check_ordering(_single(values, key, src), key, src)
         else:
             _fail(src, key, f"'{key}' is outside the supported subset")
     if not meth.task[0]:
         _fail(src, form, f"method {meth.name} lacks a :task")
     return meth
+
+
+def _check_ordering(val, key, src) -> None:
+    """Only an empty ':ordering' is accepted: the order is the list's."""
+    if not (isinstance(val, SList) and (not val or list(val) == ["and"])):
+        _fail(src, key, "partial-order ':ordering' constraints are "
+                        "outside the supported subset")
 
 
 def _parse_subtasks(form, src) -> list[tuple[str, tuple[str, ...]]]:
@@ -434,6 +437,8 @@ def _parse_problem(text: str, src: str) -> LiftedProblem:
     for form in body[1:]:
         head = _head(form, src)
         if head == ":domain":
+            if len(form) != 2 or isinstance(form[1], SList):
+                _fail(src, form, "expected (:domain NAME)")
             prob.domain_name = str(form[1])
         elif head == ":requirements":
             continue
@@ -469,15 +474,10 @@ def _parse_htn(form, prob: LiftedProblem, src: str) -> None:
             if isinstance(val, SList) and val:
                 _fail(src, key, "nonempty :htn parameters are outside the "
                                 "supported subset")
-        elif key in (":subtasks", ":ordered-subtasks", ":tasks",
-                     ":ordered-tasks"):
+        elif key in _SUBTASK_KEYS:
             prob.top_tasks = _parse_subtasks(_single(values, key, src), src)
         elif key == ":ordering":
-            val = _single(values, key, src)
-            if isinstance(val, SList) and (not val or list(val) == ["and"]):
-                continue
-            _fail(src, key, "partial-order ':ordering' constraints are "
-                            "outside the supported subset")
+            _check_ordering(_single(values, key, src), key, src)
         else:
             _fail(src, key, f"'{key}' is outside the supported subset")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Problem, mask, split_name
+from .model import Problem, bits, mask, split_name
 
 
 @dataclass
@@ -24,11 +24,9 @@ class RecursionInfo:
 @dataclass
 class TaskProfile:
     task: int
-    mand_pre: frozenset[int]
-    poss_eff_pos: frozenset[int]
-    poss_eff_neg: frozenset[int]
-    pos_mask: int = 0
-    neg_mask: int = 0
+    mand_pre: int
+    poss_eff_pos: int
+    poss_eff_neg: int
 
 
 @dataclass
@@ -107,7 +105,7 @@ def compute_recursion(p: Problem) -> RecursionInfo:
     return RecursionInfo(recursive, sccs)
 
 
-def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[int], list[int]]:
     """Least fixpoint of: poss(t) = union over methods of the subtask
     possible effects, with actions contributing their literal effects.
 
@@ -124,8 +122,8 @@ def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[frozenset
         for ref in m.subtasks:
             if ref.is_action():
                 a = p.actions[ref.id]
-                mp |= a.add_mask
-                mn |= a.del_mask
+                mp |= a.eff_pos
+                mn |= a.eff_neg
             else:
                 mp |= pos[ref.id]
                 mn |= neg[ref.id]
@@ -142,10 +140,10 @@ def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[frozenset
                         pos[t] |= mp
                         neg[t] |= mn
                         changed = True
-    return [_facts(m) for m in pos], [_facts(m) for m in neg]
+    return pos, neg
 
 
-def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[frozenset[int]]:
+def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[int]:
     """Greatest fixpoint of: mand(t) = intersection over M(t) of the
     first subtask's mandatory precondition, where an empty method
     contributes the empty set (it promises an empty refinement, which
@@ -163,7 +161,7 @@ def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[froz
             return 0
         ref = m.subtasks[0]
         if ref.is_action():
-            return p.actions[ref.id].pre_mask
+            return p.actions[ref.id].precond
         return mand[ref.id]
 
     for comp in rec.sccs:
@@ -177,7 +175,7 @@ def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[froz
                 if acc != mand[t]:
                     mand[t] = acc
                     changed = True
-    return [_facts(m) for m in mand]
+    return mand
 
 
 def compute_mutex_groups(p: Problem) -> list[list[int]]:
@@ -198,35 +196,31 @@ def compute_mutex_groups(p: Problem) -> list[list[int]]:
             key = (head, i, args[:i], args[i + 1:])
             seeds.setdefault(key, []).append(f.id)
 
-    passing: list[list[int]] = []
-    seen: set[frozenset[int]] = set()
+    passing: list[int] = []
+    seen: set[int] = set()
     for key in sorted(seeds):
-        g = seeds[key]
-        fs = frozenset(g)
-        if len(g) < 2 or fs in seen:
+        g = mask(seeds[key])
+        if g.bit_count() < 2 or g in seen:
             continue
-        seen.add(fs)
-        if _inductive(p, fs):
-            passing.append(sorted(g))
+        seen.add(g)
+        if _inductive(p, g):
+            passing.append(g)
 
-    sets = [frozenset(g) for g in passing]
-    keep = [g for i, g in enumerate(passing)
-            if not any(sets[i] < other for other in sets)]
-    keep.sort()
-    return keep
+    return sorted(bits(g) for g in passing
+                  if not any(g & o == g != o for o in passing))
 
 
-def _inductive(p: Problem, group: frozenset[int]) -> bool:
-    if (p.init & mask(group)).bit_count() > 1:
+def _inductive(p: Problem, group: int) -> bool:
+    if (p.init & group).bit_count() > 1:
         return False
     for a in p.actions:
         adds = a.eff_pos & group
-        if len(adds) > 1:
+        if adds.bit_count() > 1:
             return False
         if not adds:
             continue
         held = a.precond & group
-        if len(held) >= 2:
+        if held.bit_count() >= 2:
             continue  # not applicable in any state the invariant allows
         if not held:
             return False
@@ -240,8 +234,7 @@ def compute_profiles(p: Problem) -> Profiles:
     rec = compute_recursion(p)
     pos, neg = compute_poss_effects(p, rec)
     mand = compute_mandatory_preconditions(p, rec)
-    tasks = [TaskProfile(t.id, mand[t.id], pos[t.id], neg[t.id],
-                         mask(pos[t.id]), mask(neg[t.id]))
+    tasks = [TaskProfile(t.id, mand[t.id], pos[t.id], neg[t.id])
              for t in p.abstracts]
     return Profiles(tasks=tasks, mutex_groups=compute_mutex_groups(p),
                     recursion=rec)
@@ -249,23 +242,14 @@ def compute_profiles(p: Problem) -> Profiles:
 
 def dump_profiles(p: Problem, prof: Profiles) -> str:
     def names(fids) -> str:
-        return " ".join(p.facts[i].name for i in sorted(fids)) or "-"
+        return " ".join(p.facts[i].name for i in fids) or "-"
 
     out = []
     for tp in prof.tasks:
-        out.append(f"task {p.abstracts[tp.task].name} mand: {names(tp.mand_pre)}"
-                   f" poss+: {names(tp.poss_eff_pos)} poss-: {names(tp.poss_eff_neg)}")
+        out.append(f"task {p.abstracts[tp.task].name} mand: {names(bits(tp.mand_pre))}"
+                   f" poss+: {names(bits(tp.poss_eff_pos))}"
+                   f" poss-: {names(bits(tp.poss_eff_neg))}")
     for g in prof.mutex_groups:
         out.append(f"mutex: {names(g)}")
     return "\n".join(out) + "\n"
 
-
-def _facts(bits: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return frozenset(out)

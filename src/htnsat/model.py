@@ -2,8 +2,10 @@
 
 A problem is a finite set of facts, primitive actions with STRIPS
 preconditions/effects, abstract tasks, and totally-ordered methods, plus an
-initial abstract task, an initial state and a goal set. States are bitmasks
-over fact ids so that applying an action is two bitwise ops.
+initial abstract task, an initial state and a goal set. States and every
+fact set are bitmasks over fact ids (an ``int`` with bit f set for fact f),
+so applying an action is two bitwise ops; ``bits`` reads a mask's ids back
+in ascending order.
 """
 from __future__ import annotations
 
@@ -39,13 +41,9 @@ class Fact:
 class Action:
     id: int
     name: str
-    precond: frozenset[int]
-    eff_pos: frozenset[int]
-    eff_neg: frozenset[int]
-    # Masks are derived in Problem.finalize().
-    pre_mask: int = 0
-    add_mask: int = 0
-    del_mask: int = 0
+    precond: int
+    eff_pos: int
+    eff_neg: int
 
 
 @dataclass
@@ -53,7 +51,6 @@ class AbstractTask:
     id: int
     name: str
     methods: list[int] = field(default_factory=list)
-    unrefinable: bool = False  # set by the grounder when every method was pruned
 
 
 @dataclass
@@ -72,29 +69,27 @@ class Problem:
     abstracts: list[AbstractTask]
     methods: list[Method]
     root: int  # initial abstract task id (c_I)
-    init: int  # bitmask over fact ids (s_I)
-    goal: frozenset[int]
-    goal_mask: int = 0
+    init: int  # s_I
+    goal: int
 
     def finalize(self) -> "Problem":
-        """Derive masks and validate cross references. Returns self."""
+        """Validate ids and cross references and apply add-wins to the
+        action effects. Returns self."""
         nf = len(self.facts)
         for i, f in enumerate(self.facts):
             if f.id != i:
                 raise ModelError(f"fact id {f.id} out of order (expected {i})")
+        if self.init >> nf:
+            raise ModelError(f"bad init fact id {self.init.bit_length() - 1}")
         for i, a in enumerate(self.actions):
             if a.id != i:
                 raise ModelError(f"action id {a.id} out of order")
-            for s in (a.precond, a.eff_pos, a.eff_neg):
-                for fid in s:
-                    if not 0 <= fid < nf:
-                        raise ModelError(f"action {a.name}: bad fact id {fid}")
-            if a.eff_pos & a.eff_neg:
-                # add-after-delete convention: adds win, deletes drop the overlap
-                a.eff_neg = a.eff_neg - a.eff_pos
-            a.pre_mask = mask(a.precond)
-            a.add_mask = mask(a.eff_pos)
-            a.del_mask = mask(a.eff_neg)
+            for m in (a.precond, a.eff_pos, a.eff_neg):
+                if m >> nf:
+                    raise ModelError(f"action {a.name}: bad fact id "
+                                     f"{m.bit_length() - 1}")
+            # add-after-delete convention: adds win, deletes drop the overlap
+            a.eff_neg &= ~a.eff_pos
         for i, t in enumerate(self.abstracts):
             if t.id != i:
                 raise ModelError(f"abstract id {t.id} out of order")
@@ -111,10 +106,8 @@ class Problem:
                     raise ModelError(f"abstract {t.name}: inconsistent method list")
         if not 0 <= self.root < len(self.abstracts):
             raise ModelError(f"bad root task id {self.root}")
-        for fid in self.goal:
-            if not 0 <= fid < nf:
-                raise ModelError(f"bad goal fact id {fid}")
-        self.goal_mask = mask(self.goal)
+        if self.goal >> nf:
+            raise ModelError(f"bad goal fact id {self.goal.bit_length() - 1}")
         return self
 
     def _check_ref(self, ref: TaskRef, where: str) -> None:
@@ -127,9 +120,9 @@ class Problem:
     def apply(self, state: int, action_id: int) -> Optional[int]:
         """Successor state, or None if the precondition does not hold."""
         a = self.actions[action_id]
-        if state & a.pre_mask != a.pre_mask:
+        if state & a.precond != a.precond:
             return None
-        return (state & ~a.del_mask) | a.add_mask
+        return (state & ~a.eff_neg) | a.eff_pos
 
     def apply_seq(self, state: int, plan: Iterable[int]) -> Optional[int]:
         """Fold apply over a plan; None as soon as one step is inapplicable."""
@@ -140,7 +133,7 @@ class Problem:
         return state
 
     def is_goal(self, state: int) -> bool:
-        return state & self.goal_mask == self.goal_mask
+        return state & self.goal == self.goal
 
     # -- conveniences -------------------------------------------------------
 
@@ -160,6 +153,16 @@ def mask(fids: Iterable[int]) -> int:
     for fid in fids:
         m |= 1 << fid
     return m
+
+
+def bits(m: int) -> list[int]:
+    """The fact ids set in a mask, in ascending order; inverse of mask."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def join_name(head: str, args: Sequence[str]) -> str:

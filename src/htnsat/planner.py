@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .encoder import Encoder
 from .inference import compute_profiles
-from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef
+from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef, bits
 from .pdt import Pdt
 from .sat import PAIRWISE, SCHEMES, SolverTimeout, dump_dimacs
 
@@ -198,9 +198,6 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
             out.append(f"node {nid} appears twice")
             continue
         seen.add(nid)
-        if not 0 <= nid < len(tree.nodes):
-            out.append(f"child index {nid} out of range")
-            continue
         node = tree.nodes[nid]
         if node.kind == ACTION:
             if node.children:
@@ -253,7 +250,6 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
             return out
         state = nxt
     if not p.is_goal(state):
-        missing = [p.facts[f].name for f in sorted(p.goal)
-                   if not state >> f & 1]
+        missing = [p.facts[f].name for f in bits(p.goal & ~state)]
         out.append("goal facts missing at the end: " + ", ".join(missing))
     return out

@@ -13,8 +13,9 @@ across solve() calls. Everything is deterministic: ties in the activity
 order break toward the lowest variable index and no randomness is used,
 so identical call histories replay identically.
 
-Clauses are only ever added at decision level 0: every exit from
-solve(), a timeout included, cancels the trail back to level 0 first.
+Clauses are only ever added at decision level 0: solve() cancels the
+trail back to level 0 in one ``finally`` on every exit, an exception
+included.
 So add_clause attaches a clause without touching the search state, and
 the common case, a binary clause over two unassigned variables, is two
 list appends. add_pairwise adds the pairwise at-most-one clauses of a
@@ -154,7 +155,7 @@ class SatSession:
                 raise SolverUsageError(f"literal {a} uses unallocated variable")
             if not 0 < vb <= nvars:
                 raise SolverUsageError(f"literal {b} uses unallocated variable")
-            if a != b and not self.trail_lim:
+            if a != b:
                 store.fromlist(lits)
                 store.append(0)
                 self.num_clauses += 1
@@ -194,8 +195,6 @@ class SatSession:
         self.num_clauses += 1
         if taut:
             return
-        if self.trail_lim:
-            self._cancel_to(0)
         # keep the free literals; one true at level 0 satisfies the clause
         assign = self.assign
         free: list[int] = []
@@ -232,8 +231,7 @@ class SatSession:
         n = len(neg)
         nvars, assign = self.num_vars, self.assign
         vs = {abs(x) for x in neg}
-        if (len(vs) < n or self.trail_lim
-                or not all(0 < v <= nvars and not assign[v] for v in vs)):
+        if len(vs) < n or not all(0 < v <= nvars and not assign[v] for v in vs):
             for i, a in enumerate(neg):
                 for b in neg[i + 1:]:
                     self.add_clause([a, b])
@@ -445,82 +443,80 @@ class SatSession:
                 raise SolverUsageError(f"assumption {lit} uses unallocated variable")
         if self.hard_unsat:
             return None
-        self._cancel_to(0)
-        if self._propagate() is not None:
-            self.hard_unsat = True
-            return None
-        act, assign, saved = self.act, self.assign, self.saved
-        trail, trail_lim, level, reason = self.trail, self.trail_lim, self.level, self.reason
-        # the heap holds every free variable: _cancel_to pushes each one
-        # it unassigns
-        order = self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
-                              if assign[v] == 0]
-        heapify(order)
-        n_assumptions = len(assumptions)
+        try:
+            if self._propagate() is not None:
+                self.hard_unsat = True
+                return None
+            act, assign, saved = self.act, self.assign, self.saved
+            trail, trail_lim, level, reason = self.trail, self.trail_lim, self.level, self.reason
+            # the heap holds every free variable: _cancel_to pushes each one
+            # it unassigns
+            order = self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
+                                  if assign[v] == 0]
+            heapify(order)
+            n_assumptions = len(assumptions)
 
-        restart_n = 0
-        limit = _RESTART_BASE * luby(1)
-        since_restart = 0
-        since_check = 0
-        while True:
-            confl = self._propagate()
-            if confl is not None:
-                self.conflicts += 1
-                since_restart += 1
-                since_check += 1
-                if deadline is not None and since_check >= _DEADLINE_CHECK_EVERY:
-                    since_check = 0
-                    if time.monotonic() > deadline:
-                        self._cancel_to(0)
-                        raise SolverTimeout
-                if not trail_lim:
-                    self.hard_unsat = True
-                    return None
-                learnt, bj = self._analyze(confl)
-                self._cancel_to(bj)
-                self._record_learnt(learnt)
-                self.var_inc /= _VAR_DECAY
-                continue
-            if since_restart >= limit:
-                restart_n += 1
-                self.restarts += 1
-                since_restart = 0
-                limit = _RESTART_BASE * luby(restart_n + 1)
-                self._cancel_to(0)
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolverTimeout
-                continue
-            # assumption levels first, then activity-driven decisions
-            dl = len(trail_lim)
-            if dl < n_assumptions:
-                lit = assumptions[dl]
-                v = abs(lit)
-                val = assign[v] if lit > 0 else -assign[v]
-                if val == -1:
+            restart_n = 0
+            limit = _RESTART_BASE * luby(1)
+            since_restart = 0
+            since_check = 0
+            while True:
+                confl = self._propagate()
+                if confl is not None:
+                    self.conflicts += 1
+                    since_restart += 1
+                    since_check += 1
+                    if deadline is not None and since_check >= _DEADLINE_CHECK_EVERY:
+                        since_check = 0
+                        if time.monotonic() > deadline:
+                            raise SolverTimeout
+                    if not trail_lim:
+                        self.hard_unsat = True
+                        return None
+                    learnt, bj = self._analyze(confl)
+                    self._cancel_to(bj)
+                    self._record_learnt(learnt)
+                    self.var_inc /= _VAR_DECAY
+                    continue
+                if since_restart >= limit:
+                    restart_n += 1
+                    self.restarts += 1
+                    since_restart = 0
+                    limit = _RESTART_BASE * luby(restart_n + 1)
                     self._cancel_to(0)
-                    return None
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise SolverTimeout
+                    continue
+                # assumption levels first, then activity-driven decisions
+                dl = len(trail_lim)
+                if dl < n_assumptions:
+                    lit = assumptions[dl]
+                    v = abs(lit)
+                    val = assign[v] if lit > 0 else -assign[v]
+                    if val == -1:
+                        return None
+                    trail_lim.append(len(trail))
+                    if val == 0:
+                        self._enqueue(lit, None)
+                    continue
+                # branch on the most active free variable
+                v = 0
+                while order:
+                    u = heappop(order)[1]
+                    if assign[u] == 0:
+                        v = u
+                        break
+                if v == 0:
+                    return [x == 1 for x in assign]  # entry 0 is never assigned
+                self.decisions += 1
                 trail_lim.append(len(trail))
-                if val == 0:
-                    self._enqueue(lit, None)
-                continue
-            # branch on the most active free variable
-            v = 0
-            while order:
-                u = heappop(order)[1]
-                if assign[u] == 0:
-                    v = u
-                    break
-            if v == 0:
-                model = [x == 1 for x in assign]  # entry 0 is never assigned
-                self._cancel_to(0)
-                return model
-            self.decisions += 1
-            trail_lim.append(len(trail))
-            lit = v if saved[v] else -v
-            assign[v] = 1 if lit > 0 else -1
-            level[v] = dl + 1
-            reason[v] = None
-            trail.append(lit)
+                lit = v if saved[v] else -v
+                assign[v] = 1 if lit > 0 else -1
+                level[v] = dl + 1
+                reason[v] = None
+                trail.append(lit)
+        finally:
+            self._cancel_to(0)
 
     # -- reporting ----------------------------------------------------------
 

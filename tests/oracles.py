@@ -127,7 +127,7 @@ def refinements_of_task(p: Problem, t: int, cap: int = 10_000) -> list[tuple[int
         methods=p.methods,
         root=t,
         init=p.init,
-        goal=frozenset(),
+        goal=0,
     )
     return enumerate_plans(sub, cap)
 
@@ -236,10 +236,10 @@ def relaxed_plan_realizable(
                     out.add(s2)
                 continue
             prof = profiles.tasks[ref.id]
-            if any(not (s >> f & 1) for f in prof.mand_pre):
+            if s & prof.mand_pre != prof.mand_pre:
                 continue
-            adds = sorted(prof.poss_eff_pos)
-            dels = sorted(prof.poss_eff_neg)
+            adds = [f for f in range(len(p.facts)) if prof.poss_eff_pos >> f & 1]
+            dels = [f for f in range(len(p.facts)) if prof.poss_eff_neg >> f & 1]
             assert (1 << len(adds)) * (1 << len(dels)) <= subset_cap, "subset cap"
             for abits in range(1 << len(adds)):
                 amask = sum(1 << adds[i] for i in range(len(adds)) if abits >> i & 1)

@@ -158,14 +158,14 @@ def test_06_inference_soundness():
             ref = TaskRef(ABSTRACT, t.id)
             refinements = plans_to_depth(p, ref, 6)
             for steps in refinements:
-                adds, dels = set(), set()
+                adds = dels = 0
                 for aid in steps:
                     adds |= p.actions[aid].eff_pos
                     dels |= p.actions[aid].eff_neg
-                if not (adds <= pos[t.id] and dels <= neg[t.id]):
+                if adds & ~pos[t.id] or dels & ~neg[t.id]:
                     effect_violations += 1
             for s in states:
-                if all(s >> f & 1 for f in mand[t.id]):
+                if s & mand[t.id] == mand[t.id]:
                     continue
                 if any(p.apply_seq(s, steps) is not None
                        for steps in refinements):

@@ -433,6 +433,29 @@ class TestBench:
         for r in rows[2:]:
             assert float(r["ipc"]) == 0 and float(r["quality"]) == 0
 
+    def test_malformed_hddl_scores_zero_and_the_run_goes_on(
+            self, tmp_path, capsys):
+        domain = (FIXTURES / "taxi.hddl").read_text()
+        (tmp_path / "bad.hddl").write_text(
+            domain.replace("(:predicates", "(:predicates ()", 1))
+        (tmp_path / "taxi1.hddl").write_text(
+            (FIXTURES / "taxi1.hddl").read_text())
+        (tmp_path / "fork3.ground").write_text(
+            (FIXTURES / "fork3.ground").read_text())
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "timeout": 30,
+            "instances": [
+                {"name": "bad", "domain": "bad.hddl", "problem": "taxi1.hddl"},
+                {"name": "fork", "ground": "fork3.ground"}]}))
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 0
+        assert "error: instance bad: " in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["solved"], r["ipc"]) for r in rows] == [
+            ("bad", "0", "0.000000"), ("fork", "1", "1.000000")]
+
     def test_search_gets_what_loading_left(self, tmp_path, capsys,
                                            monkeypatch):
         # with the whole limit after loading, a row would take limit + nap

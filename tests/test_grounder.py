@@ -13,7 +13,7 @@ from htnsat.hddl import (
     parse_ground,
 )
 from htnsat.inference import compute_profiles
-from htnsat.model import ABSTRACT, ACTION
+from htnsat.model import ABSTRACT, ACTION, bits
 from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import SolverTimeout
 
@@ -162,6 +162,25 @@ class TestParser:
             parse(bad, TOGGLE_PROBLEM)
 
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("(:predicates (on))", "(:predicates (on) ())", 4),
+        ("(:predicates (on))", "(:predicates foo (on))", 4),
+        ("(:predicates (on))", "(:predicates\n  (on) (()))", 5),
+    ])
+    def test_malformed_predicate_names_its_line(self, old, new, line):
+        with pytest.raises(HddlParseError, match="expected \\(predicate") as err:
+            parse(TOGGLE_DOMAIN.replace(old, new), TOGGLE_PROBLEM)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("new", ["(:domain)", "(:domain a b)",
+                                     "(:domain (toggle))"])
+    def test_malformed_domain_reference_names_its_line(self, new):
+        bad = TOGGLE_PROBLEM.replace("(:domain toggle)", new)
+        with pytest.raises(HddlParseError, match="expected \\(:domain NAME\\)") as err:
+            parse(TOGGLE_DOMAIN, bad)
+        assert err.value.line == 3
+
+
 class TestTaxiGrounding:
     def test_root_methods_need_a_booth(self):
         p = ground_taxi()
@@ -186,7 +205,7 @@ class TestTaxiGrounding:
         assert first.kind == ACTION
         guard = p.actions[first.id]
         assert guard.name == "guard-via(p,s1)"
-        assert {p.facts[f].name for f in guard.precond} == {"booth(s1)"}
+        assert [p.facts[f].name for f in bits(guard.precond)] == ["booth(s1)"]
         assert not guard.eff_pos and not guard.eff_neg
         assert [r.kind for r in via.subtasks] == [ACTION, ABSTRACT, ACTION]
 
@@ -228,8 +247,8 @@ class TestCompilations:
         assert {"on", "not-on"} <= names
         on, noton = p.fact_id("on"), p.fact_id("not-on")
         turn_on = next(a for a in p.actions if a.name == "turn-on")
-        assert turn_on.precond == {noton}
-        assert turn_on.eff_pos == {on} and turn_on.eff_neg == {noton}
+        assert turn_on.precond == 1 << noton
+        assert turn_on.eff_pos == 1 << on and turn_on.eff_neg == 1 << noton
         assert p.init == 1 << noton
         res = plan(p, PlannerConfig())
         assert res.status == "solved"
@@ -241,7 +260,7 @@ class TestCompilations:
         p = ground(*parse(dom, TOGGLE_PROBLEM))
         turn_off = next(a for a in p.actions if a.name == "turn-off")
         noton = p.fact_id("not-on")
-        assert noton in turn_off.eff_pos
+        assert turn_off.eff_pos >> noton & 1
         res = plan(p, PlannerConfig())
         assert res.status == "solved"
         assert len(res.plan) == 3
@@ -299,7 +318,7 @@ class TestCompilations:
         p = ground(*parse(dom, prob))
         assert not p.actions
         root = p.abstracts[p.root]
-        assert root.methods == [] and root.unrefinable
+        assert root.methods == []
 
     def test_subtype_objects_fill_supertype_slots(self):
         dom = """

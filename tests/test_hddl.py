@@ -23,7 +23,7 @@ def test_ground_round_trip(name):
 
 def test_parse_defaults_empty_init_and_goal():
     p = parse_ground("fact f\ntask t\nmethod m t ->\nroot t\n")
-    assert p.init == 0 and p.goal == frozenset()
+    assert p.init == 0 and p.goal == 0
 
 
 @pytest.mark.parametrize("text,fragment", [

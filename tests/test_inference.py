@@ -15,7 +15,7 @@ from htnsat.inference import (
     compute_recursion,
     dump_profiles,
 )
-from htnsat.model import ABSTRACT, TaskRef
+from htnsat.model import ABSTRACT, TaskRef, bits, mask
 
 from conftest import FIXTURES
 from oracles import plans_to_depth, reachable_states, refinements_of_task
@@ -57,15 +57,15 @@ def test_poss_effects_single_action_method():
         "fact f\nfact g\naction a pre f add g del f\n"
         "task t\nmethod m t -> a\ninit f\ngoal g\nroot t\n")
     pos, neg = compute_poss_effects(p, compute_recursion(p))
-    assert pos[0] == {p.fact_id("g")}
-    assert neg[0] == {p.fact_id("f")}
+    assert bits(pos[0]) == [p.fact_id("g")]
+    assert bits(neg[0]) == [p.fact_id("f")]
 
 
 def test_poss_effects_taxi_reaches_both_booths(ground):
     p = ground("taxi")
     pos, _ = compute_poss_effects(p, compute_recursion(p))
-    booths = {p.fact_id("at(p,s1)"), p.fact_id("at(p,s2)")}
-    assert booths <= pos[task_id(p, "calltaxi")]
+    booths = mask([p.fact_id("at(p,s1)"), p.fact_id("at(p,s2)")])
+    assert booths & ~pos[task_id(p, "calltaxi")] == 0
 
 
 @pytest.mark.parametrize("name", TOYS)
@@ -74,12 +74,12 @@ def test_poss_effects_cover_enumerated_refinements(ground, name):
     pos, neg = compute_poss_effects(p, compute_recursion(p))
     for t in p.abstracts:
         for plan in plans_to_depth(p, TaskRef(ABSTRACT, t.id), 6):
-            adds, dels = set(), set()
+            adds = dels = 0
             for aid in plan:
                 adds |= p.actions[aid].eff_pos
                 dels |= p.actions[aid].eff_neg
-            assert adds <= pos[t.id]
-            assert dels <= neg[t.id]
+            assert adds & ~pos[t.id] == 0
+            assert dels & ~neg[t.id] == 0
 
 
 # -- mandatory preconditions -------------------------------------------------
@@ -89,9 +89,9 @@ def test_mand_pre_shapes(ground):
     p = ground("mpre")
     mand = compute_mandatory_preconditions(p, compute_recursion(p))
     f = p.fact_id("f")
-    assert mand[task_id(p, "t")] == {f}   # both methods start with pre {f}
-    assert mand[task_id(p, "u")] == {f}   # inherited through first subtask t
-    assert mand[task_id(p, "v")] == frozenset()  # empty method wipes it
+    assert bits(mand[task_id(p, "t")]) == [f]  # both methods start with pre {f}
+    assert bits(mand[task_id(p, "u")]) == [f]  # inherited through first subtask t
+    assert mand[task_id(p, "v")] == 0  # empty method wipes it
 
 
 @pytest.mark.parametrize("name", TOYS)
@@ -104,7 +104,7 @@ def test_mand_pre_blocks_execution(ground, name):
         if not need:
             continue
         for s in states:
-            if all(s >> f & 1 for f in need):
+            if s & need == need:
                 continue
             for plan in plans_to_depth(p, TaskRef(ABSTRACT, t.id), 6):
                 assert p.apply_seq(s, plan) is None
@@ -183,9 +183,9 @@ def test_adding_method_monotone(name, line):
     mand0 = compute_mandatory_preconditions(p0, compute_recursion(p0))
     mand1 = compute_mandatory_preconditions(p1, compute_recursion(p1))
     for t in range(len(p0.abstracts)):
-        assert pos0[t] <= pos1[t]
-        assert neg0[t] <= neg1[t]
-        assert mand1[t] <= mand0[t]
+        assert pos0[t] & ~pos1[t] == 0
+        assert neg0[t] & ~neg1[t] == 0
+        assert mand1[t] & ~mand0[t] == 0
 
 
 @pytest.mark.parametrize("name", ["taxi", "mpre"])
@@ -200,9 +200,9 @@ def test_profiles_admit_executable_refinements(ground, name):
                 s2 = p.apply_seq(s, plan)
                 if s2 is None:
                     continue
-                assert all(s >> f & 1 for f in tp.mand_pre)
-                assert (s2 & ~s) & ~tp.pos_mask == 0
-                assert (s & ~s2) & ~tp.neg_mask == 0
+                assert s & tp.mand_pre == tp.mand_pre
+                assert (s2 & ~s) & ~tp.poss_eff_pos == 0
+                assert (s & ~s2) & ~tp.poss_eff_neg == 0
 
 
 def test_profiles_deterministic(ground):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from htnsat.hddl import parse_ground
 from htnsat.model import (
@@ -16,6 +17,8 @@ from htnsat.model import (
     ModelError,
     Problem,
     TaskRef,
+    bits,
+    mask,
     new_tree,
 )
 
@@ -53,7 +56,7 @@ def test_add_wins_over_delete():
     p = parse_ground(
         "fact f\naction a pre f add f del f\n"
         "task t\nmethod m t -> a\ninit f\nroot t\n")
-    assert p.actions[0].eff_neg == frozenset()
+    assert p.actions[0].eff_neg == 0
     assert p.apply(p.init, 0) == p.init
 
 
@@ -61,7 +64,7 @@ def test_finalize_rejects_out_of_order_ids():
     with pytest.raises(ModelError):
         Problem(name="bad", facts=[Fact(1, "f")], actions=[], abstracts=[
             AbstractTask(0, "t")], methods=[], root=0, init=0,
-            goal=frozenset()).finalize()
+            goal=0).finalize()
 
 
 def test_finalize_rejects_dangling_refs():
@@ -69,13 +72,38 @@ def test_finalize_rejects_dangling_refs():
         Problem(name="bad", facts=[Fact(0, "f")], actions=[], abstracts=[
             AbstractTask(0, "t", methods=[0])], methods=[
             Method(0, "m", 0, [TaskRef(ACTION, 3)])], root=0, init=0,
-            goal=frozenset()).finalize()
+            goal=0).finalize()
 
 
 def test_finalize_rejects_bad_root():
     with pytest.raises(ModelError):
         Problem(name="bad", facts=[], actions=[], abstracts=[],
-                methods=[], root=0, init=0, goal=frozenset()).finalize()
+                methods=[], root=0, init=0, goal=0).finalize()
+
+
+@given(st.lists(st.integers(0, 300)))
+def test_bits_inverts_mask(ids):
+    assert bits(mask(ids)) == sorted(set(ids))
+
+
+def test_finalize_keeps_in_range_masks():
+    p = tiny()
+    assert (p.init, p.goal) == (1 << p.fact_id("f"), 1 << p.fact_id("h"))
+    assert [bits(p.actions[0].precond), bits(p.actions[0].eff_neg)] == [
+        [p.fact_id("f")], [p.fact_id("f")]]
+
+
+@pytest.mark.parametrize("where", ["init", "goal", "precond", "eff_pos",
+                                   "eff_neg"])
+@pytest.mark.parametrize("bit", [3, 64])
+def test_finalize_rejects_out_of_range_bits(where, bit):
+    p = tiny()  # three facts
+    if where in ("init", "goal"):
+        setattr(p, where, getattr(p, where) | 1 << bit)
+    else:
+        setattr(p.actions[1], where, getattr(p.actions[1], where) | 1 << bit)
+    with pytest.raises(ModelError, match=f"bad .*fact id {bit}"):
+        p.finalize()
 
 
 def test_tree_frontier_order_and_plan():

@@ -266,6 +266,47 @@ def test_determinism_identical_history():
     assert st1 == st2
 
 
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exception_in_search_leaves_level_zero(seed):
+    """An exception raised mid-search leaves the session at level 0, and
+    clauses and solves after it agree with a session never interrupted."""
+    rng = random.Random(seed)
+    clauses = random_3cnf(rng, 40, 170)
+    s, fresh = SatSession(), SatSession()
+    for sess in (s, fresh):
+        for _ in range(40):
+            sess.new_var()
+        for c in clauses:
+            sess.add_clause(c)
+
+    def interrupt(confl):
+        raise _Interrupt
+
+    s._analyze = interrupt  # the first conflict ends the search
+    with pytest.raises(_Interrupt):
+        s.solve()
+    del s._analyze
+    assert s.trail_lim == []
+    assert all(s.level[abs(lit)] == 0 for lit in s.trail)
+
+    later = [c[:2] for c in random_3cnf(rng, 40, 10)] + random_3cnf(rng, 40, 10)
+    for sess in (s, fresh):
+        for c in later:
+            sess.add_clause(c)
+    for _ in range(6):
+        assumptions = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, 41), 3)]
+        got, want = s.solve(assumptions), fresh.solve(assumptions)
+        assert (got is None) == (want is None)
+        if got is not None:
+            check_model(clauses + later + [[a] for a in assumptions], got)
+        assert s.trail_lim == []
+
+
 def test_level0_assignments_simplify_what_gets_watched():
     s = SatSession()
     for _ in range(5):
