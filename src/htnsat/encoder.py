@@ -1,9 +1,9 @@
 """Incremental CNF encoding of the refinement grid.
 
 Variables: one selector per candidate op at every position, one
-selector per admitted method at its expanded position, one blank filler
-where a position may stay unused, and one boolean per fact at every
-state column. Columns sit between neighbouring positions of a
+selector per method of each task at its expanded position, one blank
+filler where a position may stay unused, and one boolean per fact at
+every state column. Columns sit between neighbouring positions of a
 layer; a child row reuses its parent's boundary columns at both ends and
 allocates fresh fact variables only where the position to the left can
 actually change the fact. The final column is therefore shared by every
@@ -212,10 +212,10 @@ class Encoder:
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
         kids = pos.children
-        for t, methods in pos.admitted.items():
+        for t in pos.tasks:
             tv = self.opvar[(pos.path, ABSTRACT, t)]
             mvars = []
-            for mid in methods:
+            for mid in self.p.abstracts[t].methods:
                 mv = sess.new_var()
                 self.mvar[(pos.path, mid)] = mv
                 mvars.append(mv)
@@ -301,10 +301,10 @@ class Encoder:
                 node = dt.add(ACTION, ref.id)
             else:
                 node = dt.add(ABSTRACT, ref.id)
-                if pos.admitted is None:
+                if not pos.children:
                     raise EncoderBugError(
                         f"unexpanded task in a strict answer at {pos.path}")
-                chosen = [m for m in pos.admitted[ref.id]
+                chosen = [m for m in self.p.abstracts[ref.id].methods
                           if model[self.mvar[(pos.path, m)]]]
                 if len(chosen) != 1:
                     raise EncoderBugError(

@@ -350,6 +350,11 @@ def _parse_subtasks(form, src) -> list[tuple[str, tuple[str, ...]]]:
     return out
 
 
+def _arities(dom: LiftedDomain) -> dict[str, int]:
+    """Parameter count of every task and action, by name."""
+    return {x.name: len(x.params) for x in dom.tasks + dom.actions}
+
+
 def _check_domain(dom: LiftedDomain, src: str) -> None:
     for name, parent in dom.types.items():
         if parent != "object" and parent not in dom.types:
@@ -364,7 +369,7 @@ def _check_domain(dom: LiftedDomain, src: str) -> None:
                 raise HddlParseError(src, 0, f"duplicate {kind} name {n}")
             seen.add(n)
     tasks = {t.name for t in dom.tasks}
-    callables = tasks | {a.name for a in dom.actions}
+    arity = _arities(dom)
     if tasks & {a.name for a in dom.actions}:
         dup = sorted(tasks & {a.name for a in dom.actions})[0]
         raise HddlParseError(src, 0, f"name {dup} is both a task and an "
@@ -413,9 +418,13 @@ def _check_domain(dom: LiftedDomain, src: str) -> None:
                                          f"{meth.task[0]}")
         bound = {v for v, _ in meth.params}
         for name, args in [meth.task] + meth.subtasks:
-            if name not in callables:
+            if name not in arity:
                 raise HddlParseError(src, 0, f"{where}: unknown subtask "
                                              f"{name}")
+            if len(args) != arity[name]:
+                raise HddlParseError(src, 0, f"{where}: {name} expects "
+                                             f"{arity[name]} arguments, "
+                                             f"got {len(args)}")
             for a in args:
                 if a.startswith("?") and a not in bound:
                     raise HddlParseError(src, 0, f"{where}: unbound "
@@ -487,7 +496,7 @@ def parse(domain_text: str, problem_text: str,
           ) -> tuple[LiftedDomain, LiftedProblem]:
     dom = _parse_domain(domain_text, domain_src)
     prob = _parse_problem(problem_text, problem_src)
-    known = {t.name for t in dom.tasks} | {a.name for a in dom.actions}
+    arity = _arities(dom)
     for name, args in prob.init + prob.goal:
         if name not in dom.predicates:
             raise HddlParseError(problem_src, 0, f"unknown predicate {name}")
@@ -496,8 +505,12 @@ def parse(domain_text: str, problem_text: str,
                                  f"{name} expects "
                                  f"{len(dom.predicates[name])} arguments, "
                                  f"got {len(args)}")
-    for name, _ in prob.top_tasks:
-        if name not in known:
+    for name, args in prob.top_tasks:
+        if name not in arity:
             raise HddlParseError(problem_src, 0, f"unknown task {name} in "
                                                  ":htn block")
+        if len(args) != arity[name]:
+            raise HddlParseError(problem_src, 0,
+                                 f":htn block: {name} expects {arity[name]} "
+                                 f"arguments, got {len(args)}")
     return dom, prob

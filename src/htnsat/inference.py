@@ -45,11 +45,13 @@ def compute_recursion(p: Problem) -> RecursionInfo:
     or mentions itself in one of its own methods.
     """
     n = len(p.abstracts)
-    succ: list[list[int]] = [[] for _ in range(n)]
+    # a dict per task is a seen-set that keeps first-occurrence order
+    seen: list[dict[int, None]] = [{} for _ in range(n)]
     for m in p.methods:
         for ref in m.subtasks:
-            if not ref.is_action() and ref.id not in succ[m.task]:
-                succ[m.task].append(ref.id)
+            if not ref.is_action():
+                seen[m.task][ref.id] = None
+    succ = [list(s) for s in seen]
 
     idx = [-1] * n
     low = [0] * n

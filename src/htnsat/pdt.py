@@ -2,8 +2,8 @@
 position grid.
 
 Layer 0 holds one position containing the initial abstract task. When a
-position is expanded, every abstract task occupying it gains its
-non-blocked methods, and the next layer gets one child position per
+position is expanded, every abstract task occupying it gains all its
+methods, and the next layer gets one child position per
 subtask slot (slot 0 also inherits the position's action candidates;
 slots past a short method are fillable by an explicit blank). A
 position that is not expanded appears again, as the same object, in the
@@ -13,21 +13,20 @@ a position was expanded in round k exactly when its first child sits on
 layer k + 1.
 
 Recursion control: every position counts, per task, the strict ancestor
-positions whose candidate tasks include it. A method is blocked at a
-position when one of its recursive subtasks already has a count at or
-above the grid's nesting limit. The limit starts at 1, so a recursive
-task is not re-introduced below itself at all. When the search reaches
-a fixpoint with blocked pairs left, reinsertion doubles the limit and
-rebuilds the whole structure by expanding, layer by layer, the
-positions where the old grid was expanded. A recursion that needs depth
-d therefore costs about log2(d) rebuilds. Paths of child-slot indices
-stay stable across rebuilds because a larger limit only ever widens
-positions.
+positions whose candidate tasks include it. A position is held while
+one of its recursive tasks has a count above the grid's nesting limit,
+and a held position is not expandable. The limit starts at 1, so a
+recursive task may be expanded once below itself. When the search
+reaches a fixpoint with held positions left, reinsertion doubles the
+limit and the search goes on over the same grid. One doubling releases
+every held position: its deepest ancestor holding the same task was
+expanded, so had a count of at most L, which puts the held count at
+most at L + 1 <= 2L. A recursion that needs depth d therefore costs
+about log2(d) reinsertions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .inference import Profiles
 from .model import Problem
@@ -49,8 +48,6 @@ class Position:
     # task id -> number of strict ancestors whose candidate tasks include it
     anc_counts: dict[int, int] = field(default_factory=dict)
     children: list["Position"] = field(default_factory=list)
-    # admitted methods per task, set once the position is expanded
-    admitted: Optional[dict[int, list[int]]] = None
 
 
 class Pdt:
@@ -67,44 +64,25 @@ class Pdt:
     def bottom(self) -> list[Position]:
         return self.layers[-1]
 
-    def find(self, path: tuple[int, ...]) -> Position:
-        pos = self.root
-        for i in path:
-            pos = pos.children[i]
-        return pos
-
     def pending_positions(self) -> list[Position]:
         """Bottom positions still carrying unexpanded abstract tasks."""
         return [b for b in self.bottom() if b.tasks]
 
-    def is_blocked(self, pos: Position, task: int, mid: int) -> bool:
+    def held(self, pos: Position) -> bool:
         recursive = self.profiles.recursion.recursive
-        for ref in self.problem.methods[mid].subtasks:
-            if not ref.is_action() and recursive[ref.id] \
-                    and pos.anc_counts.get(ref.id, 0) >= self.nesting_limit:
-                return True
-        return False
-
-    def admitted_methods(self, pos: Position, task: int) -> list[int]:
-        return [mid for mid in self.problem.abstracts[task].methods
-                if not self.is_blocked(pos, task, mid)]
+        return any(recursive[t] and pos.anc_counts.get(t, 0) > self.nesting_limit
+                   for t in pos.tasks)
 
     def expandable(self, pos: Position) -> bool:
-        if pos.admitted is not None or not pos.tasks:
+        if pos.children or not pos.tasks or self.held(pos):
             return False
-        return any(self.admitted_methods(pos, t) for t in pos.tasks)
+        return any(self.problem.abstracts[t].methods for t in pos.tasks)
 
     def blocked_pairs(self) -> set[BlockedPair]:
-        out = set()
-        for k, layer in enumerate(self.layers):
-            for pos in layer:
-                if pos.layer != k:
-                    continue
-                for t in pos.tasks:
-                    for mid in self.problem.abstracts[t].methods:
-                        if self.is_blocked(pos, t, mid):
-                            out.add((pos.path, t, mid))
-        return out
+        """Every (task, method) pair at a held position. A held position
+        is never expanded, so it sits in the bottom layer."""
+        return {(pos.path, t, mid) for pos in self.bottom() if self.held(pos)
+                for t in pos.tasks for mid in self.problem.abstracts[t].methods}
 
     # -- growth --------------------------------------------------------------
 
@@ -125,9 +103,9 @@ class Pdt:
         self.layers.append(new_layer)
 
     def _expand_one(self, b: Position) -> list[Position]:
-        admitted = {t: self.admitted_methods(b, t) for t in b.tasks}
-        width = max([1] + [len(self.problem.methods[m].subtasks)
-                           for ms in admitted.values() for m in ms])
+        methods = [self.problem.methods[mid] for t in b.tasks
+                   for mid in self.problem.abstracts[t].methods]
+        width = max([1] + [len(m.subtasks) for m in methods])
         counts = dict(b.anc_counts)  # shared by the children, never mutated
         for t in b.tasks:
             counts[t] = counts.get(t, 0) + 1
@@ -141,36 +119,26 @@ class Pdt:
                 blank = b.has_blank
             elif b.acts or b.has_blank:
                 blank = True
-            for ms in admitted.values():
-                for mid in ms:
-                    subs = self.problem.methods[mid].subtasks
-                    if i < len(subs):
-                        ref = subs[i]
-                        pool = acts if ref.is_action() else tasks
-                        if ref.id not in pool:
-                            pool.append(ref.id)
-                    else:
-                        blank = True
+            for m in methods:
+                if i < len(m.subtasks):
+                    ref = m.subtasks[i]
+                    pool = acts if ref.is_action() else tasks
+                    if ref.id not in pool:
+                        pool.append(ref.id)
+                else:
+                    blank = True
             kids.append(Position(layer=len(self.layers), path=b.path + (i,),
                                  acts=acts, tasks=tasks, has_blank=blank,
                                  anc_counts=counts))
         b.children = kids
-        b.admitted = admitted
-        self.methods_developed += sum(len(ms) for ms in admitted.values())
+        self.methods_developed += len(methods)
         return kids
 
-    def reinsert_blocked(self) -> "Pdt":
-        """Double the nesting limit and rebuild by expanding the same
-        positions in the same rounds. Returns the rebuilt structure."""
-        if not self.blocked_pairs():
-            raise PdtUsageError("nothing is blocked")
-        fresh = Pdt(self.problem, self.profiles)
-        fresh.nesting_limit = 2 * self.nesting_limit
-        # layer k holds the targets of expansion round k, in path order
-        for k, layer in enumerate(self.layers[:-1]):
-            fresh.expand([fresh.find(b.path) for b in layer
-                          if b.children and b.children[0].layer == k + 1])
-        return fresh
+    def reinsert_blocked(self) -> None:
+        """Double the nesting limit, which releases every held position."""
+        if not any(map(self.held, self.bottom())):
+            raise PdtUsageError("nothing is held")
+        self.nesting_limit *= 2
 
     # -- debug output --------------------------------------------------------
 
@@ -196,10 +164,10 @@ class Pdt:
                     emit(f"t{tag}_{t}", p.abstracts[t].name, "box")
                 for a in pos.acts:
                     emit(f"a{tag}_{a}", p.actions[a].name, "plaintext")
-                if pos.admitted is None:
+                if not pos.children:
                     continue
-                for t, ms in pos.admitted.items():
-                    for mid in ms:
+                for t in pos.tasks:
+                    for mid in p.abstracts[t].methods:
                         emit(f"m{tag}_{mid}", p.methods[mid].name, "ellipse")
                         lines.append(f'  "t{tag}_{t}" -> "m{tag}_{mid}";')
                         for i, ref in enumerate(p.methods[mid].subtasks):

@@ -5,9 +5,11 @@ asks the relaxed query which unexpanded tasks a consistent state
 trajectory would actually use, and develops exactly those; a breadth
 first mode develops everything instead and never poses the relaxed
 query. When nothing is expandable and no plan exists while the
-recursion blocker holds method pairs back, the grid is rebuilt with
-twice the nesting limit, so a recursion of depth d needs about log2(d)
-rebuilds; with nothing held back the problem is genuinely unsolvable.
+recursion blocker holds positions back, the nesting limit doubles,
+which releases every held position, and the round goes on to pick its
+targets over the same grid and clause store. A recursion of depth d
+therefore needs about log2(d) reinsertions; with nothing held back the
+problem is genuinely unsolvable.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ class PlannerConfig:
     use_mutex: bool = True
     mandatory_preconds: bool = True
     timeout: float = 600.0
-    max_rounds: int = 10_000
     dump_cnf: str | None = None
 
     def __post_init__(self):
@@ -72,7 +73,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
     stats = RunStats(mode=config.mode)
     profiles = compute_profiles(problem)
     pdt = Pdt(problem, profiles)
-    enc: Encoder | None = None  # (re)built at the start of a round
+    enc: Encoder | None = None  # built once, in round 1, inside the budget
 
     def finish(status: str, tree=None) -> PlanResult:
         stats.methods_developed = pdt.methods_developed
@@ -104,9 +105,6 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
         return ans
 
     while True:
-        if stats.rounds >= config.max_rounds:
-            stats.events.append("round budget exhausted")
-            return finish("timeout")
         if time.monotonic() >= deadline:
             stats.events.append(
                 f"budget exhausted before round {stats.rounds + 1}")
@@ -132,13 +130,14 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                     stats.events.append("fixpoint without blocked methods")
                     return finish("unsolvable")
                 limit = pdt.nesting_limit
-                pdt = pdt.reinsert_blocked()
+                pdt.reinsert_blocked()
                 stats.events.append(
                     f"fixpoint, reinserting {len(blocked)} blocked pairs, "
                     f"nesting limit {limit} -> {pdt.nesting_limit}")
                 stats.reinsertions += 1
-                enc = None
-                continue
+                # the store is unchanged, so its strict query is still UNSAT
+                expandable = [q for q in pdt.pending_positions()
+                              if pdt.expandable(q)]
 
             if config.mode == BFS:
                 targets = expandable

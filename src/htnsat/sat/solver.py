@@ -459,17 +459,17 @@ class SatSession:
             restart_n = 0
             limit = _RESTART_BASE * luby(1)
             since_restart = 0
-            since_check = 0
+            since_check = 0  # loop turns since the clock was last read
             while True:
+                since_check += 1
+                if since_check >= _DEADLINE_CHECK_EVERY and deadline is not None:
+                    since_check = 0
+                    if time.monotonic() > deadline:
+                        raise SolverTimeout
                 confl = self._propagate()
                 if confl is not None:
                     self.conflicts += 1
                     since_restart += 1
-                    since_check += 1
-                    if deadline is not None and since_check >= _DEADLINE_CHECK_EVERY:
-                        since_check = 0
-                        if time.monotonic() > deadline:
-                            raise SolverTimeout
                     if not trail_lim:
                         self.hard_unsat = True
                         return None
@@ -484,8 +484,6 @@ class SatSession:
                     since_restart = 0
                     limit = _RESTART_BASE * luby(restart_n + 1)
                     self._cancel_to(0)
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise SolverTimeout
                     continue
                 # assumption levels first, then activity-driven decisions
                 dl = len(trail_lim)

@@ -277,12 +277,12 @@ def relaxed_leaves_by_tree_walk(enc, model):
         blank = pos.has_blank and model[enc.blankvar[pos.path]]
         assert len(hits) == 1 and not blank, f"bad selection at {pos.path}"
         ref = hits[0]
-        if ref.is_action() or pos.admitted is None:
+        if ref.is_action() or not pos.children:
             frontier.append(ref)
             if not ref.is_action():
                 targets.append(pos)
             continue
-        chosen = [m for m in pos.admitted[ref.id]
+        chosen = [m for m in enc.p.abstracts[ref.id].methods
                   if model[enc.mvar[(pos.path, m)]]]
         assert len(chosen) == 1, f"{len(chosen)} methods at {pos.path}"
         width = len(enc.p.methods[chosen[0]].subtasks)

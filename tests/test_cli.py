@@ -271,7 +271,7 @@ class TestSolveCommand:
         capsys.readouterr()
         stats = json.loads(dest.read_text())
         assert [e for e in stats["events"] if e.startswith("fixpoint")] == [
-            "fixpoint, reinserting 1 blocked pairs, nesting limit 1 -> 2"]
+            "fixpoint, reinserting 2 blocked pairs, nesting limit 1 -> 2"]
         for q in stats["queries"]:
             assert all(isinstance(q[k], int) and q[k] >= 0
                        for k in ("conflicts", "decisions", "propagations"))

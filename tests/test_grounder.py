@@ -122,6 +122,27 @@ class TestParser:
         with pytest.raises(HddlParseError, match="expects 0 arguments"):
             parse(bad, TOGGLE_PROBLEM)
 
+    @pytest.mark.parametrize("old, new, needle", [
+        ("(t2 (call ?p ?s))", "(t2 (call ?p))",
+         "method via: call expects 2 arguments, got 1"),
+        (":task (calltaxi ?p)", ":task (calltaxi ?p ?s)",
+         "method via: calltaxi expects 1 arguments, got 2"),
+    ])
+    def test_rejects_method_arity_mismatch(self, old, new, needle):
+        dom_text = (FIXTURES / "taxi.hddl").read_text()
+        assert old in dom_text
+        with pytest.raises(HddlParseError, match=needle):
+            parse(dom_text.replace(old, new),
+                  (FIXTURES / "taxi1.hddl").read_text())
+
+    def test_rejects_htn_task_arity_mismatch(self):
+        prob_text = (FIXTURES / "taxi1.hddl").read_text()
+        assert "(calltaxi p)" in prob_text
+        with pytest.raises(HddlParseError,
+                           match="calltaxi expects 1 arguments, got 2"):
+            parse((FIXTURES / "taxi.hddl").read_text(),
+                  prob_text.replace("(calltaxi p)", "(calltaxi p s1)"))
+
     def test_rejects_unknown_predicate(self):
         bad = TOGGLE_PROBLEM.replace("(:goal (on))", "(:goal (shiny))")
         with pytest.raises(HddlParseError, match="unknown predicate shiny"):

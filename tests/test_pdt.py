@@ -40,7 +40,8 @@ def admits(pdt, shape):
         if dev is None:
             return True
         mid, kids = dev
-        if pos.admitted is None or mid not in pos.admitted.get(task, []):
+        # an expanded position has every method of its tasks
+        if not pos.children:
             return False
         return all(walk(pos.children[i], k) for i, k in enumerate(kids))
 
@@ -103,7 +104,7 @@ class TestExpansion:
         carried = pdt.layers[1][1]
         assert bottom[1] is carried
         assert carried.layer == 1 and carried.path == (1,)
-        assert carried.children == [] and carried.admitted is None
+        assert carried.children == []
 
     def test_late_expansion_attaches_children_directly(self, ground):
         p = ground("fork3")
@@ -113,7 +114,6 @@ class TestExpansion:
         carried = pdt.bottom()[0]
         assert carried is pdt.layers[1][0] and carried.path == (0,)
         pdt.expand([carried])
-        assert carried.admitted is not None
         kid = carried.children[0]
         assert kid.path == (0, 0) and kid.layer == 3
         assert pdt.bottom()[0] is kid
@@ -161,14 +161,17 @@ class TestExpansion:
         p = ground("reinsert")
         pdt = build(p)
         pdt.expand([pdt.root])
-        # expanding countdown at (1,) blocks its recursive method there
-        pdt.expand([pdt.layers[1][1]])
-        fresh = pdt.reinsert_blocked()
-        old = pdt.pending_positions()
-        assert len(old) == 1 and len(pdt.layers) == len(fresh.layers)
-        assert fresh.bottom()[0].path == old[0].path
+        # expanding countdown at (1,) holds the countdown below it
+        inner = pdt.layers[1][1]
+        pdt.expand([inner])
+        deeper = inner.children[1]
+        assert pdt.held(deeper)
+        pdt.reinsert_blocked()
+        # the grid stays: what was expanded stays expanded
         with pytest.raises(PdtUsageError):
-            fresh.expand(old)
+            pdt.expand([inner])
+        pdt.expand([deeper])
+        assert counts(p, deeper.children[1]) == {"countdown": 3}
 
 
 class TestContainment:
@@ -186,6 +189,16 @@ class TestContainment:
             assert admits(pdt, shape), shape
 
 
+def to_fixpoint(pdt):
+    """Expand every expandable position until none is left."""
+    for _ in range(50):
+        pending = [q for q in pdt.pending_positions() if pdt.expandable(q)]
+        if not pending:
+            return
+        pdt.expand(pending)
+    pytest.fail("expansion did not reach a fixpoint")
+
+
 class TestBlocking:
     def test_recursive_method_blocked_below_itself(self, ground):
         p = ground("tower")
@@ -193,28 +206,22 @@ class TestBlocking:
         pdt.expand([pdt.root])
         assert pdt.methods_developed == 3
         inner = pdt.layers[1][1]
-        blocked = {m for t in inner.tasks for m in p.abstracts[t].methods
-                   if pdt.is_blocked(inner, t, m)}
-        assert {p.methods[m].name for m in blocked} == {"step(2,1)", "step(1,0)"}
-        admitted = {m for t in inner.tasks
-                    for m in pdt.admitted_methods(inner, t)}
-        assert admitted and not admitted & blocked
-        assert pdt.expandable(inner)
+        assert counts(p, inner) == {"strip": 1}
+        assert pdt.expandable(inner) and pdt.blocked_pairs() == set()
         pdt.expand([inner])
-        # only the base method was admitted
-        assert pdt.methods_developed == 4
-        assert pdt.pending_positions() == []
+        # every method is developed, and the strip below is held
+        assert pdt.methods_developed == 6
+        deeper = inner.children[1]
+        assert counts(p, deeper) == {"strip": 2}
+        assert pdt.held(deeper) and not pdt.expandable(deeper)
+        assert pdt.pending_positions() == [deeper]
+        assert {(path, p.methods[m].name) for path, _, m in pdt.blocked_pairs()} \
+            == {((1, 1), "stop"), ((1, 1), "step(2,1)"), ((1, 1), "step(1,0)")}
 
     def test_blocking_bounds_exhaustive_expansion(self, ground):
         p = ground("tower")
         pdt = build(p)
-        for _ in range(20):
-            pending = [q for q in pdt.pending_positions() if pdt.expandable(q)]
-            if not pending:
-                break
-            pdt.expand(pending)
-        else:
-            pytest.fail("expansion did not reach a fixpoint")
+        to_fixpoint(pdt)
         assert pdt.blocked_pairs()
 
     def test_nonrecursive_domains_never_block(self, ground):
@@ -227,50 +234,42 @@ class TestBlocking:
 
 
 class TestReinsertion:
-    def test_rebuild_admits_blocked_pairs(self, ground):
-        p = ground("reinsert")
+    @pytest.mark.parametrize("name", ["reinsert", "tower"])
+    def test_reinsertion_makes_every_held_position_expandable(self, ground, name):
+        p = ground(name)
         pdt = build(p)
-        for _ in range(10):
-            pending = [q for q in pdt.pending_positions() if pdt.expandable(q)]
-            if not pending:
-                break
-            pdt.expand(pending)
-        pairs = pdt.blocked_pairs()
-        assert pairs
-        again = next(m for m in range(len(p.methods))
-                     if p.methods[m].name == "again")
-        assert any(mid == again for _, _, mid in pairs)
-
-        fresh = pdt.reinsert_blocked()
-        assert fresh.nesting_limit == 2 * pdt.nesting_limit == 2
-        for path, task, mid in pairs:
-            assert not fresh.is_blocked(fresh.find(path), task, mid)
-        assert sites(fresh) == sites(pdt)
-        # the replay kept every expanded position addressable
-        for round_paths in sites(pdt):
-            for path in round_paths:
-                assert fresh.find(path).path == path
-        # the readmitted method now has children in place
-        assert fresh.methods_developed > pdt.methods_developed
+        for limit in (1, 2, 4):
+            to_fixpoint(pdt)
+            held = [b for b in pdt.bottom() if pdt.held(b)]
+            assert held
+            pairs = pdt.blocked_pairs()
+            assert {path for path, _, _ in pairs} == {b.path for b in held}
+            assert pdt.nesting_limit == limit
+            assert pdt.reinsert_blocked() is None
+            assert pdt.nesting_limit == 2 * limit
+            assert all(pdt.expandable(b) for b in held)
+            assert pdt.blocked_pairs() == set()
+        if name == "reinsert":
+            again = next(m.id for m in p.methods if m.name == "again")
+            assert any(mid == again for _, _, mid in pairs)
 
     def test_reinsert_without_blocked_pairs_rejected(self, ground):
         pdt = build(ground("taxi"))
         with pytest.raises(PdtUsageError):
             pdt.reinsert_blocked()
 
-    def test_paths_stable_across_rebuild(self, ground):
+    def test_reinsertion_keeps_the_grid_in_place(self, ground):
         p = ground("reinsert")
         pdt = build(p)
-        for _ in range(10):
-            pending = [q for q in pdt.pending_positions() if pdt.expandable(q)]
-            if not pending:
-                break
-            pdt.expand(pending)
-        fresh = pdt.reinsert_blocked()
-        for layer_old, layer_new in zip(pdt.layers, fresh.layers):
-            old_paths = {q.path for q in layer_old}
-            new_paths = {q.path for q in layer_new}
-            assert old_paths <= new_paths
+        to_fixpoint(pdt)
+        layers = [list(layer) for layer in pdt.layers]
+        developed = pdt.methods_developed
+        pdt.reinsert_blocked()
+        assert len(pdt.layers) == len(layers)
+        for before, after in zip(layers, pdt.layers):
+            assert len(before) == len(after)
+            assert all(a is b for a, b in zip(before, after))
+        assert pdt.methods_developed == developed
 
 
 class TestDot:

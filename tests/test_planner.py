@@ -4,6 +4,7 @@ import pytest
 
 from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
+from htnsat.pdt import Pdt
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
 from htnsat.sat import SolverTimeout
 
@@ -67,6 +68,21 @@ class TestBfs:
             PlannerConfig(amo_scheme="bogus")
 
 
+def countdown(n):
+    """The reinsert fixture's countdown, n deep."""
+    lines = [f"problem countdown{n}"]
+    lines += [f"fact n{k}" for k in range(n, -1, -1)] + ["fact done"]
+    lines += [f"action pop({k},{k - 1}) pre n{k} add n{k - 1} del n{k}"
+              for k in range(n, 0, -1)]
+    lines += ["action check pre n0 add done", "task countdown", "task dec",
+              "method base countdown -> check",
+              "method again countdown -> dec countdown"]
+    lines += [f"method dec({k},{k - 1}) dec -> pop({k},{k - 1})"
+              for k in range(n, 0, -1)]
+    lines += [f"init n{n}", "goal done", "root countdown"]
+    return parse_ground("\n".join(lines) + "\n")
+
+
 class TestReinsertion:
     def test_reinsertion_domain_needs_one_round(self, ground):
         p = ground("reinsert")
@@ -79,28 +95,33 @@ class TestReinsertion:
 
     @pytest.mark.parametrize("mode", [GREEDY, BFS])
     def test_nesting_limit_doubles_per_reinsertion(self, mode):
-        # the reinsert fixture's countdown, 16 deep: 16 nested uses of
-        # "again" need a limit of 16, reached from 1 by four doublings
-        n = 16
-        lines = ["problem countdown16"]
-        lines += [f"fact n{k}" for k in range(n, -1, -1)] + ["fact done"]
-        lines += [f"action pop({k},{k - 1}) pre n{k} add n{k - 1} del n{k}"
-                  for k in range(n, 0, -1)]
-        lines += ["action check pre n0 add done", "task countdown", "task dec",
-                  "method base countdown -> check",
-                  "method again countdown -> dec countdown"]
-        lines += [f"method dec({k},{k - 1}) dec -> pop({k},{k - 1})"
-                  for k in range(n, 0, -1)]
-        lines += [f"init n{n}", "goal done", "root countdown"]
-        p = parse_ground("\n".join(lines) + "\n")
+        # 16 nested uses of "again" need a limit of 16, reached from 1 by
+        # four doublings; each holds the countdown with its two methods
+        p = countdown(16)
         res = plan(p, PlannerConfig(mode=mode))
         assert res.status == "solved"
         assert res.stats.reinsertions == 4
         assert [e for e in res.stats.events if e.startswith("fixpoint")] == [
-            f"fixpoint, reinserting 1 blocked pairs, nesting limit {k} -> {2 * k}"
+            f"fixpoint, reinserting 2 blocked pairs, nesting limit {k} -> {2 * k}"
             for k in (1, 2, 4, 8)]
-        assert res.stats.plan_length == n + 1
+        assert res.stats.plan_length == 16 + 1
         assert verify(p, res.tree) == []
+
+    @pytest.mark.parametrize("mode", [GREEDY, BFS])
+    def test_one_encoder_across_reinsertions(self, ground, monkeypatch, mode):
+        built = []
+        init = Encoder.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Encoder, "__init__", counted)
+        for p in (ground("reinsert"), countdown(16)):
+            built.clear()
+            res = plan(p, PlannerConfig(mode=mode))
+            assert res.status == "solved" and res.stats.reinsertions >= 1
+            assert len(built) == 1
 
     def test_tower_needs_none(self, ground):
         res = plan(ground("tower"))
@@ -165,18 +186,19 @@ PINNED_SEARCH = {
         ["begin-right", "mid-right", "end-right"]),
     ("tower", GREEDY): (
         [("s", 0, 0, 6), ("r", 0, 2, 2), ("s", 1, 0, 21), ("r", 0, 1, 1),
-         ("s", 0, 0, 4)],
+         ("s", 0, 0, 13)],
         ["pop(2,1)"]),
     ("tower", BFS): (
-        [("s", 0, 0, 6), ("s", 1, 0, 21), ("s", 0, 0, 4)],
+        [("s", 0, 0, 6), ("s", 1, 0, 21), ("s", 0, 0, 13)],
         ["pop(2,1)"]),
     ("reinsert", GREEDY): (
         [("s", 0, 0, 7), ("r", 0, 3, 3), ("s", 0, 0, 8), ("r", 0, 5, 6),
-         ("s", 0, 0, 0), ("s", 0, 0, 34), ("r", 0, 3, 4), ("s", 0, 0, 14)],
+         ("s", 0, 0, 19), ("r", 0, 3, 4), ("s", 0, 0, 10), ("r", 0, 1, 1),
+         ("s", 0, 0, 13)],
         ["pop(2,1)", "pop(1,0)", "check"]),
     ("reinsert", BFS): (
-        [("s", 0, 0, 7), ("s", 0, 0, 8), ("s", 0, 0, 0), ("s", 0, 0, 34),
-         ("s", 0, 0, 14)],
+        [("s", 0, 0, 7), ("s", 0, 0, 8), ("s", 0, 0, 19), ("s", 0, 0, 10),
+         ("s", 0, 0, 13)],
         ["pop(2,1)", "pop(1,0)", "check"]),
 }
 
@@ -214,27 +236,41 @@ class TestLimits:
         assert res.stats.events == [
             "budget exhausted in the relaxed query of round 1"]
 
-    def test_timeout_while_encoding_a_rebuild(self, ground, monkeypatch):
-        # layers 1-2 take 0.6 s before the reinsertion in round 3; the
-        # rebuild in round 4 passes the 0.75 s budget inside its layer 1
-        nap = 0.3
-        encode_layer = Encoder._encode_layer
+    @pytest.mark.parametrize("mode", [GREEDY, BFS])
+    def test_timeout_while_encoding_after_a_reinsertion(
+            self, ground, monkeypatch, mode):
+        # the reinsertion spends the budget; the same round's next layer
+        # then stops before it is encoded
+        nap = 0.5
+        reinsert = Pdt.reinsert_blocked
 
-        def slow(self, idx):
+        def slow(self):
+            reinsert(self)
             time.sleep(nap)
-            encode_layer(self, idx)
 
-        monkeypatch.setattr(Encoder, "_encode_layer", slow)
-        res = plan(ground("reinsert"), PlannerConfig(timeout=0.75))
+        monkeypatch.setattr(Pdt, "reinsert_blocked", slow)
+        res = plan(ground("reinsert"), PlannerConfig(mode=mode, timeout=0.3))
         assert res.status == "timeout"
         assert res.stats.reinsertions == 1
+        assert res.stats.rounds == 4
         assert res.stats.events[-1] == "budget exhausted while encoding round 4"
-        assert res.stats.wall_time < 0.75 + nap
+        assert res.stats.wall_time < 0.3 + nap
 
-    def test_round_budget(self, ground):
-        res = plan(ground("fork3"), PlannerConfig(max_rounds=1))
+    def test_round_budget(self, ground, monkeypatch):
+        # the deadline is the only budget: a round that spends it ends
+        # the run before the next one starts
+        sync = Encoder.sync
+
+        def slow(self, deadline=None):
+            sync(self, deadline)
+            if len(self.pdt.layers) > 1:  # not in the constructor
+                time.sleep(0.4)
+
+        monkeypatch.setattr(Encoder, "sync", slow)
+        res = plan(ground("fork3"), PlannerConfig(timeout=0.3))
         assert res.status == "timeout"
-        assert any("budget" in e for e in res.stats.events)
+        assert res.stats.rounds == 1
+        assert res.stats.events == ["budget exhausted before round 2"]
 
 
 class TestValidator:

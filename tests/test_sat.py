@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from htnsat.sat import (
     PAIRWISE,
     SCHEMES,
     SatSession,
+    SolverTimeout,
     SolverUsageError,
     dump_dimacs,
     encode_amo,
@@ -264,6 +266,18 @@ def test_determinism_identical_history():
     r2, st2 = run()
     assert r1 == r2
     assert st1 == st2
+
+
+def test_past_deadline_stops_a_conflict_free_search():
+    # 3000 free variables: 3000 decisions and no conflict or restart
+    s = SatSession()
+    for _ in range(3000):
+        s.new_var()
+    with pytest.raises(SolverTimeout):
+        s.solve(deadline=time.monotonic() - 1.0)
+    assert s.decisions < 3000 and s.conflicts == 0
+    assert s.trail_lim == []
+    assert s.solve() is not None
 
 
 class _Interrupt(Exception):
