@@ -27,11 +27,11 @@ from .hddl import (
     parse,
     parse_ground,
 )
-from .inference import compute_profiles, dump_profiles
+from .inference import dump_profiles
 from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
                     join_name, new_tree, split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
-                      verify)
+                      profiles_of, verify)
 from .sat import SCHEMES, SolverTimeout
 
 
@@ -257,7 +257,9 @@ def _solver_parser() -> _Parser:
                     help="assert inferred preconditions of unexpanded tasks")
     pr.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
     pr.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                    help="instantiation budget for lifted input")
+                    help="grounding budget for lifted input, in binding "
+                         "steps: one per object tried for a parameter, per "
+                         "action instance made and per complement fact")
     pr.add_argument("--plan", metavar="PATH", help="write the plan file here")
     pr.add_argument("--stats", metavar="PATH", help="write run stats as JSON")
     pr.add_argument("--emit-dot", metavar="PATH",
@@ -286,7 +288,7 @@ def _run_solve(argv: list[str]) -> int:
         return _validate_only(problem, ns.validate_only)
     else:
         if ns.dump_profiles:
-            print(dump_profiles(problem, compute_profiles(problem)))
+            print(dump_profiles(problem, profiles_of(problem)))
         cfg = PlannerConfig(
             mode=ns.mode,
             amo_scheme=ns.amo,
@@ -347,7 +349,9 @@ def _bench_parser() -> _Parser:
     pr.add_argument("--timeout", type=float, default=None,
                     help="override the manifest's time limit")
     pr.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                    help="instantiation budget for lifted input")
+                    help="grounding budget for lifted input, in binding "
+                         "steps: one per object tried for a parameter, per "
+                         "action instance made and per complement fact")
     return pr
 
 

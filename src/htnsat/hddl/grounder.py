@@ -1,17 +1,33 @@
 """Instantiation of a lifted hierarchical problem into a ground one.
 
-Bindings are enumerated over typed object pools (objects sorted by
-name, so numbering is reproducible), equality constraints are settled
-during instantiation, and negative preconditions become complement
-``not-P`` facts that every action touching ``P`` maintains. A method
-precondition compiles into a zero-effect guard action slotted in front
-of the method's first subtask. Instances that can never execute under
-delete relaxation or can never be reached by decomposing the initial
-task are pruned by a joint fixpoint; abstract tasks left without
-methods stay, with no method, and methods mentioning them fall with
-them. Total instantiation work is capped; hitting the cap aborts with
-an error instead of grinding on, and an optional deadline, checked at
-the same points, raises SolverTimeout once it has passed.
+Grounding works by reachability from the initial task network. Each
+reached abstract task instance binds every lifted method of its task
+with the task's arguments fixed (repeated variables and constants must
+unify) and the method's other parameters one at a time over typed
+object pools. A literal is checked as soon as its variables are bound,
+and a failing one drops the partial binding: ``=`` literals, literals
+over static predicates (ones no action adds or deletes) against the
+initial state, predicate parameter types, and subtasks, which must be
+type-consistent task instances or action instances that pass the same
+checks. Action instances are made on demand, once each, and new
+abstract subtasks are queued in turn.
+
+Negative preconditions become complement ``not-P`` facts that every
+action touching ``P`` maintains. A method precondition compiles into a
+zero-effect guard action slotted in front of the method's first
+subtask; static literals that hold stay in it. Instances that can never
+execute under delete relaxation or can never be reached by decomposing
+the initial task are pruned by a joint fixpoint; abstract tasks left
+without methods stay, with no method, and methods mentioning them fall
+with them. The pruned set is the greatest fixpoint of a monotone
+operator and the reached candidates contain it, so the result equals
+instantiating every typed binding and then pruning.
+
+Work is capped in binding steps: one per object tried for a parameter
+at any depth, per action instance made and per complement fact.
+Hitting the cap aborts with an error instead of grinding on, and an
+optional deadline, checked at the same points, raises SolverTimeout
+once it has passed.
 """
 from __future__ import annotations
 
@@ -35,6 +51,11 @@ from ..sat import SolverTimeout
 from .parser import LiftedDomain, LiftedProblem
 
 DEFAULT_CAP = 200_000
+
+# kinds of check run while binding, besides ACTION and ABSTRACT subtasks
+_EQ = "="
+_STATIC = "static"
+_TYPED = "typed"
 
 
 class GroundingError(ValueError):
@@ -79,6 +100,11 @@ class _Types:
                                     if self.isa(o, ty))
         return self._pool[ty]
 
+    def fits(self, objs, tys) -> bool:
+        """Every object is declared and of its slot's type."""
+        return all(o in self.obj_type and self.isa(o, ty)
+                   for o, ty in zip(objs, tys))
+
 
 class _Budget:
     def __init__(self, cap: int, deadline: float | None):
@@ -90,18 +116,10 @@ class _Budget:
         self.used += n
         if self.used > self.cap:
             raise GroundingError(
-                f"instantiation cap of {self.cap} candidate instances "
+                f"instantiation cap of {self.cap} binding steps "
                 f"exceeded; pass a larger cap to ground this problem")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout
-
-
-def _bindings(params, types: _Types, budget: _Budget):
-    pools = [types.objs(ty) for _, ty in params]
-    names = [v for v, _ in params]
-    for combo in product(*pools):
-        budget.spend()
-        yield dict(zip(names, combo))
 
 
 def _subst(args, binding) -> tuple[str, ...]:
@@ -131,6 +149,18 @@ class _GMethod:
     subs: list[tuple[str, str]]  # (ACTION/ABSTRACT, instance name)
 
 
+@dataclass
+class _Schema:
+    """A lifted method's binding plan: the parameters its task atom leaves
+    open, in declared order, and the checks that fall due at each depth
+    (``checks[0]`` once the task's arguments are fixed, ``checks[d + 1]``
+    once ``order[d]`` is bound). A check is (kind, name, args, positive)."""
+
+    order: list[str]
+    pools: list[list[str]]
+    checks: list[list[tuple]]
+
+
 class _Grounder:
     def __init__(self, dom: LiftedDomain, prob: LiftedProblem, cap: int,
                  deadline: float | None):
@@ -138,12 +168,18 @@ class _Grounder:
         self.prob = prob
         self.types = _Types(dom, prob.objects)
         self.budget = _Budget(cap, deadline)
-        self.task_sig = {t.name: t for t in dom.tasks}
+        # task name -> parameter types
+        self.task_sig = {t.name: [ty for _, ty in t.params] for t in dom.tasks}
         self.action_sig = {a.name: a for a in dom.actions}
         self.neg_preds = self._negatively_used()
+        self.static = set(dom.predicates) - {
+            n for a in dom.actions for n, _ in a.eff_pos + a.eff_neg}
         self.gactions: dict[str, _GAction] = {}
         self.gtasks: set[str] = set()
         self.gmethods: dict[str, _GMethod] = {}
+        self._init_atoms: set[str] = set()
+        self._made: dict[str, _GAction | None] = {}  # every action tried
+        self._queue: list[tuple[str, tuple[str, ...]]] = []
 
     # -- shared pieces ------------------------------------------------------
 
@@ -184,15 +220,6 @@ class _Grounder:
             out.add(fact if positive else join_name(f"not-{name}", objs))
         return out
 
-    # -- instance enumeration -----------------------------------------------
-
-    def _instantiate_actions(self) -> None:
-        for lifted in self.dom.actions:
-            for binding in _bindings(lifted.params, self.types, self.budget):
-                inst = self._one_action(lifted, binding)
-                if inst is not None:
-                    self.gactions[inst.name] = inst
-
     def _one_action(self, lifted, binding):
         precond = self._compile_precond(lifted.precond, binding)
         if precond is None:
@@ -218,47 +245,196 @@ class _Grounder:
         return _GAction(join_name(lifted.name, args), precond,
                         add, dele - add)
 
-    def _instantiate_tasks(self) -> None:
-        for lifted in self.dom.tasks:
-            for binding in _bindings(lifted.params, self.types, self.budget):
-                args = tuple(binding[v] for v, _ in lifted.params)
-                self.gtasks.add(join_name(lifted.name, args))
+    # -- checks while binding -------------------------------------------------
 
-    def _instantiate_methods(self) -> None:
-        for lifted in self.dom.methods:
-            for binding in _bindings(lifted.params, self.types, self.budget):
-                self._one_method(lifted, binding)
+    def _literal_check(self, name, args, positive) -> tuple:
+        if name == "=":
+            return (_EQ, name, args, positive)
+        return (_STATIC if name in self.static else _TYPED, name, args,
+                positive)
+
+    def _holds(self, check, binding) -> bool:
+        kind, name, args, positive = check
+        objs = _subst(args, binding)
+        if kind == _EQ:
+            return positive == (objs[0] == objs[1])
+        if kind == ABSTRACT:
+            return self.types.fits(objs, self.task_sig[name])
+        if kind == ACTION:
+            return self._action(name, objs) is not None
+        fact = self._fact(name, objs)
+        if fact is None:
+            return False
+        return kind == _TYPED or (fact in self._init_atoms) == positive
+
+    def _action(self, name: str, objs: tuple[str, ...]) -> _GAction | None:
+        """The action instance, made on first use; None when it is ruled
+        out by its types, equalities or static preconditions."""
+        key = join_name(name, objs)
+        if key in self._made:
+            return self._made[key]
+        self.budget.spend()
+        lifted = self.action_sig[name]
+        binding = self._action_binding(lifted, objs)
+        inst = None
+        if binding is not None and all(
+                self._holds(self._literal_check(*lit), binding)
+                for lit in lifted.precond if lit[0] in self.static):
+            inst = self._one_action(lifted, binding)
+        self._made[key] = inst
+        if inst is not None:
+            self.gactions[key] = inst
+        return inst
+
+    def _action_binding(self, lifted, objs) -> dict | None:
+        binding: dict[str, str] = {}
+        if self._unify(lifted.params, [v for v, _ in lifted.params], objs,
+                       binding):
+            return binding
+        return None
+
+    def _unify(self, params, pattern, objs, binding) -> bool:
+        """Extend binding so that pattern reads objs: a variable binds to
+        an object of its parameter type, and a constant must match."""
+        types = dict(params)
+        for a, o in zip(pattern, objs):
+            if not a.startswith("?"):
+                if a != o:
+                    return False
+            elif a in binding:
+                if binding[a] != o:
+                    return False
+            elif not self.types.fits((o,), (types[a],)):
+                return False
+            else:
+                binding[a] = o
+        return True
+
+    # -- top-down instantiation ------------------------------------------------
+
+    def _schema(self, lifted) -> _Schema:
+        fixed = {a for a in lifted.task[1] if a.startswith("?")}
+        order = [v for v, _ in lifted.params if v not in fixed]
+        depth = {v: d + 1 for d, v in enumerate(order)}
+        checks: list[list[tuple]] = [[] for _ in range(len(order) + 1)]
+        atoms = [self._literal_check(*lit) for lit in lifted.precond]
+        atoms += [(ABSTRACT if n in self.task_sig else ACTION, n, args, True)
+                  for n, args in lifted.subtasks]
+        for check in atoms:
+            due = max((depth.get(a, 0) for a in check[2]), default=0)
+            checks[due].append(check)
+        return _Schema(order, [self.types.objs(ty) for v, ty in lifted.params
+                               if v not in fixed], checks)
+
+    def _bindings(self, schema: _Schema, binding: dict):
+        """Every completion of binding that passes the schema's checks.
+        Iterative, one parameter per depth; yields the same dict each time,
+        so a caller must not keep it."""
+        if not all(self._holds(c, binding) for c in schema.checks[0]):
+            return
+        order, pools, checks = schema.order, schema.pools, schema.checks
+        if not order:
+            yield binding
+            return
+        open_pools = [iter(pools[0])]
+        while open_pools:
+            d = len(open_pools) - 1
+            obj = next(open_pools[d], None)
+            if obj is None:
+                open_pools.pop()
+                continue
+            self.budget.spend()
+            binding[order[d]] = obj
+            if not all(self._holds(c, binding) for c in checks[d + 1]):
+                continue
+            if d + 1 < len(order):
+                open_pools.append(iter(pools[d + 1]))
+            else:
+                yield binding
+
+    def _reach(self, name: str, objs: tuple[str, ...]) -> str:
+        inst = join_name(name, objs)
+        if inst not in self.gtasks:
+            self.gtasks.add(inst)
+            self._queue.append((name, objs))
+        return inst
 
     def _one_method(self, lifted, binding) -> None:
         guard_pre = self._compile_precond(lifted.precond, binding)
-        if guard_pre is None:
-            return
         tinst = join_name(lifted.task[0], _subst(lifted.task[1], binding))
-        if tinst not in self.gtasks:
-            return
         subs: list[tuple[str, str]] = []
         for sname, sargs in lifted.subtasks:
-            sinst = join_name(sname, _subst(sargs, binding))
+            objs = _subst(sargs, binding)
             if sname in self.task_sig:
-                if sinst not in self.gtasks:
-                    return
-                subs.append((ABSTRACT, sinst))
+                subs.append((ABSTRACT, self._reach(sname, objs)))
             else:
-                if sinst not in self.gactions:
-                    return  # that action instance was ruled out
-                subs.append((ACTION, sinst))
+                subs.append((ACTION, join_name(sname, objs)))
         args = tuple(binding[v] for v, _ in lifted.params)
         mname = join_name(lifted.name, args)
         if guard_pre:
             gname = f"guard-{mname}"
-            if gname in self.gactions:
-                raise GroundingError(f"action name {gname} collides with a "
-                                     f"compiled method guard")
             self.gactions[gname] = _GAction(gname, guard_pre)
             subs.insert(0, (ACTION, gname))
         self.gmethods[mname] = _GMethod(mname, tinst, subs)
 
-    # -- initial state, goal, root -------------------------------------------
+    def _check_guard_names(self) -> None:
+        for meth in self.dom.methods:
+            lifted = self.action_sig.get(f"guard-{meth.name}")
+            if (lifted is not None and len(lifted.params) == len(meth.params)
+                    and any(n != "=" for n, _, _ in meth.precond)):
+                raise GroundingError(
+                    f"action name guard-{meth.name} collides with a "
+                    f"compiled method guard")
+
+    def _instantiate(self) -> str:
+        """Reach every task, method and action instance the initial task
+        network can decompose into; return the root task's name."""
+        self._check_guard_names()
+        methods_of: dict[str, list[tuple]] = {}
+        for lifted in self.dom.methods:
+            methods_of.setdefault(lifted.task[0], []).append(
+                (lifted, self._schema(lifted)))
+        refs: list[tuple[str, str]] = []
+        for name, args in self.prob.top_tasks:
+            objs = _subst(args, {})
+            inst = join_name(name, objs)
+            if name in self.task_sig:
+                if not self.types.fits(objs, self.task_sig[name]):
+                    raise GroundingError(f"initial task {inst} is not a "
+                                         f"type-consistent instance")
+                refs.append((ABSTRACT, self._reach(name, objs)))
+            else:
+                # only types and equalities make an initial action an error;
+                # a failing static precondition is left to the pruning
+                lifted = self.action_sig[name]
+                binding = self._action_binding(lifted, objs)
+                if binding is None or self._one_action(lifted, binding) is None:
+                    raise GroundingError(f"initial task {inst} is not an "
+                                         f"instantiable action")
+                self._action(name, objs)
+                refs.append((ACTION, inst))
+        while self._queue:
+            name, objs = self._queue.pop()
+            for lifted, schema in methods_of.get(name, []):
+                fixed: dict[str, str] = {}
+                if not self._unify(lifted.params, lifted.task[1], objs,
+                                   fixed):
+                    continue
+                for binding in self._bindings(schema, fixed):
+                    self._one_method(lifted, binding)
+        if len(refs) == 1 and refs[0][0] == ABSTRACT:
+            return refs[0][1]
+        # Several top-level entries (or a primitive one): hang them under a
+        # synthesized root task with a single method, named apart from every
+        # task instance the domain could have.
+        top = "__top__"
+        while top in {t.name for t in self.dom.tasks if not t.params}:
+            top += "_"
+        self.gtasks.add(top)
+        self.gmethods[top + "-method"] = _GMethod(top + "-method", top, refs)
+        return top
+
+    # -- initial state, goal ---------------------------------------------------
 
     def _initial_facts(self) -> set[str]:
         init_pos: dict[str, set[tuple[str, ...]]] = {}
@@ -272,6 +448,7 @@ class _Grounder:
                     f"predicate's parameter types")
             init_pos.setdefault(name, set()).add(objs)
             facts.add(fact)
+        self._init_atoms = set(facts)
         for pred in sorted(self.neg_preds):
             pools = [self.types.objs(ty)
                      for ty in self.dom.predicates[pred]]
@@ -292,31 +469,6 @@ class _Grounder:
                     f"predicate's parameter types")
             facts.add(fact)
         return facts
-
-    def _root(self) -> str:
-        refs: list[tuple[str, str]] = []
-        for name, args in self.prob.top_tasks:
-            inst = join_name(name, _subst(args, {}))
-            if name in self.task_sig:
-                if inst not in self.gtasks:
-                    raise GroundingError(f"initial task {inst} is not a "
-                                         f"type-consistent instance")
-                refs.append((ABSTRACT, inst))
-            else:
-                if inst not in self.gactions:
-                    raise GroundingError(f"initial task {inst} is not an "
-                                         f"instantiable action")
-                refs.append((ACTION, inst))
-        if len(refs) == 1 and refs[0][0] == ABSTRACT:
-            return refs[0][1]
-        # Several top-level entries (or a primitive one): hang them under a
-        # synthesized root task with a single method.
-        top = "__top__"
-        while top in self.gtasks:
-            top += "_"
-        self.gtasks.add(top)
-        self.gmethods[top + "-method"] = _GMethod(top + "-method", top, refs)
-        return top
 
     # -- joint reachability pruning ------------------------------------------
 
@@ -374,12 +526,9 @@ class _Grounder:
     # -- assembly -------------------------------------------------------------
 
     def build(self) -> Problem:
-        self._instantiate_actions()
-        self._instantiate_tasks()
-        self._instantiate_methods()
         init_facts = self._initial_facts()
         goal_facts = self._goal_facts()
-        root = self._root()
+        root = self._instantiate()
         self._prune(init_facts, root)
 
         names = set(init_facts) | goal_facts
@@ -416,6 +565,7 @@ class _Grounder:
 
 def ground(dom: LiftedDomain, prob: LiftedProblem, cap: int = DEFAULT_CAP,
            deadline: float | None = None) -> Problem:
-    """Ground the problem. Raises GroundingError past cap candidate
-    instances, and SolverTimeout once the monotonic deadline has passed."""
+    """Ground the problem by reachability from its initial task network.
+    Raises GroundingError past cap binding steps, and SolverTimeout once
+    the monotonic deadline has passed."""
     return _Grounder(dom, prob, cap, deadline).build()

@@ -6,13 +6,15 @@ requires (mandatory preconditions), an over-approximation of what any
 refinement could change (possible add and delete effects), recursion
 flags for expansion control, and fact groups that can never hold two
 members at once (to keep relaxed states from drifting into nonsense
-like one object in two places).
+like one object in two places). The planner also reads which tasks are
+productive, to end a run whose root can never be refined into an
+executable plan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Problem, bits, mask, split_name
+from .model import ACTION, Problem, bits, mask, split_name
 
 
 @dataclass
@@ -36,6 +38,7 @@ class Profiles:
     tasks: list[TaskProfile]
     mutex_groups: list[list[int]]
     recursion: RecursionInfo
+    productive: list[bool]  # per abstract task id
 
 
 def compute_recursion(p: Problem) -> RecursionInfo:
@@ -48,9 +51,9 @@ def compute_recursion(p: Problem) -> RecursionInfo:
     # a dict per task is a seen-set that keeps first-occurrence order
     seen: list[dict[int, None]] = [{} for _ in range(n)]
     for m in p.methods:
-        for ref in m.subtasks:
-            if not ref.is_action():
-                seen[m.task][ref.id] = None
+        for kind, i in m.subtasks:
+            if kind != ACTION:
+                seen[m.task][i] = None
     succ = [list(s) for s in seen]
 
     idx = [-1] * n
@@ -101,9 +104,9 @@ def compute_recursion(p: Problem) -> RecursionInfo:
         if len(comp) > 1:
             for t in comp:
                 recursive[t] = True
-    for m in p.methods:
-        if any(not r.is_action() and r.id == m.task for r in m.subtasks):
-            recursive[m.task] = True
+    for t in range(n):
+        if t in seen[t]:  # one of its own methods mentions it
+            recursive[t] = True
     return RecursionInfo(recursive, sccs)
 
 
@@ -121,14 +124,14 @@ def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[int], lis
 
     def method_effects(m) -> tuple[int, int]:
         mp = mn = 0
-        for ref in m.subtasks:
-            if ref.is_action():
-                a = p.actions[ref.id]
+        for kind, i in m.subtasks:
+            if kind == ACTION:
+                a = p.actions[i]
                 mp |= a.eff_pos
                 mn |= a.eff_neg
             else:
-                mp |= pos[ref.id]
-                mn |= neg[ref.id]
+                mp |= pos[i]
+                mn |= neg[i]
         return mp, mn
 
     for comp in rec.sccs:
@@ -161,10 +164,10 @@ def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[int]
     def first_sub(m) -> int:
         if not m.subtasks:
             return 0
-        ref = m.subtasks[0]
-        if ref.is_action():
-            return p.actions[ref.id].precond
-        return mand[ref.id]
+        kind, i = m.subtasks[0]
+        if kind == ACTION:
+            return p.actions[i].precond
+        return mand[i]
 
     for comp in rec.sccs:
         changed = True
@@ -178,6 +181,40 @@ def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[int]
                     mand[t] = acc
                     changed = True
     return mand
+
+
+def compute_productive(p: Problem, rec: RecursionInfo) -> list[bool]:
+    """Per abstract task, whether it is productive. An action is productive
+    when it is applicable under delete relaxation from the initial state,
+    and a task when one of its methods has only productive subtasks. A
+    task that is not productive has no executable refinement at any
+    depth. Components are taken inner-first, as for possible effects."""
+    reached = p.init
+    applicable = [False] * len(p.actions)
+    changed = True
+    while changed:
+        changed = False
+        for a in p.actions:
+            if not applicable[a.id] and a.precond & ~reached == 0:
+                applicable[a.id] = True
+                reached |= a.eff_pos
+                changed = True
+    productive = [False] * len(p.abstracts)
+    for comp in rec.sccs:
+        changed = True
+        while changed:
+            changed = False
+            for t in comp:
+                if productive[t]:
+                    continue
+                for mid in p.abstracts[t].methods:
+                    for kind, i in p.methods[mid].subtasks:
+                        if not (applicable if kind == ACTION else productive)[i]:
+                            break
+                    else:
+                        productive[t] = changed = True
+                        break
+    return productive
 
 
 def compute_mutex_groups(p: Problem) -> list[list[int]]:
@@ -239,7 +276,7 @@ def compute_profiles(p: Problem) -> Profiles:
     tasks = [TaskProfile(t.id, mand[t.id], pos[t.id], neg[t.id])
              for t in p.abstracts]
     return Profiles(tasks=tasks, mutex_groups=compute_mutex_groups(p),
-                    recursion=rec)
+                    recursion=rec, productive=compute_productive(p, rec))
 
 
 def dump_profiles(p: Problem, prof: Profiles) -> str:

@@ -10,7 +10,10 @@ in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .inference import Profiles
 
 ACTION = "action"
 ABSTRACT = "abstract"
@@ -71,10 +74,14 @@ class Problem:
     root: int  # initial abstract task id (c_I)
     init: int  # s_I
     goal: int
+    # inferred on first use by planner.profiles_of; finalize clears it
+    profiles: Profiles | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def finalize(self) -> "Problem":
         """Validate ids and cross references and apply add-wins to the
         action effects. Returns self."""
+        self.profiles = None
         nf = len(self.facts)
         for i, f in enumerate(self.facts):
             if f.id != i:

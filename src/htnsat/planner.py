@@ -9,7 +9,9 @@ recursion blocker holds positions back, the nesting limit doubles,
 which releases every held position, and the round goes on to pick its
 targets over the same grid and clause store. A recursion of depth d
 therefore needs about log2(d) reinsertions; with nothing held back the
-problem is genuinely unsolvable.
+problem is genuinely unsolvable. So is a problem whose root task is not
+productive (inference.compute_productive), and that one ends before
+round 1.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .encoder import Encoder
-from .inference import compute_profiles
+from .inference import Profiles, compute_profiles
 from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef, bits
 from .pdt import Pdt
 from .sat import PAIRWISE, SCHEMES, SolverTimeout, dump_dimacs
@@ -67,11 +69,20 @@ class PlanResult:
         return self.tree.plan() if self.tree is not None else None
 
 
+def profiles_of(problem: Problem) -> Profiles:
+    """The problem's profiles, inferred on first use and kept on the
+    problem, so that every plan() call on it and --dump-profiles share
+    one inference."""
+    if problem.profiles is None:
+        problem.profiles = compute_profiles(problem)
+    return problem.profiles
+
+
 def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResult:
     start = time.monotonic()
     deadline = start + config.timeout
     stats = RunStats(mode=config.mode)
-    profiles = compute_profiles(problem)
+    profiles = profiles_of(problem)
     pdt = Pdt(problem, profiles)
     enc: Encoder | None = None  # built once, in round 1, inside the budget
 
@@ -103,6 +114,13 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             entry["frontier"] = [problem.ref_name(r) for r in frontier(ans)]
         stats.queries.append(entry)
         return ans
+
+    if not profiles.productive[problem.root]:
+        stats.events.append(
+            f"root task {problem.abstracts[problem.root].name} is not "
+            f"productive: no refinement has only actions applicable under "
+            f"delete relaxation")
+        return finish("unsolvable")
 
     while True:
         if time.monotonic() >= deadline:

@@ -79,3 +79,121 @@ def random_acyclic(seed: int) -> str:
         lines.append("goal " + " ".join(goal))
     lines.append("root t0")
     return "\n".join(lines) + "\n"
+
+
+def random_lifted(seed: int) -> tuple[str, str]:
+    """Small lifted (domain, problem) HDDL pair for differential grounding.
+
+    The first two predicates are static (no action changes them). The
+    domains use a subtype, static literals of both signs, ``=`` and
+    ``not =`` literals, constants in literals and subtask arguments, and
+    methods whose task atom repeats a variable or names a constant. Most
+    arguments fit their slot's type and some do not, so typing rules
+    instances out; some tasks are never reached and some have no method.
+    """
+    rng = random.Random(f"lifted/{seed}")
+    types = ["item", "gadget", "place"]  # gadget - item
+    objects = {ty: [f"{ty[0]}{i}" for i in range(rng.randint(1, 3))]
+               for ty in types}
+    pool = {ty: objects[ty] for ty in types}
+    pool["item"] = objects["item"] + objects["gadget"]
+
+    def typed(n):
+        return [rng.choice(types) for _ in range(n)]
+
+    preds = {f"q{i}": typed(rng.randint(0, 2)) for i in range(5)}
+    static, fluent = list(preds)[:2], list(preds)[2:]
+    actions = {f"a{i}": typed(rng.randint(0, 3)) for i in range(3)}
+    tasks = {f"t{i}": typed(rng.randint(0, 2)) for i in range(4)}
+    sigs = {**tasks, **actions}
+
+    def arg(env, ty):
+        """A variable of env (name -> type) or a constant, for a slot of
+        type ty; one in five ignores the type."""
+        if rng.random() < 0.2:
+            return rng.choice(list(env) + objects[rng.choice(types)])
+        fits = [v for v, t in env.items()
+                if t == ty or (ty == "item" and t == "gadget")]
+        if fits and rng.random() < 0.8:
+            return rng.choice(fits)
+        return rng.choice(pool[ty])
+
+    def atom(name, env):
+        return "(" + " ".join([name] + [arg(env, ty) for ty in sigs.get(
+            name, preds.get(name, []))]) + ")"
+
+    def literals(env, names, n):
+        out = []
+        for _ in range(n):
+            lit = atom(rng.choice(names), env)
+            out.append(lit if rng.random() < 0.6 else f"(not {lit})")
+        if rng.random() < 0.4:
+            ty = rng.choice(types)
+            eq = f"(= {arg(env, ty)} {arg(env, ty)})"
+            out.append(eq if rng.random() < 0.5 else f"(not {eq})")
+        return " ".join(out)
+
+    def params(env):
+        return " ".join(f"{v} - {t}" for v, t in env.items())
+
+    lines = ["(define (domain rnd)",
+             "  (:requirements :typing :hierarchy :negative-preconditions)",
+             "  (:types gadget - item item place)",
+             "  (:predicates " + " ".join(
+                 "(" + " ".join([p] + [f"?x{j} - {t}" for j, t in enumerate(tys)])
+                 + ")" for p, tys in preds.items()) + ")"]
+    for t, tys in tasks.items():
+        env = {f"?x{j}": ty for j, ty in enumerate(tys)}
+        lines.append(f"  (:task {t} :parameters ({params(env)}))")
+    for a, tys in actions.items():
+        env = {f"?v{j}": ty for j, ty in enumerate(tys)}
+        eff = [atom(p, env) for p in rng.sample(fluent, rng.randint(1, 2))]
+        eff = [e if rng.random() < 0.6 else f"(not {e})" for e in eff]
+        lines.append(f"  (:action {a} :parameters ({params(env)})"
+                     f" :precondition (and {literals(env, list(preds), rng.randint(0, 2))})"
+                     f" :effect (and {' '.join(eff)}))")
+    for i in range(7):
+        # the first two methods refine the root task; the second repeats
+        # a variable in its task atom when the task has two parameters
+        t = "t0" if i < 2 else rng.choice(list(tasks))
+        env, targs = {}, []
+        for ty in tasks[t]:
+            r = rng.random()
+            if env and (r < 0.25 or i == 1):
+                targs.append(rng.choice(list(env)))
+            elif r < 0.4:
+                targs.append(rng.choice(pool[ty]))
+            else:
+                v = f"?m{len(env)}"
+                env[v] = ty if rng.random() < 0.7 else rng.choice(types)
+                targs.append(v)
+        for _ in range(rng.randint(0, 2)):
+            env[f"?m{len(env)}"] = rng.choice(types)
+        subs = " ".join(atom(rng.choice(list(sigs)), env)
+                        for _ in range(rng.randint(0, 3)))
+        lines.append(f"  (:method m{i} :parameters ({params(env)})"
+                     f" :task ({' '.join([t] + targs)})"
+                     f" :precondition (and "
+                     f"{literals(env, static + static + fluent, rng.randint(0, 2))})"
+                     f" :ordered-subtasks (and {subs}))")
+    lines.append(")")
+
+    def ground_atom(name):
+        return "(" + " ".join([name] + [rng.choice(pool[ty]) for ty in sigs.get(
+            name, preds.get(name, []))]) + ")"
+
+    init = [ground_atom(p) for p in preds for _ in range(rng.randint(0, 3))]
+    goal = [ground_atom(p) for p in rng.sample(fluent, rng.randint(0, 1))]
+    top = [ground_atom("t0")]
+    if rng.random() < 0.3:
+        top.append(ground_atom(rng.choice(list(sigs))))
+    problem = "\n".join([
+        "(define (problem rnd1)",
+        "  (:domain rnd)",
+        "  (:objects " + " ".join(f"{' '.join(objects[ty])} - {ty}"
+                                  for ty in types) + ")",
+        "  (:htn :parameters () :subtasks (and "
+        + " ".join(f"(s{i} {a})" for i, a in enumerate(top)) + "))",
+        f"  (:init {' '.join(init)})",
+        f"  (:goal (and {' '.join(goal)})))"])
+    return "\n".join(lines) + "\n", problem + "\n"

@@ -2,8 +2,11 @@
 
 Everything here is deliberately naive: truth tables for SAT, exhaustive
 model enumeration for cardinality constraints, full decomposition-tree
-enumeration and breadth-first state search for the planner. None of it
-imports from the modules under test beyond plain data types.
+enumeration and breadth-first state search for the planner, and
+instantiation of every typed binding for the grounder. None of it
+imports from the modules under test beyond plain data types, except the
+grounding oracle, which shares the grounder's assembly and pruning and
+replaces only how candidates are enumerated.
 """
 from __future__ import annotations
 
@@ -11,7 +14,15 @@ from itertools import product
 
 import numpy as np
 
-from htnsat.model import ABSTRACT, ACTION, Problem, TaskRef
+from htnsat.hddl.grounder import (
+    DEFAULT_CAP,
+    GroundingError,
+    _GAction,
+    _GMethod,
+    _Grounder,
+    _subst,
+)
+from htnsat.model import ABSTRACT, ACTION, Problem, TaskRef, join_name
 
 _col_cache: dict[int, list[np.ndarray]] = {}
 
@@ -288,3 +299,88 @@ def relaxed_leaves_by_tree_walk(enc, model):
         width = len(enc.p.methods[chosen[0]].subtasks)
         stack.extend(pos.children[i] for i in reversed(range(width)))
     return frontier, targets
+
+
+# -- grounding oracle ----------------------------------------------------------
+
+
+class _EnumeratingGrounder(_Grounder):
+    """Instantiate first, prune afterwards: every typed binding of every
+    action, task and method, with only types and equalities checked, no
+    static precondition tested while binding and no regard for what the
+    root reaches. The shared pruning fixpoint then has to drop the rest."""
+
+    def _every_binding(self, params):
+        pools = [self.types.objs(ty) for _, ty in params]
+        names = [v for v, _ in params]
+        for combo in product(*pools):
+            self.budget.spend()
+            yield dict(zip(names, combo))
+
+    def _instantiate(self) -> str:
+        for lifted in self.dom.actions:
+            for binding in self._every_binding(lifted.params):
+                inst = self._one_action(lifted, binding)
+                if inst is not None:
+                    self.gactions[inst.name] = inst
+        for lifted in self.dom.tasks:
+            for binding in self._every_binding(lifted.params):
+                args = tuple(binding[v] for v, _ in lifted.params)
+                self.gtasks.add(join_name(lifted.name, args))
+        for lifted in self.dom.methods:
+            for binding in self._every_binding(lifted.params):
+                self._enumerated_method(lifted, binding)
+        return self._enumerated_root()
+
+    def _enumerated_method(self, lifted, binding) -> None:
+        guard_pre = self._compile_precond(lifted.precond, binding)
+        if guard_pre is None:
+            return
+        tinst = join_name(lifted.task[0], _subst(lifted.task[1], binding))
+        if tinst not in self.gtasks:
+            return
+        subs = []
+        for sname, sargs in lifted.subtasks:
+            sinst = join_name(sname, _subst(sargs, binding))
+            kind = ABSTRACT if sname in self.task_sig else ACTION
+            if sinst not in (self.gtasks if kind == ABSTRACT else self.gactions):
+                return
+            subs.append((kind, sinst))
+        mname = join_name(lifted.name, tuple(binding[v] for v, _ in lifted.params))
+        if guard_pre:
+            gname = f"guard-{mname}"
+            if gname in self.gactions:
+                raise GroundingError(f"action name {gname} collides with a "
+                                     f"compiled method guard")
+            self.gactions[gname] = _GAction(gname, guard_pre)
+            subs.insert(0, (ACTION, gname))
+        self.gmethods[mname] = _GMethod(mname, tinst, subs)
+
+    def _enumerated_root(self) -> str:
+        refs = []
+        for name, args in self.prob.top_tasks:
+            inst = join_name(name, args)
+            if name in self.task_sig:
+                if inst not in self.gtasks:
+                    raise GroundingError(f"initial task {inst} is not a "
+                                         f"type-consistent instance")
+                refs.append((ABSTRACT, inst))
+            else:
+                if inst not in self.gactions:
+                    raise GroundingError(f"initial task {inst} is not an "
+                                         f"instantiable action")
+                refs.append((ACTION, inst))
+        if len(refs) == 1 and refs[0][0] == ABSTRACT:
+            return refs[0][1]
+        top = "__top__"
+        while top in self.gtasks:
+            top += "_"
+        self.gtasks.add(top)
+        self.gmethods[top + "-method"] = _GMethod(top + "-method", top, refs)
+        return top
+
+
+def ground_by_enumeration(dom, prob, cap: int = DEFAULT_CAP) -> Problem:
+    """The ground problem as instantiating every typed binding and then
+    pruning gives it; the reachability grounder must give the same."""
+    return _EnumeratingGrounder(dom, prob, cap, None).build()

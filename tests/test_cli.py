@@ -8,6 +8,7 @@ import time
 import pytest
 
 import htnsat.cli
+import htnsat.inference
 from htnsat.cli import (
     PlanFormatError,
     UsageError,
@@ -35,9 +36,13 @@ BLOWUP_DOMAIN = """\
   (:predicates (p ?a - thing))
   (:task t :parameters ())
   (:method m :parameters () :task (t) :ordered-subtasks (and))
-  (:action a
+  (:method spread
     :parameters (?a - thing ?b - thing ?c - thing ?d - thing)
-    :precondition (and (= ?a ?b) (= ?b ?c) (= ?c ?d))
+    :task (t)
+    :precondition (and (= ?a ?d) (= ?b ?d) (= ?c ?d))
+    :ordered-subtasks (a ?a))
+  (:action a
+    :parameters (?a - thing)
     :effect (p ?a)))
 """
 BLOWUP_PROBLEM = """\
@@ -52,6 +57,21 @@ BLOWUP_PROBLEM = """\
 
 def fixture(name):
     return str(FIXTURES / f"{name}.ground")
+
+
+@pytest.fixture
+def inferences(monkeypatch):
+    """The problem names that profiles get inferred for, one entry per
+    compute_profiles call, whichever module makes it."""
+    calls = []
+    real = htnsat.inference.compute_recursion
+
+    def counting(problem):
+        calls.append(problem.name)
+        return real(problem)
+
+    monkeypatch.setattr(htnsat.inference, "compute_recursion", counting)
+    return calls
 
 
 def solved(name, **kw):
@@ -217,8 +237,9 @@ class TestSolveCommand:
         assert ";; status timeout" in capsys.readouterr().out
 
     def test_grounding_stops_at_the_deadline(self, tmp_path, capsys):
-        # 30**4 candidate bindings take seconds to enumerate; the equality
-        # preconditions rule all but 30 of them out, so memory stays small
+        # the root reaches `spread`, whose every equality mentions the last
+        # parameter, so all 30**4 bindings are tried and that takes seconds;
+        # the equalities rule all but 30 of them out, so memory stays small
         (tmp_path / "d.hddl").write_text(BLOWUP_DOMAIN)
         objs = " ".join(f"o{i}" for i in range(30))
         (tmp_path / "p.hddl").write_text(BLOWUP_PROBLEM.format(objs=objs))
@@ -291,6 +312,32 @@ class TestSolveCommand:
         dumps = sorted(tmp_path.glob("enc.round*.cnf"))
         assert dumps
         assert dumps[0].read_text().startswith("p cnf ")
+
+    def test_dump_profiles_shares_the_planner_profiles(self, capsys,
+                                                       inferences):
+        assert main([fixture("tower"), "--dump-profiles"]) == 0
+        capsys.readouterr()
+        assert inferences == ["tower"]
+
+    def test_unproductive_root_is_unsolvable_before_round_one(self, tmp_path,
+                                                             capsys):
+        # check also needs done, which only check adds: no refinement of
+        # the countdown can ever run, at any nesting limit
+        text = (FIXTURES / "reinsert.ground").read_text()
+        assert "action check pre n0 add done" in text
+        path = tmp_path / "stuck.ground"
+        path.write_text(text.replace("action check pre n0 add done",
+                                     "action check pre n0 done add done"))
+        dest = tmp_path / "stats.json"
+        t0 = time.monotonic()
+        assert main([str(path), "--timeout", "10", "--stats", str(dest)]) == 1
+        assert time.monotonic() - t0 < 1
+        assert ";; status unsolvable" in capsys.readouterr().out
+        stats = json.loads(dest.read_text())
+        assert stats["rounds"] == 0 and stats["queries"] == []
+        assert stats["events"] == [
+            "root task countdown is not productive: no refinement has only "
+            "actions applicable under delete relaxation"]
 
     def test_dump_profiles_prints_tasks(self, capsys):
         assert main([fixture("tower"), "--dump-profiles"]) == 0
@@ -508,6 +555,15 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert [(r["mode"], r["solved"]) for r in rows] == [
             ("greedy", "1"), ("bfs", "1")]
+
+    def test_profiles_are_inferred_once_per_instance(self, tmp_path, capsys,
+                                                     inferences):
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(FIXTURES / "bench.json"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        # fork3 and taxi run greedy and bfs, unsolvable greedy only
+        assert inferences == ["fork3", "taxi1", "unsolvable"]
 
     def test_grounding_timeout_scores_zero(self, tmp_path, capsys,
                                            monkeypatch):

@@ -31,6 +31,7 @@ GOLDEN = FIXTURES / "golden.json"
 
 INPUTS = {p.stem: [p] for p in sorted(FIXTURES.glob("*.ground"))}
 INPUTS["taxi-hddl"] = [FIXTURES / "taxi.hddl", FIXTURES / "taxi1.hddl"]
+INPUTS["walker-hddl"] = [FIXTURES / "walker.hddl", FIXTURES / "walker1.hddl"]
 CONFIGS = {
     "greedy": ["--mode", "greedy"],
     "bfs": ["--mode", "bfs"],

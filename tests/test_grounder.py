@@ -13,9 +13,12 @@ from htnsat.hddl import (
     parse_ground,
 )
 from htnsat.inference import compute_profiles
-from htnsat.model import ABSTRACT, ACTION, bits
+from htnsat.model import ABSTRACT, ACTION, bits, split_name
 from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import SolverTimeout
+
+from domains import random_lifted
+from oracles import ground_by_enumeration
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -450,3 +453,187 @@ class TestDeterminismAndRoundTrip:
             ground(dom, prob, deadline=time.monotonic() - 1)
         later = ground(dom, prob, deadline=time.monotonic() + 60)
         assert dump_ground(later) == dump_ground(ground_taxi())
+
+
+def _ground_or_error(grounder, dom, prob) -> str:
+    try:
+        return dump_ground(grounder(dom, prob))
+    except GroundingError as e:
+        return f"GroundingError: {e}"
+
+
+def _features(dom, prob, text: str) -> set[str]:
+    """What a random lifted pair exercises, read off the domain and the
+    kept problem's dump."""
+    out = set()
+    static = set(dom.predicates) - {
+        n for a in dom.actions for n, _ in a.eff_pos + a.eff_neg}
+    consts = {o for o, _ in prob.objects}
+    for x in dom.actions + dom.methods:
+        for name, args, positive in x.precond:
+            if name == "=":
+                out.add("=" if positive else "not =")
+            elif name in static:
+                out.add("static +" if positive else "static -")
+                if consts & set(args):
+                    out.add("constant in a static literal")
+    for m in dom.methods:
+        targs = m.task[1]
+        if len(set(targs)) < len(targs):
+            out.add("repeated task variable")
+    if text.startswith("GroundingError"):
+        return out
+    kept = parse_ground(text, "kept")
+    heads = {split_name(t.name)[0] for t in kept.abstracts}
+    if any(t.name not in heads for t in dom.tasks):
+        out.add("unreachable task")
+    if any(not t.methods for t in kept.abstracts):
+        out.add("unrefinable task")
+    if any(a.name.startswith("guard-") for a in kept.actions):
+        out.add("kept method guard")
+    sigs = {x.name: [ty for _, ty in x.params] for x in dom.actions}
+    for a in kept.actions:
+        head, args = split_name(a.name)
+        if any(ty == "item" and o.startswith("g")
+               for o, ty in zip(args, sigs.get(head, []))):
+            out.add("subtype object")
+    return out
+
+
+class TestReachabilityGrounding:
+    """The reachability grounder against instantiating every typed
+    binding and pruning afterwards (``oracles.ground_by_enumeration``)."""
+
+    SEEDS = range(400)
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_same_problem_as_enumeration(self, chunk):
+        for seed in self.SEEDS[chunk::8]:
+            dom, prob = parse(*random_lifted(seed))
+            assert _ground_or_error(ground, dom, prob) == \
+                _ground_or_error(ground_by_enumeration, dom, prob), seed
+
+    def test_random_domains_cover_every_feature(self):
+        seen = set()
+        for seed in self.SEEDS:
+            dom, prob = parse(*random_lifted(seed))
+            seen |= _features(dom, prob, _ground_or_error(ground, dom, prob))
+        assert seen == {"=", "not =", "static +", "static -",
+                        "constant in a static literal",
+                        "repeated task variable", "unreachable task",
+                        "unrefinable task", "kept method guard",
+                        "subtype object"}
+
+    def test_reaches_fewer_candidates_than_enumeration(self):
+        dom, prob = load_taxi()
+        cap = 20
+        assert dump_ground(ground(dom, prob, cap=cap)) == \
+            dump_ground(ground_by_enumeration(dom, prob))
+        with pytest.raises(GroundingError, match=f"cap of {cap}"):
+            ground_by_enumeration(dom, prob, cap=cap)
+
+    def test_budget_counts_rejected_partial_bindings(self):
+        # every binding of ?a fails the static (mark ?a), so nothing below
+        # depth one is tried, yet each of the 40 objects tried costs a unit,
+        # as does making the action finish
+        dom = """
+        (define (domain reject)
+          (:types thing)
+          (:predicates (mark ?x - thing) (done))
+          (:task main :parameters ())
+          (:method pick :parameters (?a - thing ?b - thing) :task (main)
+            :precondition (mark ?a) :ordered-subtasks (finish))
+          (:action finish :effect (done)))
+        """
+        objs = " ".join(f"o{i}" for i in range(40))
+        prob = f"""
+        (define (problem reject1)
+          (:domain reject)
+          (:objects {objs} - thing)
+          (:htn :subtasks (main))
+          (:init)
+          (:goal (done)))
+        """
+        lifted = parse(dom, prob)
+        with pytest.raises(GroundingError, match="cap of 40"):
+            ground(*lifted, cap=40)
+        assert ground(*lifted, cap=41).abstracts[0].methods == []
+
+    def test_task_arguments_unify_before_any_binding_step(self):
+        # pair(a,b) is reached; `same` needs both arguments equal and
+        # `fixed` needs the second to be c, so neither binds ?w at all
+        dom = """
+        (define (domain unify)
+          (:types thing)
+          (:predicates (done))
+          (:task main :parameters ())
+          (:task pair :parameters (?x - thing ?y - thing))
+          (:method start :parameters () :task (main)
+            :ordered-subtasks (pair a b))
+          (:method same :parameters (?z - thing ?w - thing) :task (pair ?z ?z)
+            :ordered-subtasks (finish ?w))
+          (:method fixed :parameters (?z - thing ?w - thing) :task (pair ?z c)
+            :ordered-subtasks (finish ?w))
+          (:action finish :parameters (?w - thing) :effect (done)))
+        """
+        prob = """
+        (define (problem unify1)
+          (:domain unify)
+          (:objects a b c - thing)
+          (:htn :subtasks (main))
+          (:init)
+          (:goal (done)))
+        """
+        lifted = parse(dom, prob)
+        p = ground(*lifted, cap=0)
+        assert dump_ground(p) == dump_ground(ground_by_enumeration(*lifted))
+        assert [t.name for t in p.abstracts] == ["main"]
+
+    def test_guard_name_collision_is_still_raised(self):
+        dom_text = (FIXTURES / "taxi.hddl").read_text()
+        assert "(:action call" in dom_text
+        dom_text = dom_text.replace(
+            "(:action call",
+            "(:action guard-via :parameters (?p - person ?s - street)"
+            " :effect (called))\n  (:action call")
+        dom, prob = parse(dom_text, (FIXTURES / "taxi1.hddl").read_text())
+        for grounder in (ground, ground_by_enumeration):
+            with pytest.raises(GroundingError,
+                               match="collides with a compiled method guard"):
+                grounder(dom, prob)
+
+    def test_synthesized_root_is_named_apart_from_an_unreached_task(self):
+        dom_text = TOGGLE_DOMAIN.replace(
+            "(:task main :parameters ())",
+            "(:task main :parameters ())\n  (:task __top__ :parameters ())")
+        prob_text = TOGGLE_PROBLEM.replace(
+            "(:htn :subtasks (main))",
+            "(:htn :subtasks (and (t1 (main)) (t2 (turn-off))))")
+        dom, prob = parse(dom_text, prob_text)
+        p = ground(dom, prob)
+        assert p.abstracts[p.root].name == "__top___"
+        assert dump_ground(p) == dump_ground(ground_by_enumeration(dom, prob))
+
+    def test_wide_method_binds_without_recursion(self):
+        n = 1500
+        params = " ".join(f"?x{i} - one" for i in range(n))
+        dom = f"""
+        (define (domain wide)
+          (:types one)
+          (:predicates (done))
+          (:task main :parameters ())
+          (:method all :parameters ({params}) :task (main)
+            :precondition (= ?x0 ?x{n - 1}) :ordered-subtasks (finish))
+          (:action finish :effect (done)))
+        """
+        prob = """
+        (define (problem wide1)
+          (:domain wide)
+          (:objects solo - one)
+          (:htn :subtasks (main))
+          (:init)
+          (:goal (done)))
+        """
+        p = ground(*parse(dom, prob))
+        assert [m.name.count("solo") for m in p.methods] == [n]
+        assert plan(p, PlannerConfig()).status == "solved"

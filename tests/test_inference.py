@@ -11,6 +11,7 @@ from htnsat.inference import (
     compute_mandatory_preconditions,
     compute_mutex_groups,
     compute_poss_effects,
+    compute_productive,
     compute_profiles,
     compute_recursion,
     dump_profiles,
@@ -18,7 +19,13 @@ from htnsat.inference import (
 from htnsat.model import ABSTRACT, TaskRef, bits, mask
 
 from conftest import FIXTURES
-from oracles import plans_to_depth, reachable_states, refinements_of_task
+from domains import random_acyclic
+from oracles import (
+    plans_to_depth,
+    reachable_states,
+    refinements_of_task,
+    solvable_by_enumeration,
+)
 
 TOYS = ["taxi", "tower", "mpre", "addonly"]
 
@@ -165,6 +172,42 @@ def test_mutex_groups_hold_in_reachable_states(seed):
     for i, ok in enumerate(balanced):
         token = {p.fact_id(f"v{i}({j})") for j in range(3)}
         assert any(token <= set(g) for g in groups) == ok
+
+
+# -- productivity --------------------------------------------------------------
+
+
+def productive_names(p):
+    prod = compute_productive(p, compute_recursion(p))
+    return sorted(t.name for t in p.abstracts if prod[t.id])
+
+
+def test_productive_needs_a_relaxed_applicable_refinement():
+    p = parse_ground(
+        "fact f\nfact g\nfact h\naction a pre f add g\naction b pre g\n"
+        "action never pre h\n"
+        "task top\ntask ok\ntask dead\ntask loop\ntask bare\n"
+        "method m1 top -> dead\nmethod m2 top -> ok\n"
+        "method m3 ok -> a b\nmethod m4 dead -> never\n"
+        "method m5 loop -> loop\nmethod m6 loop -> a dead\n"
+        "method m7 top -> bare\ninit f\nroot top\n")
+    # b needs g, which a adds under delete relaxation; loop only recurses
+    # or runs into dead, and bare has no method at all
+    assert productive_names(p) == ["ok", "top"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in FIXTURES.glob("*.ground")))
+def test_fixture_roots_are_productive(ground, name):
+    p = ground(name)
+    assert compute_profiles(p).productive[p.root]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solvable_roots_are_productive(seed):
+    p = parse_ground(random_acyclic(seed))
+    if solvable_by_enumeration(p):
+        assert compute_productive(p, compute_recursion(p))[p.root]
 
 
 # -- aggregate properties ----------------------------------------------------
