@@ -11,7 +11,9 @@ targets over the same grid and clause store. A recursion of depth d
 therefore needs about log2(d) reinsertions; with nothing held back the
 problem is genuinely unsolvable. So is a problem whose root task is not
 productive (inference.compute_productive), and that one ends before
-round 1.
+round 1. So is a greedy run whose relaxed query is UNSAT: that query
+poses no assumption, so the clause store itself is UNSAT, and the store
+only grows, so no later strict query can be satisfied.
 """
 from __future__ import annotations
 
@@ -162,12 +164,14 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             else:
                 rel = query("relaxed", enc.solve_relaxed, lambda r: r.frontier)
                 if rel is None:
+                    stats.events.append(
+                        f"relaxed query unsatisfiable at round {stats.rounds}: "
+                        f"the clause store admits no plan")
+                    return finish("unsolvable")
+                wanted = {id(q) for q in rel.targets}
+                targets = [q for q in expandable if id(q) in wanted]
+                if not targets:
                     targets = expandable
-                else:
-                    wanted = {id(q) for q in rel.targets}
-                    targets = [q for q in expandable if id(q) in wanted]
-                    if not targets:
-                        targets = expandable
             pdt.expand(targets)
             where = "while encoding"
             enc.sync(deadline)

@@ -55,6 +55,23 @@ a new watch, and conflict analysis skips level-0 variables without
 bumping them. So the trail, the learnt clauses, the counters and the
 models are the same as with every clause watched in full.
 
+The decision queue is a heap of (-activity, variable) entries kept
+across solve() calls, as in MiniSat's order heap. A per-variable
+``queued`` flag marks a variable's one live entry, whose key is its
+current activity, and every free variable has one. A bump only clears
+the flag: the bumped variable is assigned, and its old entry stays
+behind as a stale one. _cancel_to pushes a variable it unassigns only
+when its flag is clear, the branch pick clears the flag of every entry
+it pops, and solve() queues the variables created since its last call.
+Activities only grow between rescales, so a stale entry carries a lower
+activity than the live one and pops after it: a popped entry of a free
+variable is always its live entry, and the branch pick takes the free
+variable with the highest (activity, -index), the same one a heap
+rebuilt over the free variables would give. A rescale rebuilds the heap
+from the free variables, because it shrinks every activity below the
+keys already queued; so does a heap grown past twice the variable
+count, which bounds its memory over long runs.
+
 _propagate, _analyze, _cancel_to and the branch pick in solve() are the
 hot loops: they keep attributes in locals and inline the value test,
 the enqueue and the activity bump.
@@ -118,6 +135,9 @@ class SatSession:
         self.qhead = 0
         self.hard_unsat = False
         self.order: list[tuple[float, int]] = []  # (-activity, var) heap
+        # per variable, whether its live entry is in order; extended by
+        # solve() to the variables created since its last call
+        self.queued: list[bool] = [False]
         # statistics
         self.conflicts = 0
         self.decisions = 0
@@ -265,7 +285,7 @@ class SatSession:
             return
         bound = trail_lim[lvl]
         trail, saved, assign, reason = self.trail, self.saved, self.assign, self.reason
-        act, order = self.act, self.order
+        act, order, queued = self.act, self.order, self.queued
         for lit in reversed(trail[bound:]):
             if lit > 0:
                 saved[lit] = True
@@ -275,11 +295,22 @@ class SatSession:
                 saved[v] = False
             assign[v] = 0
             reason[v] = None
-            heappush(order, (-act[v], v))
+            if not queued[v]:
+                queued[v] = True
+                heappush(order, (-act[v], v))
         del trail[bound:]
         del trail_lim[lvl:]
         if self.qhead > bound:
             self.qhead = bound
+        if len(order) > 2 * len(queued):
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """Refill the heap, in place, with one live entry per free variable."""
+        act, assign, order, queued = self.act, self.assign, self.order, self.queued
+        queued[1:] = [assign[v] == 0 for v in range(1, len(queued))]
+        order[:] = [(-act[v], v) for v in range(1, len(queued)) if queued[v]]
+        heapify(order)
 
     def _propagate(self) -> Optional[list[int]]:
         """Exhaust unit propagation; return a conflicting clause or None."""
@@ -364,7 +395,7 @@ class SatSession:
         Each newly seen variable above level 0 is bumped, in clause order."""
         learnt: list[int] = []
         seen, level, trail, reason = self.marks, self.level, self.trail, self.reason
-        act, order = self.act, self.order
+        act, queued = self.act, self.queued
         var_inc = self.var_inc
         counter = 0
         p = 0  # implied literal whose reason is being resolved (0 on first round)
@@ -377,14 +408,13 @@ class SatSession:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    a = act[v] + var_inc
-                    act[v] = a
+                    a = act[v] = act[v] + var_inc
+                    queued[v] = False  # its entry, if any, is stale now
                     if a > _RESCALE_AT:
                         for u in range(1, self.num_vars + 1):
                             act[u] *= 1e-100
                         var_inc *= 1e-100
-                        a = act[v]
-                    heappush(order, (-a, v))
+                        self._rebuild_order()
                     if level[v] == cur:
                         counter += 1
                     else:
@@ -449,11 +479,15 @@ class SatSession:
                 return None
             act, assign, saved = self.act, self.assign, self.saved
             trail, trail_lim, level, reason = self.trail, self.trail_lim, self.level, self.reason
-            # the heap holds every free variable: _cancel_to pushes each one
-            # it unassigns
-            order = self.order = [(-act[v], v) for v in range(1, self.num_vars + 1)
-                                  if assign[v] == 0]
-            heapify(order)
+            order = self.order
+            # queue the variables created since the last call. Their
+            # activity is 0 and their index above every queued one, so
+            # each sorts after every entry already in the heap, and
+            # appending them in index order keeps it a heap.
+            fresh = range(len(self.queued), self.num_vars + 1)
+            self.queued += [assign[v] == 0 for v in fresh]
+            order += [(-act[v], v) for v in fresh if assign[v] == 0]
+            queued = self.queued
             n_assumptions = len(assumptions)
 
             restart_n = 0
@@ -501,6 +535,7 @@ class SatSession:
                 v = 0
                 while order:
                     u = heappop(order)[1]
+                    queued[u] = False
                     if assign[u] == 0:
                         v = u
                         break

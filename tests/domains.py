@@ -43,12 +43,22 @@ def wide_choice(w: int, depth: int = 4) -> str:
 def random_acyclic(seed: int) -> str:
     """Small non-recursive instance: task subtasks only ever point to
     higher-numbered tasks, so every refinement terminates."""
-    rng = random.Random(seed)
+    return _random_ground(random.Random(seed), f"rnd{seed}", recursive=False)
+
+
+def random_recursive(seed: int) -> str:
+    """Small instance like random_acyclic's, except that a subtask may
+    name any task, the root and the method's own task included."""
+    return _random_ground(random.Random(f"recursive/{seed}"), f"rec{seed}",
+                          recursive=True)
+
+
+def _random_ground(rng: random.Random, name: str, recursive: bool) -> str:
     nfacts = rng.randint(3, 5)
     nacts = rng.randint(3, 6)
     ntasks = rng.randint(2, 5)
     facts = [f"f{i}" for i in range(nfacts)]
-    lines = [f"problem rnd{seed}"]
+    lines = [f"problem {name}"]
     lines += [f"fact {f}" for f in facts]
     for i in range(nacts):
         pre = rng.sample(facts, rng.randint(0, 2))
@@ -67,8 +77,9 @@ def random_acyclic(seed: int) -> str:
         for j in range(rng.randint(1, 3)):
             subs = []
             for _ in range(rng.randint(0, 3)):
-                if i + 1 < ntasks and rng.random() < 0.4:
-                    subs.append(f"t{rng.randint(i + 1, ntasks - 1)}")
+                lo = 0 if recursive else i + 1
+                if lo < ntasks and rng.random() < 0.4:
+                    subs.append(f"t{rng.randint(lo, ntasks - 1)}")
                 else:
                     subs.append(f"a{rng.randint(0, nacts - 1)}")
             lines.append(f"method t{i}m{j} t{i} ->" +

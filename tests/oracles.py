@@ -6,7 +6,8 @@ enumeration and breadth-first state search for the planner, and
 instantiation of every typed binding for the grounder. None of it
 imports from the modules under test beyond plain data types, except the
 grounding oracle, which shares the grounder's assembly and pruning and
-replaces only how candidates are enumerated.
+replaces only how candidates are enumerated, and the decision-order
+check, which watches a live SatSession from inside.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from htnsat.hddl.grounder import (
     _subst,
 )
 from htnsat.model import ABSTRACT, ACTION, Problem, TaskRef, join_name
+from htnsat.sat import SatSession
 
 _col_cache: dict[int, list[np.ndarray]] = {}
 
@@ -71,6 +73,41 @@ def enumerate_session_models(sess, project_vars):
         assert proj not in seen, "blocking clause failed to block"
         seen.add(proj)
         sess.add_clause([(-v if model[v] else v) for v in project_vars])
+
+
+class DecisionCheckingSession(SatSession):
+    """A SatSession that checks each branching decision against a scan of
+    every variable: the decided variable must have had the highest
+    (activity, -index) of the variables free before it. It counts the
+    decisions checked, and records by how much the decision heap ever
+    outgrew twice the number of variables."""
+
+    def __init__(self):
+        super().__init__()
+        self.n_assumptions = 0
+        self.checked = 0
+        self.order_excess = -1
+
+    def solve(self, assumptions=(), deadline=None):
+        self.n_assumptions = len(assumptions)
+        return super().solve(assumptions, deadline)
+
+    def _propagate(self):
+        trail, lim = self.trail, self.trail_lim
+        # a branch decision opens a level above the assumption levels, and
+        # is the one literal on it, still unpropagated and without a reason
+        if (len(lim) > self.n_assumptions and lim[-1] == self.qhead == len(trail) - 1
+                and self.reason[abs(trail[-1])] is None):
+            v = abs(trail[-1])
+            act, assign = self.act, self.assign
+            best = max((u for u in range(1, self.num_vars + 1)
+                        if u == v or assign[u] == 0),
+                       key=lambda u: (act[u], -u))
+            assert best == v, f"decided {v} at activity {act[v]}, " \
+                f"but {best} was free at activity {act[best]}"
+            self.checked += 1
+        self.order_excess = max(self.order_excess, len(self.order) - 2 * self.num_vars)
+        return super()._propagate()
 
 
 # -- HTN oracles -------------------------------------------------------------

@@ -339,6 +339,26 @@ class TestSolveCommand:
             "root task countdown is not productive: no refinement has only "
             "actions applicable under delete relaxation"]
 
+    def test_unsatisfiable_relaxed_query_ends_the_run(self, tmp_path, capsys):
+        # n2 is deleted by the first pop and never added back, so no
+        # plan exists; the root is productive, so only the relaxed
+        # query's UNSAT answer can end the run before the deadline
+        text = (FIXTURES / "reinsert.ground").read_text()
+        assert "\ngoal done\n" in text
+        path = tmp_path / "n2.ground"
+        path.write_text(text.replace("\ngoal done\n", "\ngoal done n2\n"))
+        dest = tmp_path / "stats.json"
+        t0 = time.monotonic()
+        assert main([str(path), "--timeout", "10", "--stats", str(dest)]) == 1
+        assert time.monotonic() - t0 < 1
+        assert ";; status unsolvable" in capsys.readouterr().out
+        stats = json.loads(dest.read_text())
+        last = stats["queries"][-1]
+        assert (last["kind"], last["verdict"]) == ("relaxed", "unsat")
+        assert stats["events"][-1] == (
+            f"relaxed query unsatisfiable at round {stats['rounds']}: "
+            "the clause store admits no plan")
+
     def test_dump_profiles_prints_tasks(self, capsys):
         assert main([fixture("tower"), "--dump-profiles"]) == 0
         assert "strip" in capsys.readouterr().out

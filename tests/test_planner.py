@@ -4,12 +4,13 @@ import pytest
 
 from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
+from htnsat.model import ABSTRACT, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
 from htnsat.sat import SolverTimeout
 
-from domains import random_acyclic, wide_choice
-from oracles import count_dts, solvable_by_enumeration
+from domains import random_acyclic, random_recursive, wide_choice
+from oracles import count_dts, plans_to_depth, solvable_by_enumeration
 
 SOLVABLE = ["fork3", "taxi", "tower", "mpre", "addonly", "reinsert",
             "empty_goal", "empty_method"]
@@ -147,20 +148,43 @@ class TestGuidance:
 
 
 class TestEnumerationAgreement:
+    @staticmethod
+    def ended_by_relaxed_unsat(res):
+        return res.status == "unsolvable" and \
+            res.stats.events[-1].startswith("relaxed query unsatisfiable")
+
     def test_verdicts_match_exhaustive_enumeration(self):
-        checked = 0
-        seed = 0
-        while checked < 20:
-            seed += 1
+        # acceptance criterion 4, with enough instances that many runs
+        # end at an UNSAT relaxed query
+        ended = 0
+        for seed in range(1, 301):
             p = parse_ground(random_acyclic(seed))
             if count_dts(p) > 10_000:
                 continue
-            checked += 1
             res = plan(p)
             expected = solvable_by_enumeration(p)
             assert (res.status == "solved") == expected, f"seed {seed}"
             if res.status == "solved":
                 assert verify(p, res.tree) == [], f"seed {seed}"
+            ended += self.ended_by_relaxed_unsat(res)
+        assert ended >= 30
+
+    def test_unsolvable_verdicts_on_recursive_domains(self):
+        # enumeration cannot exhaust a recursive domain, so an
+        # unsolvable verdict is checked against every plan of
+        # decomposition depth 5
+        ended = 0
+        for seed in range(150):
+            p = parse_ground(random_recursive(seed))
+            res = plan(p, PlannerConfig(timeout=0.2))
+            if res.status == "solved":
+                assert verify(p, res.tree) == [], f"seed {seed}"
+            elif res.status == "unsolvable":
+                for seq in plans_to_depth(p, TaskRef(ABSTRACT, p.root), 5):
+                    end = p.apply_seq(p.init, seq)
+                    assert end is None or not p.is_goal(end), f"seed {seed}"
+                ended += self.ended_by_relaxed_unsat(res)
+        assert ended >= 10
 
 
 class TestDeterminism:

@@ -22,7 +22,7 @@ from htnsat.sat import (
     luby,
     parse_dimacs,
 )
-from oracles import enumerate_session_models, truth_table_sat
+from oracles import DecisionCheckingSession, enumerate_session_models, truth_table_sat
 
 
 def random_3cnf(rng: random.Random, nvars: int, nclauses: int) -> list[list[int]]:
@@ -480,9 +480,58 @@ def test_seeded_history_is_pinned():
 
 
 def test_seeded_history_with_activity_rescale_is_pinned():
-    # the first bumps push activities past the rescale threshold
+    # The first bumps push activities past the rescale threshold. A
+    # rescale multiplies every activity by one factor and rebuilds the
+    # decision heap, so the decisions, and with them the whole history,
+    # are those of the run that starts at var_inc 1.0.
     assert _seeded_history(1e99) == _HISTORY_PREFIX + [
-        (22, 254, 890, None), (46, 278, 1317, None), (46, 278, 1317, None)]
+        (22, 250, 836, None), (43, 272, 1249, None), (43, 272, 1249, None)]
+
+
+def _guarded_history(seed: int, var_inc: float, solves: int) -> DecisionCheckingSession:
+    """Incremental solves on one decision-checking session. Before each
+    solve comes a random 3-CNF block at the threshold ratio over one pool
+    of 30 variables, guarded by a fresh selector, and sometimes a
+    pairwise group over the pool; a unit retires the selector three
+    solves later. Each solve assumes some of the live selectors and a few
+    pool literals, so it meets conflicts, while the store stays
+    satisfiable with every variable false."""
+    rng = random.Random(seed)
+    s = DecisionCheckingSession()
+    s.var_inc = var_inc
+    pool = [s.new_var() for _ in range(30)]
+    live: list[int] = []
+    for _ in range(solves):
+        if len(live) == 3:
+            s.add_clause([-live.pop(0)])
+        sel = s.new_var()
+        live.append(sel)
+        for _ in range(int(4.3 * len(pool))):
+            s.add_clause([-sel] + [v if rng.random() < 0.5 else -v
+                                   for v in rng.sample(pool, 3)])
+        if rng.random() < 0.3:
+            s.add_pairwise(rng.sample(pool, rng.randint(2, 4)))
+        assumptions = rng.sample(live, rng.randint(1, len(live)))
+        assumptions += [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(pool, rng.randint(0, 2))]
+        rng.shuffle(assumptions)
+        s.solve(assumptions)
+    assert not s.hard_unsat
+    return s
+
+
+@pytest.mark.parametrize("var_inc", [1.0, 1e99])
+@pytest.mark.parametrize("seed", range(3))
+def test_each_decision_takes_the_most_active_free_variable(seed, var_inc):
+    # at 1e99 the first bumps cross the rescale threshold
+    s = _guarded_history(seed, var_inc, 60)
+    assert s.checked > 150 and s.conflicts > 150
+
+
+def test_decision_heap_stays_within_twice_the_variables():
+    s = _guarded_history(7, 1.0, 240)
+    assert s.conflicts > 400
+    assert s.order_excess <= 2
 
 
 # -- AMO encodings -----------------------------------------------------------
