@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .hddl import (
@@ -303,7 +303,7 @@ def _run_solve(argv: list[str]) -> int:
     if ns.emit_dot and res.pdt is not None:
         Path(ns.emit_dot).write_text(res.pdt.to_dot(res.tree))
     if ns.stats:
-        Path(ns.stats).write_text(json.dumps(asdict(res.stats), indent=2))
+        Path(ns.stats).write_text(json.dumps(vars(res.stats), indent=2))
     s = res.stats
     print(f";; status {res.status}")
     print(f";; rounds {s.rounds} reinsertions {s.reinsertions} "

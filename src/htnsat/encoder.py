@@ -68,18 +68,16 @@ class Encoder:
         self.use_mutex = use_mutex
         self.mandatory_preconds = mandatory_preconds
         self.sess = SatSession()
-        self.opvar: dict[tuple, int] = {}
-        self.blankvar: dict[tuple[int, ...], int] = {}
-        self.mvar: dict[tuple[tuple[int, ...], int], int] = {}
-        self.cols: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        # per position: its op selectors (None for the blank), in acts,
+        # tasks, blank order; its method selectors; its two columns
+        self.ops: dict[Position, dict[TaskRef | None, int]] = {}
+        self.mvar: dict[Position, dict[int, int]] = {}
+        self.cols: dict[Position, tuple[list[int], list[int]]] = {}
         self.strict = 0  # the newest layer's strict query selector
         self.encoded = 0
         self.sync(deadline)
 
-    # -- variable lookup -----------------------------------------------------
-
-    def op_lit(self, pos: Position, ref: TaskRef) -> int:
-        return self.opvar[(pos.path, ref.kind, ref.id)]
+    # -- encoding ------------------------------------------------------------
 
     def _change_mask(self, pos: Position) -> int:
         mask = 0
@@ -90,8 +88,6 @@ class Encoder:
             prof = self.prof.tasks[t]
             mask |= prof.poss_eff_pos | prof.poss_eff_neg
         return mask
-
-    # -- encoding ------------------------------------------------------------
 
     def sync(self, deadline: float | None = None) -> None:
         """Encode every grid layer not yet in the clause store. Raises
@@ -113,7 +109,7 @@ class Encoder:
         for f in range(len(self.p.facts)):
             sess.add_clause([pre[f] if self.p.init >> f & 1 else -pre[f]])
         post = self._next_column(pre, root)
-        self.cols[root.path] = (pre, post)
+        self.cols[root] = (pre, post)
         self._mutex_column(pre, (1 << len(self.p.facts)) - 1)  # all fresh
         # the root slot has a single candidate, so its at-least-one clause
         # already pins the initial task there
@@ -128,11 +124,11 @@ class Encoder:
             if not (kids and kids[0].layer == idx):
                 continue
             expanded.append(parent)
-            ppre, ppost = self.cols[parent.path]
+            ppre, ppost = self.cols[parent]
             bound = ppre
             for i, q in enumerate(kids):
                 nxt = ppost if i == len(kids) - 1 else self._next_column(bound, q)
-                self.cols[q.path] = (bound, nxt)
+                self.cols[q] = (bound, nxt)
                 bound = nxt
             for q in kids:
                 self._encode_position(q)
@@ -160,13 +156,13 @@ class Encoder:
 
     def _encode_position(self, pos: Position) -> None:
         sess = self.sess
-        pre, post = self.cols[pos.path]
-        tier1 = []
+        pre, post = self.cols[pos]
+        ops = self.ops[pos] = {}
+        effects = []  # (selector, facts it may add, facts it may delete)
         for a in pos.acts:
-            v = sess.new_var()
-            self.opvar[(pos.path, ACTION, a)] = v
-            tier1.append(v)
+            v = ops[TaskRef(ACTION, a)] = sess.new_var()
             act = self.p.actions[a]
+            effects.append((v, act.eff_pos, act.eff_neg))
             for f in bits(act.precond):
                 sess.add_clause([-v, pre[f]])
             for f in bits(act.eff_pos):
@@ -174,69 +170,55 @@ class Encoder:
             for f in bits(act.eff_neg):
                 sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
-            v = sess.new_var()
-            self.opvar[(pos.path, ABSTRACT, t)] = v
-            tier1.append(v)
+            v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
+            prof = self.prof.tasks[t]
+            effects.append((v, prof.poss_eff_pos, prof.poss_eff_neg))
             if self.mandatory_preconds:
-                for f in bits(self.prof.tasks[t].mand_pre):
+                for f in bits(prof.mand_pre):
                     sess.add_clause([-v, pre[f]])
         if pos.has_blank:
-            v = sess.new_var()
-            self.blankvar[pos.path] = v
-            tier1.append(v)
+            ops[None] = sess.new_var()
+        tier1 = list(ops.values())
         encode_amo(sess, tier1, self.amo)
         sess.add_clause(tier1)
-        self._frame(pos, pre, post)
+        self._frame(effects, pre, post)
 
-    def _frame(self, pos: Position, pre: list[int], post: list[int]) -> None:
+    def _frame(self, effects: list[tuple[int, int, int]],
+               pre: list[int], post: list[int]) -> None:
         for f in range(len(self.p.facts)):
             if pre[f] == post[f]:
                 continue
-            up = [pre[f], -post[f]]
-            down = [-pre[f], post[f]]
-            for a in pos.acts:
-                act = self.p.actions[a]
-                if act.eff_pos >> f & 1:
-                    up.append(self.opvar[(pos.path, ACTION, a)])
-                if act.eff_neg >> f & 1:
-                    down.append(self.opvar[(pos.path, ACTION, a)])
-            for t in pos.tasks:
-                prof = self.prof.tasks[t]
-                if prof.poss_eff_pos >> f & 1:
-                    up.append(self.opvar[(pos.path, ABSTRACT, t)])
-                if prof.poss_eff_neg >> f & 1:
-                    down.append(self.opvar[(pos.path, ABSTRACT, t)])
-            self.sess.add_clause(up)
-            self.sess.add_clause(down)
+            self.sess.add_clause([pre[f], -post[f]]
+                                 + [v for v, add, _ in effects if add >> f & 1])
+            self.sess.add_clause([-pre[f], post[f]]
+                                 + [v for v, _, dele in effects if dele >> f & 1])
 
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
-        kids = pos.children
+        ops = self.ops[pos]
+        kids = [self.ops[q] for q in pos.children]
+        mvar = self.mvar[pos] = {}
         for t in pos.tasks:
-            tv = self.opvar[(pos.path, ABSTRACT, t)]
+            tv = ops[TaskRef(ABSTRACT, t)]
             mvars = []
             for mid in self.p.abstracts[t].methods:
-                mv = sess.new_var()
-                self.mvar[(pos.path, mid)] = mv
+                mv = mvar[mid] = sess.new_var()
                 mvars.append(mv)
                 sess.add_clause([-mv, tv])
                 subs = self.p.methods[mid].subtasks
-                for i, q in enumerate(kids):
-                    if i < len(subs):
-                        sess.add_clause([-mv, self.op_lit(q, subs[i])])
-                    else:
-                        sess.add_clause([-mv, self.blankvar[q.path]])
+                for i, kid in enumerate(kids):
+                    sess.add_clause([-mv, kid[subs[i] if i < len(subs) else None]])
             sess.add_clause([-tv] + mvars)
             encode_amo(sess, mvars, self.amo)
         for a in pos.acts:
-            av = self.opvar[(pos.path, ACTION, a)]
-            sess.add_clause([-av, self.opvar[(kids[0].path, ACTION, a)]])
-            for q in kids[1:]:
-                sess.add_clause([-av, self.blankvar[q.path]])
+            av = ops[TaskRef(ACTION, a)]
+            sess.add_clause([-av, kids[0][TaskRef(ACTION, a)]])
+            for kid in kids[1:]:
+                sess.add_clause([-av, kid[None]])
         if pos.has_blank:
-            bv = self.blankvar[pos.path]
-            for q in kids:
-                sess.add_clause([-bv, self.blankvar[q.path]])
+            bv = ops[None]
+            for kid in kids:
+                sess.add_clause([-bv, kid[None]])
 
     def _open_query(self, layer_idx: int) -> None:
         sess = self.sess
@@ -247,7 +229,7 @@ class Encoder:
         # expanded position gives way to its children in the next layer
         for pos in self.pdt.layers[layer_idx]:
             for t in pos.tasks:
-                sess.add_clause([-a, -self.opvar[(pos.path, ABSTRACT, t)]])
+                sess.add_clause([-a, -self.ops[pos][TaskRef(ABSTRACT, t)]])
 
     # -- solving and decoding ------------------------------------------------
 
@@ -273,17 +255,10 @@ class Encoder:
     def _selected(self, model: list[bool], pos: Position) -> TaskRef | None:
         """The op chosen at a position; None means blank. Exactly one must
         be set."""
-        hits = []
-        for a in pos.acts:
-            if model[self.opvar[(pos.path, ACTION, a)]]:
-                hits.append(TaskRef(ACTION, a))
-        for t in pos.tasks:
-            if model[self.opvar[(pos.path, ABSTRACT, t)]]:
-                hits.append(TaskRef(ABSTRACT, t))
-        if pos.has_blank and model[self.blankvar[pos.path]]:
-            hits.append(None)
+        hits = [ref for ref, v in self.ops[pos].items() if model[v]]
         if len(hits) != 1:
-            raise EncoderBugError(f"{len(hits)} ops selected at {pos.path}")
+            raise EncoderBugError(
+                f"{len(hits)} ops selected at a position from layer {pos.layer}")
         return hits[0]
 
     def _decode(self, model: list[bool]) -> DecompositionTree:
@@ -296,19 +271,20 @@ class Encoder:
             pos, parent = stack.pop()
             ref = self._selected(model, pos)
             if ref is None:
-                raise EncoderBugError(f"blank selected at tree position {pos.path}")
+                raise EncoderBugError(
+                    f"blank selected at a tree position from layer {pos.layer}")
             if ref.is_action():
                 node = dt.add(ACTION, ref.id)
             else:
                 node = dt.add(ABSTRACT, ref.id)
                 if not pos.children:
                     raise EncoderBugError(
-                        f"unexpanded task in a strict answer at {pos.path}")
+                        f"unexpanded task in a strict answer on layer {pos.layer}")
                 chosen = [m for m in self.p.abstracts[ref.id].methods
-                          if model[self.mvar[(pos.path, m)]]]
+                          if model[self.mvar[pos][m]]]
                 if len(chosen) != 1:
-                    raise EncoderBugError(
-                        f"{len(chosen)} methods selected for task at {pos.path}")
+                    raise EncoderBugError(f"{len(chosen)} methods selected for "
+                                          f"a task on layer {pos.layer}")
                 mnode = dt.add(METHOD, chosen[0])
                 dt.nodes[node].children.append(mnode)
                 width = len(self.p.methods[chosen[0]].subtasks)

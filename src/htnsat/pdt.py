@@ -12,17 +12,21 @@ Expanding it in a later round hangs its children directly off it, so
 a position was expanded in round k exactly when its first child sits on
 layer k + 1.
 
-Recursion control: every position counts, per task, the strict ancestor
-positions whose candidate tasks include it. A position is held while
-one of its recursive tasks has a count above the grid's nesting limit,
-and a held position is not expandable. The limit starts at 1, so a
-recursive task may be expanded once below itself. When the search
+Recursion control: every position counts, per recursive task, the
+strict ancestor positions whose candidate tasks include it. A position
+is held while one of its tasks has a count above the grid's nesting
+limit, and a held position is not expandable. The limit starts at 1,
+so a recursive task may be expanded once below itself. When the search
 reaches a fixpoint with held positions left, reinsertion doubles the
 limit and the search goes on over the same grid. One doubling releases
 every held position: its deepest ancestor holding the same task was
 expanded, so had a count of at most L, which puts the held count at
 most at L + 1 <= 2L. A recursion that needs depth d therefore costs
 about log2(d) reinsertions.
+
+A position is its own identity: the grid, the encoder and the planner
+key per-position state by the object itself, and only the DOT output
+names positions, by their child-index paths from the root.
 """
 from __future__ import annotations
 
@@ -30,8 +34,6 @@ from dataclasses import dataclass, field
 
 from .inference import Profiles
 from .model import Problem
-
-BlockedPair = tuple[tuple[int, ...], int, int]  # position path, task id, method id
 
 
 class PdtUsageError(ValueError):
@@ -41,20 +43,23 @@ class PdtUsageError(ValueError):
 @dataclass(eq=False)
 class Position:
     layer: int
-    path: tuple[int, ...]
     acts: list[int] = field(default_factory=list)
     tasks: list[int] = field(default_factory=list)
     has_blank: bool = False
-    # task id -> number of strict ancestors whose candidate tasks include it
+    # recursive task id -> number of strict ancestors whose candidate
+    # tasks include it
     anc_counts: dict[int, int] = field(default_factory=dict)
     children: list["Position"] = field(default_factory=list)
+
+
+BlockedPair = tuple[Position, int, int]  # position, task id, method id
 
 
 class Pdt:
     def __init__(self, problem: Problem, profiles: Profiles):
         self.problem = problem
         self.profiles = profiles
-        self.root = Position(layer=0, path=(), tasks=[problem.root])
+        self.root = Position(layer=0, tasks=[problem.root])
         self.layers: list[list[Position]] = [[self.root]]
         self.nesting_limit = 1
         self.methods_developed = 0
@@ -69,8 +74,7 @@ class Pdt:
         return [b for b in self.bottom() if b.tasks]
 
     def held(self, pos: Position) -> bool:
-        recursive = self.profiles.recursion.recursive
-        return any(recursive[t] and pos.anc_counts.get(t, 0) > self.nesting_limit
+        return any(pos.anc_counts.get(t, 0) > self.nesting_limit
                    for t in pos.tasks)
 
     def expandable(self, pos: Position) -> bool:
@@ -81,22 +85,22 @@ class Pdt:
     def blocked_pairs(self) -> set[BlockedPair]:
         """Every (task, method) pair at a held position. A held position
         is never expanded, so it sits in the bottom layer."""
-        return {(pos.path, t, mid) for pos in self.bottom() if self.held(pos)
+        return {(pos, t, mid) for pos in self.bottom() if self.held(pos)
                 for t in pos.tasks for mid in self.problem.abstracts[t].methods}
 
     # -- growth --------------------------------------------------------------
 
     def expand(self, targets: list[Position]) -> None:
         bottom = self.bottom()
-        in_bottom = {id(b) for b in bottom}
-        chosen = {id(b) for b in targets}
+        in_bottom = set(bottom)
+        chosen = set(targets)
         for b in targets:
             # an expanded position has left the bottom layer
-            if id(b) not in in_bottom or not b.tasks:
-                raise PdtUsageError(f"position {b.path} is not pending")
+            if b not in in_bottom or not b.tasks:
+                raise PdtUsageError(f"position from layer {b.layer} is not pending")
         new_layer: list[Position] = []
         for b in bottom:
-            if id(b) in chosen:
+            if b in chosen:
                 new_layer.extend(self._expand_one(b))
             else:
                 new_layer.append(b)
@@ -106,9 +110,11 @@ class Pdt:
         methods = [self.problem.methods[mid] for t in b.tasks
                    for mid in self.problem.abstracts[t].methods]
         width = max([1] + [len(m.subtasks) for m in methods])
+        recursive = self.profiles.recursion.recursive
         counts = dict(b.anc_counts)  # shared by the children, never mutated
         for t in b.tasks:
-            counts[t] = counts.get(t, 0) + 1
+            if recursive[t]:
+                counts[t] = counts.get(t, 0) + 1
         kids = []
         for i in range(width):
             acts: list[int] = []
@@ -127,9 +133,8 @@ class Pdt:
                         pool.append(ref.id)
                 else:
                     blank = True
-            kids.append(Position(layer=len(self.layers), path=b.path + (i,),
-                                 acts=acts, tasks=tasks, has_blank=blank,
-                                 anc_counts=counts))
+            kids.append(Position(layer=len(self.layers), acts=acts, tasks=tasks,
+                                 has_blank=blank, anc_counts=counts))
         b.children = kids
         self.methods_developed += len(methods)
         return kids
@@ -146,9 +151,10 @@ class Pdt:
         """DOT rendering of the refinement structure; when a decomposition
         tree is given, its nodes are filled grey."""
         p = self.problem
+        tags = self._tags()
         grey: set[str] = set()
         if dt is not None:
-            self._mark(dt, grey)
+            self._mark(dt, grey, tags)
         lines = ["digraph pdt {", "  node [shape=box, fontsize=10];"]
 
         def emit(node_id: str, label: str, shape: str) -> None:
@@ -159,7 +165,7 @@ class Pdt:
             for pos in layer:
                 if pos.layer != k:
                     continue
-                tag = ",".join(map(str, pos.path)) or "root"
+                tag = tags[pos]
                 for t in pos.tasks:
                     emit(f"t{tag}_{t}", p.abstracts[t].name, "box")
                 for a in pos.acts:
@@ -171,20 +177,33 @@ class Pdt:
                         emit(f"m{tag}_{mid}", p.methods[mid].name, "ellipse")
                         lines.append(f'  "t{tag}_{t}" -> "m{tag}_{mid}";')
                         for i, ref in enumerate(p.methods[mid].subtasks):
-                            ktag = ",".join(map(str, pos.children[i].path))
+                            ktag = tags[pos.children[i]]
                             kind = "a" if ref.is_action() else "t"
                             lines.append(
                                 f'  "m{tag}_{mid}" -> "{kind}{ktag}_{ref.id}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _mark(self, dt, grey: set[str]) -> None:
+    def _tags(self) -> dict[Position, str]:
+        """The DOT tag of every position: "root", else its child-index path
+        from the root joined by commas."""
+        tags = {self.root: "root"}
+        stack = [self.root]
+        while stack:
+            pos = stack.pop()
+            prefix = "" if pos is self.root else tags[pos] + ","
+            for i, kid in enumerate(pos.children):
+                tags[kid] = f"{prefix}{i}"
+            stack.extend(pos.children)
+        return tags
+
+    def _mark(self, dt, grey: set[str], tags: dict[Position, str]) -> None:
         """Add the DOT ids of every node of dt to grey."""
         stack = [(dt.root, self.root)]
         while stack:
             node_id, pos = stack.pop()
             node = dt.nodes[node_id]
-            tag = ",".join(map(str, pos.path)) or "root"
+            tag = tags[pos]
             grey.add(f"t{tag}_{node.ref}" if node.kind != "action"
                      else f"a{tag}_{node.ref}")
             if node.kind != "abstract" or not node.children:

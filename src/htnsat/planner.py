@@ -168,8 +168,8 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                         f"relaxed query unsatisfiable at round {stats.rounds}: "
                         f"the clause store admits no plan")
                     return finish("unsolvable")
-                wanted = {id(q) for q in rel.targets}
-                targets = [q for q in expandable if id(q) in wanted]
+                wanted = set(rel.targets)
+                targets = [q for q in expandable if q in wanted]
                 if not targets:
                     targets = expandable
             pdt.expand(targets)

@@ -318,12 +318,13 @@ def relaxed_leaves_by_tree_walk(enc, model):
     stack = [enc.pdt.root]
     while stack:
         pos = stack.pop()
+        ops = enc.ops[pos]
         hits = [TaskRef(ACTION, a) for a in pos.acts
-                if model[enc.opvar[(pos.path, ACTION, a)]]]
+                if model[ops[TaskRef(ACTION, a)]]]
         hits += [TaskRef(ABSTRACT, t) for t in pos.tasks
-                 if model[enc.opvar[(pos.path, ABSTRACT, t)]]]
-        blank = pos.has_blank and model[enc.blankvar[pos.path]]
-        assert len(hits) == 1 and not blank, f"bad selection at {pos.path}"
+                 if model[ops[TaskRef(ABSTRACT, t)]]]
+        blank = pos.has_blank and model[ops[None]]
+        assert len(hits) == 1 and not blank, f"bad selection on layer {pos.layer}"
         ref = hits[0]
         if ref.is_action() or not pos.children:
             frontier.append(ref)
@@ -331,8 +332,8 @@ def relaxed_leaves_by_tree_walk(enc, model):
                 targets.append(pos)
             continue
         chosen = [m for m in enc.p.abstracts[ref.id].methods
-                  if model[enc.mvar[(pos.path, m)]]]
-        assert len(chosen) == 1, f"{len(chosen)} methods at {pos.path}"
+                  if model[enc.mvar[pos][m]]]
+        assert len(chosen) == 1, f"{len(chosen)} methods on layer {pos.layer}"
         width = len(enc.p.methods[chosen[0]].subtasks)
         stack.extend(pos.children[i] for i in reversed(range(width)))
     return frontier, targets

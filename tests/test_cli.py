@@ -211,6 +211,22 @@ class TestPlanFiles:
         with pytest.raises(PlanFormatError, match=message):
             parse_plan(p, f"==>\n{body}\n<==\n")
 
+    @pytest.mark.parametrize("body, message", [
+        ("root 0 1\n0 (begin-left)", "bad root line"),
+        ("root 0\n0 (begin-left", "bad action line"),
+        ("root 0\nbegin-left", "unrecognized plan line"),
+        ("root x", "expected a number"),
+        ("root 0\n0 bogus -> go-left 1 2", "unknown task bogus"),
+        ("root 0\n0 main -> bogus 1 2", "unknown method bogus"),
+        ("root 0\n0 (begin-left)\n0 main -> go-left 1 2", "duplicate node id 0"),
+        ("root 0\n0 main -> go-left 1 2", "undefined node id 1"),
+        ("0 (begin-left)", "plan lacks a root line"),
+    ])
+    def test_rejects_a_malformed_line(self, body, message):
+        p, _ = solved("fork3")
+        with pytest.raises(PlanFormatError, match=message):
+            parse_plan(p, f"==>\n{body}\n<==\n")
+
 
 class TestSolveCommand:
     def test_solved_prints_plan_and_exits_zero(self, capsys):

@@ -1,6 +1,7 @@
 import functools
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,20 @@ class TestSolutions:
         assert res.status == "solved" and res.plan == [0]
         assert calls <= 3 * n
 
+    def test_greedy_memory_stays_linear_in_grid_depth(self):
+        # what a position holds must not grow with its depth, so doubling
+        # the chain about doubles the traced peak
+        def peak(n):
+            p = chain(n)
+            tracemalloc.start()
+            try:
+                assert plan(p).status == "solved"
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1600) / peak(800) <= 2.5
+
     def test_unsolvable_has_hard_unsat_goal(self, ground):
         p = ground("unsolvable")
         _, pdt, enc = setup(p)
@@ -303,8 +318,8 @@ class TestIncrementality:
         # every method id occurs at a single site in this domain, so the
         # tree's method choices map straight onto selector variables
         picked = {n.ref for n in tree.nodes if n.kind == "method"}
-        chosen_vars = [var for (_, mid), var in sorted(enc.mvar.items())
-                       if mid in picked]
+        chosen_vars = [var for sel in enc.mvar.values()
+                       for mid, var in sel.items() if mid in picked]
         assert len(chosen_vars) == len(picked)
         replay = enc.sess.solve([enc.strict] + chosen_vars)
         assert replay is not None
@@ -380,7 +395,7 @@ class TestSchemesAndDumps:
         p = ground("fork3")
         _, pdt, enc = setup(p, amo="binary")
         grow(pdt, enc)
-        choice = [enc.mvar[((), m)] for m in p.abstracts[p.root].methods]
+        choice = [enc.mvar[pdt.root][m] for m in p.abstracts[p.root].methods]
         assert len(choice) == 2
         assert [(args, len(bits)) for lits, args, bits in calls
                 if lits == choice] == [(("binary",), 1)]

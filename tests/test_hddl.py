@@ -38,6 +38,14 @@ def test_parse_defaults_empty_init_and_goal():
     ("task t\ninit\ninit\nroot t\n", "duplicate init"),
     ("task t\nwibble x\nroot t\n", "unknown record"),
     ("task t\naction a f\nroot t\n", "expected pre/add/del"),
+    ("problem a b\ntask t\nroot t\n", "problem takes exactly one name"),
+    ("fact f g\ntask t\nroot t\n", "fact takes exactly one name"),
+    ("task t u\nroot t\n", "task takes exactly one name"),
+    ("task t\nroot t u\n", "root takes exactly one task name"),
+    ("action\ntask t\nroot t\n", "action needs a name"),
+    ("fact f\naction a pre f pre f\ntask t\nroot t\n", "duplicate 'pre' section"),
+    ("task t\ngoal\ngoal\nroot t\n", "duplicate goal"),
+    ("task t\nroot t\nroot t\n", "duplicate root"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(GroundFormatError, match=fragment):

@@ -17,13 +17,29 @@ def names(problem, ids, kind):
 
 
 def counts(problem, pos):
-    """Ancestor counts of a position, keyed by task name."""
+    """Ancestor counts of a position, keyed by task name. Only recursive
+    tasks are counted."""
+    recursive = compute_profiles(problem).recursion.recursive
+    assert all(recursive[t] for t in pos.anc_counts)
     return {problem.abstracts[t].name: c for t, c in pos.anc_counts.items()}
+
+
+def paths(pdt):
+    """The child-index path of every position, walked down from the root."""
+    out = {pdt.root: ()}
+    stack = [pdt.root]
+    while stack:
+        pos = stack.pop()
+        for i, kid in enumerate(pos.children):
+            out[kid] = out[pos] + (i,)
+            stack.append(kid)
+    return out
 
 
 def sites(pdt):
     """Paths expanded in each round, read off the grid layer by layer."""
-    return [[b.path for b in layer
+    path = paths(pdt)
+    return [[path[b] for b in layer
              if b.children and b.children[0].layer == k + 1]
             for k, layer in enumerate(pdt.layers[:-1])]
 
@@ -74,14 +90,16 @@ class TestExpansion:
         assert pdt.methods_developed == 2
 
     def test_children_inherit_ancestor_tasks(self, ground):
+        # fork3 has no recursive task, so nothing is counted: main and
+        # start-right sit above the grandchild but are absent
         p = ground("fork3")
         pdt = build(p)
         pdt.expand([pdt.root])
         kid = pdt.layers[1][0]
-        assert counts(p, kid) == {"main": 1}
+        assert "main" not in counts(p, kid)
         pdt.expand([kid])
         grand = kid.children[0]
-        assert counts(p, grand) == {"main": 1, "start-right": 1}
+        assert counts(p, grand) == {}
 
     def test_ancestor_counts_add_up_along_a_recursion(self, ground):
         p = ground("reinsert")
@@ -92,6 +110,9 @@ class TestExpansion:
         pdt.nesting_limit = 2
         pdt.expand([inner])
         assert counts(p, inner.children[1]) == {"countdown": 2}
+        # dec is not recursive, so its children count only countdown
+        pdt.expand([pdt.layers[1][0]])
+        assert counts(p, pdt.layers[1][0].children[0]) == {"countdown": 1}
 
     def test_unexpanded_positions_are_carried_as_they_are(self, ground):
         p = ground("fork3")
@@ -103,7 +124,7 @@ class TestExpansion:
         # the carried position is the same object, still unexpanded
         carried = pdt.layers[1][1]
         assert bottom[1] is carried
-        assert carried.layer == 1 and carried.path == (1,)
+        assert carried.layer == 1 and paths(pdt)[carried] == (1,)
         assert carried.children == []
 
     def test_late_expansion_attaches_children_directly(self, ground):
@@ -112,10 +133,10 @@ class TestExpansion:
         pdt.expand([pdt.root])
         pdt.expand([pdt.layers[1][1]])
         carried = pdt.bottom()[0]
-        assert carried is pdt.layers[1][0] and carried.path == (0,)
+        assert carried is pdt.layers[1][0] and paths(pdt)[carried] == (0,)
         pdt.expand([carried])
         kid = carried.children[0]
-        assert kid.path == (0, 0) and kid.layer == 3
+        assert paths(pdt)[kid] == (0, 0) and kid.layer == 3
         assert pdt.bottom()[0] is kid
         assert sites(pdt) == [[()], [(1,)], [(0,)]]
 
@@ -215,8 +236,8 @@ class TestBlocking:
         assert counts(p, deeper) == {"strip": 2}
         assert pdt.held(deeper) and not pdt.expandable(deeper)
         assert pdt.pending_positions() == [deeper]
-        assert {(path, p.methods[m].name) for path, _, m in pdt.blocked_pairs()} \
-            == {((1, 1), "stop"), ((1, 1), "step(2,1)"), ((1, 1), "step(1,0)")}
+        assert {(pos, p.methods[m].name) for pos, _, m in pdt.blocked_pairs()} \
+            == {(deeper, "stop"), (deeper, "step(2,1)"), (deeper, "step(1,0)")}
 
     def test_blocking_bounds_exhaustive_expansion(self, ground):
         p = ground("tower")
@@ -243,7 +264,7 @@ class TestReinsertion:
             held = [b for b in pdt.bottom() if pdt.held(b)]
             assert held
             pairs = pdt.blocked_pairs()
-            assert {path for path, _, _ in pairs} == {b.path for b in held}
+            assert {pos for pos, _, _ in pairs} == set(held)
             assert pdt.nesting_limit == limit
             assert pdt.reinsert_blocked() is None
             assert pdt.nesting_limit == 2 * limit

@@ -124,6 +124,38 @@ def test_luby_prefix():
     assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
+def test_pigeonhole_is_unsat_across_restarts():
+    # seven pigeons, six holes: v(i, j) puts pigeon i in hole j
+    pigeons, holes = 7, 6
+    s = SatSession()
+    v = [[s.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for row in v:
+        s.add_clause(row)
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                s.add_clause([-v[a][j], -v[b][j]])
+    assert s.solve() is None
+    st = s.stats()
+    assert st["restarts"] >= 1
+    assert (st["conflicts"], st["decisions"], st["propagations"], st["restarts"]) \
+        == (805, 977, 10373, 6)
+
+
+def test_model_found_after_restarts_satisfies_every_clause():
+    n = 120
+    clauses = random_3cnf(random.Random(3), n, int(4.2 * n))
+    s = SatSession()
+    for _ in range(n):
+        s.new_var()
+    for c in clauses:
+        s.add_clause(c)
+    model = s.solve()
+    assert s.restarts >= 1
+    assert model is not None
+    check_model(clauses, model)
+
+
 def test_random_agreement_small():
     rng = random.Random(7)
     for _ in range(150):
