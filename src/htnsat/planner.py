@@ -3,17 +3,18 @@
 Each round first asks for a finished plan. Failing that, the greedy mode
 asks the relaxed query which unexpanded tasks a consistent state
 trajectory would actually use, and develops exactly those; a breadth
-first mode develops everything instead and never poses the relaxed
-query. When nothing is expandable and no plan exists while the
-recursion blocker holds positions back, the nesting limit doubles,
-which releases every held position, and the round goes on to pick its
-targets over the same grid and clause store. A recursion of depth d
-therefore needs about log2(d) reinsertions; with nothing held back the
-problem is genuinely unsolvable. So is a problem whose root task is not
-productive (inference.compute_productive), and that one ends before
-round 1. So is a greedy run whose relaxed query is UNSAT: that query
-poses no assumption, so the clause store itself is UNSAT, and the store
-only grows, so no later strict query can be satisfied.
+first mode develops everything instead. When nothing is expandable and
+no plan exists while the recursion blocker holds positions back, the
+nesting limit doubles, which releases every held position, and the
+round goes on to pick its targets over the same grid and clause store.
+A recursion of depth d therefore needs about log2(d) reinsertions; with
+nothing held back the problem is genuinely unsolvable. So is a problem
+whose root task is not productive (inference.compute_productive), and
+that one ends before round 1. So is a run whose relaxed query is UNSAT:
+that query poses no assumption, so the clause store itself is UNSAT,
+and the store only grows, so no later strict query can be satisfied.
+Greedy mode poses the relaxed query every round; breadth first mode
+poses it only at such a fixpoint, before it doubles the limit.
 """
 from __future__ import annotations
 
@@ -95,6 +96,13 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             stats.plan_length = len(tree.plan() or [])
         return PlanResult(status=status, tree=tree, stats=stats, pdt=pdt)
 
+    def store_unsat() -> PlanResult:
+        # the relaxed query poses no assumption: the store itself is UNSAT
+        stats.events.append(
+            f"relaxed query unsatisfiable at round {stats.rounds}: "
+            f"the clause store admits no plan")
+        return finish("unsolvable")
+
     def query(kind: str, solver, frontier):  # frontier: answer -> leaf refs
         nonlocal where
         where = f"in the {kind} query of"
@@ -149,6 +157,10 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                 if not blocked:
                     stats.events.append("fixpoint without blocked methods")
                     return finish("unsolvable")
+                # bfs poses the relaxed query only here, before a reinsertion
+                if config.mode == BFS and query(
+                        "relaxed", enc.solve_relaxed, lambda r: r.frontier) is None:
+                    return store_unsat()
                 limit = pdt.nesting_limit
                 pdt.reinsert_blocked()
                 stats.events.append(
@@ -164,10 +176,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             else:
                 rel = query("relaxed", enc.solve_relaxed, lambda r: r.frontier)
                 if rel is None:
-                    stats.events.append(
-                        f"relaxed query unsatisfiable at round {stats.rounds}: "
-                        f"the clause store admits no plan")
-                    return finish("unsolvable")
+                    return store_unsat()
                 wanted = set(rel.targets)
                 targets = [q for q in expandable if q in wanted]
                 if not targets:

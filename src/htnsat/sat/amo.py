@@ -12,8 +12,13 @@ projection onto the input variables: exactly the n+1 assignments with at
 most one true survive.
 
 Each group's pairwise clauses go in through one SatSession.add_pairwise
-call, which builds them in bulk; the commander implications go through
-add_clause one by one.
+call; the commander implications go through add_clause one by one.
+add_pairwise builds a group in bulk unless it repeats a variable or has
+a literal true at level 0. A group literal false at level 0 (an op
+selector whose precondition fact is false at level 0, say) is still
+exported in every pair but watched by none, as add_clause would do for
+each pair, so the bulk path leaves the store, the watch lists, the trail
+and so the search exactly as one add_clause per pair would.
 """
 from __future__ import annotations
 

@@ -18,11 +18,9 @@ trail back to level 0 in one ``finally`` on every exit, an exception
 included.
 So add_clause attaches a clause without touching the search state, and
 the common case, a binary clause over two unassigned variables, is two
-list appends. add_pairwise adds the pairwise at-most-one clauses of a
-whole group in one call, leaving the store and the watch lists exactly
-as one add_clause per pair would. For export, each clause is kept as
-added (duplicates merged, tautologies included) in one flat
-``array('i')`` of 0-terminated literals rather than as a list of its own.
+list appends. For export, each clause is kept as added (duplicates
+merged, tautologies included) in one flat ``array('i')`` of 0-terminated
+literals rather than as a list of its own.
 
 A clause watched over two literals is not a list either: as in
 MiniSat's binary watches, its entry in the watch list of one literal is
@@ -54,6 +52,18 @@ watcher in the same order. A literal false at level 0 is never picked as
 a new watch, and conflict analysis skips level-0 variables without
 bumping them. So the trail, the learnt clauses, the counters and the
 models are the same as with every clause watched in full.
+
+add_pairwise adds the pairwise at-most-one clauses [-a, -b] of a whole
+group in one call, and leaves the store, the watch lists and the trail
+exactly as one add_clause per pair, in pair order, would. It exports
+every pair in one go unless the group repeats a variable, names an
+unallocated one, or has a literal true at level 0; those go pair by
+pair, because there add_clause merges literals, raises part way, or
+puts units on the trail in pair order. A literal false at level 0 is
+exported but never watched: each of its pairs holds its negation,
+which is true at level 0, so add_clause would watch none of them. The
+watch list of each free -a gains the free literals' negations before a,
+then those after it, which is the order in which the pairs append them.
 
 The decision queue is a heap of (-activity, variable) entries kept
 across solve() calls, as in MiniSat's order heap. A per-variable
@@ -240,18 +250,29 @@ class SatSession:
     def add_pairwise(self, lits: Sequence[int]) -> None:
         """Add [-a, -b] for every pair of lits, a before b, in that order.
 
-        The store and the watch lists end up exactly as after one
-        add_clause call per pair. When every literal is over its own
-        allocated variable, free at level 0, they are built in bulk: the
-        watch list of -a gains the negations of the literals before a,
-        then of those after it. Otherwise each pair goes through
-        add_clause.
+        The store, the watch lists and the trail end up exactly as after
+        one add_clause call per pair. A group with a repeated variable,
+        an unallocated one or a literal true at level 0 takes that path,
+        one pair at a time. Any other group is built in bulk: every pair
+        is exported, a literal false at level 0 is watched by none of its
+        pairs (each is satisfied at level 0), and the watch list of each
+        free -a gains the negations of the free literals before a, then
+        of those after it (see the module docstring).
         """
         neg = [-x for x in lits]
         n = len(neg)
         nvars, assign = self.num_vars, self.assign
         vs = {abs(x) for x in neg}
-        if len(vs) < n or not all(0 < v <= nvars and not assign[v] for v in vs):
+        free = neg
+        if len(vs) < n or not all(0 < v <= nvars for v in vs):
+            free = None
+        elif any(map(assign.__getitem__, vs)):
+            # the level-0 value of each -x: true drops the pair's watch,
+            # false (x true) makes the other literal a unit
+            vals = [assign[a] if a > 0 else -assign[-a] for a in neg]
+            free = (None if min(vals) < 0
+                    else [a for a, x in zip(neg, vals) if not x])
+        if free is None:
             for i, a in enumerate(neg):
                 for b in neg[i + 1:]:
                     self.add_clause([a, b])
@@ -264,10 +285,10 @@ class SatSession:
         self.store.fromlist(flat)
         self.num_clauses += n * (n - 1) // 2
         watches = self.watches
-        for i, a in enumerate(neg):
+        for i, a in enumerate(free):
             ws = watches[a]
-            ws += neg[:i]
-            ws += neg[i + 1:]
+            ws += free[:i]
+            ws += free[i + 1:]
 
     # -- trail management ---------------------------------------------------
 

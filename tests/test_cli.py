@@ -355,7 +355,8 @@ class TestSolveCommand:
             "root task countdown is not productive: no refinement has only "
             "actions applicable under delete relaxation"]
 
-    def test_unsatisfiable_relaxed_query_ends_the_run(self, tmp_path, capsys):
+    @staticmethod
+    def _relaxed_unsat_run(tmp_path, capsys, *args) -> dict:
         # n2 is deleted by the first pop and never added back, so no
         # plan exists; the root is productive, so only the relaxed
         # query's UNSAT answer can end the run before the deadline
@@ -365,7 +366,8 @@ class TestSolveCommand:
         path.write_text(text.replace("\ngoal done\n", "\ngoal done n2\n"))
         dest = tmp_path / "stats.json"
         t0 = time.monotonic()
-        assert main([str(path), "--timeout", "10", "--stats", str(dest)]) == 1
+        assert main([str(path), "--timeout", "10", "--stats", str(dest),
+                     *args]) == 1
         assert time.monotonic() - t0 < 1
         assert ";; status unsolvable" in capsys.readouterr().out
         stats = json.loads(dest.read_text())
@@ -374,6 +376,17 @@ class TestSolveCommand:
         assert stats["events"][-1] == (
             f"relaxed query unsatisfiable at round {stats['rounds']}: "
             "the clause store admits no plan")
+        return stats
+
+    def test_unsatisfiable_relaxed_query_ends_the_run(self, tmp_path, capsys):
+        self._relaxed_unsat_run(tmp_path, capsys)
+
+    def test_bfs_proves_unsolvability_at_a_fixpoint(self, tmp_path, capsys):
+        # bfs poses its one relaxed query at the first fixpoint, before
+        # any reinsertion
+        stats = self._relaxed_unsat_run(tmp_path, capsys, "--mode", "bfs")
+        assert stats["reinsertions"] == 0
+        assert [q["kind"] for q in stats["queries"]].count("relaxed") == 1
 
     def test_dump_profiles_prints_tasks(self, capsys):
         assert main([fixture("tower"), "--dump-profiles"]) == 0

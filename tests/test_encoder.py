@@ -371,6 +371,19 @@ root top
         assert len(calls) == len(set(calls))
 
 
+def test_pairwise_groups_go_in_bulk_on_walker(pairwise_fallbacks):
+    # a precondition false at level 0 fixes its op selector false before
+    # the position's AMO is added; only a repeated variable or a literal
+    # true at level 0 sends a group through add_clause pair by pair
+    fixtures = Path(__file__).parent / "fixtures"
+    p = ground_lifted(*parse((fixtures / "walker.hddl").read_text(),
+                             (fixtures / "walker1.hddl").read_text()))
+    assert plan(p).status == "solved"
+    for group, values in pairwise_fallbacks:
+        assert (len({abs(x) for x in group}) < len(group)
+                or 1 in values), group
+
+
 class TestSchemesAndDumps:
     @pytest.mark.parametrize("scheme", ["pairwise", "binary",
                                         "bimander-half", "bimander-sqrt"])

@@ -222,7 +222,7 @@ PINNED_SEARCH = {
         ["pop(2,1)", "pop(1,0)", "check"]),
     ("reinsert", BFS): (
         [("s", 0, 0, 7), ("s", 0, 0, 8), ("s", 0, 0, 19), ("s", 0, 0, 10),
-         ("s", 0, 0, 13)],
+         ("r", 0, 1, 1), ("s", 0, 0, 13)],
         ["pop(2,1)", "pop(1,0)", "check"]),
 }
 

@@ -409,6 +409,19 @@ def _replay_pairwise_both_ways(nvars: int, steps: list[tuple]) -> None:
         assert state(bulk) == state(loop)
 
 
+@pytest.mark.parametrize("units", [[-1], [3], [-1, 3], [-4, 2, -6]])
+def test_add_pairwise_goes_in_bulk_past_literals_false_at_level0(
+        units, pairwise_fallbacks):
+    # units make some group literals false at level 0 and leave the rest
+    # free; no group literal is true, so no pair goes through add_clause
+    steps = [("clause", [u]) for u in units]
+    steps += [("amo", [1, -2, -3, 4, 5, 6]), ("amo", [6, 7, 1]),
+              ("clause", [-5, 7]), ("solve", [5]), ("amo", [5, 1, -3]),
+              ("solve", [])]
+    _replay_pairwise_both_ways(7, steps)
+    assert pairwise_fallbacks == []
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_add_pairwise_matches_one_add_clause_per_pair(data):
@@ -435,10 +448,12 @@ def test_add_pairwise_matches_one_add_clause_per_pair(data):
     _replay_pairwise_both_ways(nvars, steps)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
-    # Everything added holds under a hidden assignment, so the store stays
-    # satisfiable and the solves in between do conflicts and learning.
+def _planted_history(seed: int, units: bool) -> tuple[int, list[tuple]]:
+    """Clauses, AMO groups and solves that all hold under a hidden
+    assignment, so the store stays satisfiable and the solves in between
+    do conflicts and learning. With units, some steps are unit clauses
+    true under it, which fix group literals false at level 0; without,
+    no extra random number is drawn."""
     rng = random.Random(seed)
     nvars = 50
     hidden = [rng.random() < 0.5 for _ in range(nvars + 1)]
@@ -452,6 +467,8 @@ def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
 
     steps = []
     for _ in range(250):
+        if units and rng.random() < 0.08:
+            steps.append(("clause", [-false_lit(rng.randint(1, nvars))]))
         r = rng.random()
         if r < 0.7:
             c = [lit() for _ in range(3)]
@@ -468,7 +485,19 @@ def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
             steps.append(("amo", group))
         else:
             steps.append(("solve", [lit() for _ in range(rng.randint(0, 3))]))
-    _replay_pairwise_both_ways(nvars, steps)
+    return nvars, steps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
+    _replay_pairwise_both_ways(*_planted_history(seed, units=False))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_add_pairwise_matches_add_clause_on_planted_histories_with_units(seed):
+    # AMO groups over false_lit meet literals false at level 0, from the
+    # units and from what the solves in between learn
+    _replay_pairwise_both_ways(*_planted_history(seed, units=True))
 
 
 def _seeded_history(var_inc: float) -> list[tuple]:
