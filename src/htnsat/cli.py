@@ -355,6 +355,41 @@ def _bench_parser() -> _Parser:
     return pr
 
 
+def _check_modes(modes, where: str) -> None:
+    if not isinstance(modes, list) or any(m not in (GREEDY, BFS)
+                                          for m in modes):
+        raise UsageError(f"{where}: modes must be a list of {GREEDY!r} "
+                         f"and {BFS!r}, got {modes!r}")
+
+
+def _check_manifest(manifest) -> None:
+    """Reject a malformed bench manifest before any instance runs."""
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest must be a JSON object")
+    timeout = manifest.get("timeout", 600.0)
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise UsageError(f"manifest timeout must be a number, got {timeout!r}")
+    _check_modes(manifest.get("modes", [GREEDY]), "manifest")
+    instances = manifest.get("instances", [])
+    if not isinstance(instances, list):
+        raise UsageError("manifest instances must be a list")
+    for inst in instances:
+        name = inst.get("name") if isinstance(inst, dict) else None
+        if not name or not isinstance(name, str):
+            raise UsageError("every manifest instance needs a name")
+        where = f"instance {name}"
+        keys = ["ground"] if "ground" in inst else ["domain", "problem"]
+        if not all(isinstance(inst.get(k), str) for k in keys):
+            raise UsageError(f"{where}: give 'ground' or 'domain'+'problem'")
+        if not isinstance(inst.get("group", name), str):
+            raise UsageError(f"{where}: group must be a string")
+        _check_modes(inst.get("modes", []), where)
+        ref = inst.get("ref_length", 0)
+        if isinstance(ref, bool) or not isinstance(ref, int) or ref < 0:
+            raise UsageError(f"{where}: ref_length must be a non-negative "
+                             f"integer, got {ref!r}")
+
+
 def _run_bench(argv: list[str]) -> int:
     ns = _bench_parser().parse_args(argv)
     mpath = Path(ns.manifest)
@@ -362,25 +397,19 @@ def _run_bench(argv: list[str]) -> int:
         manifest = json.loads(mpath.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read manifest: {e}") from e
+    _check_manifest(manifest)
     limit = ns.timeout if ns.timeout is not None \
         else float(manifest.get("timeout", 600.0))
-    if limit <= 1:
-        raise UsageError(f"time limit must exceed one second, got {limit}")
+    if not 1 < limit < math.inf:  # NaN would switch every deadline off
+        raise UsageError(f"time limit must be finite and exceed one second, "
+                         f"got {limit}")
     default_modes = manifest.get("modes", [GREEDY])
     rows: list[ScoreRow] = []
     for inst in manifest.get("instances", []):
-        name = inst.get("name")
-        if not name:
-            raise UsageError("every manifest instance needs a name")
+        name = inst["name"]
         group = inst.get("group", name)
-        if "ground" in inst:
-            inputs = [str(mpath.parent / inst["ground"])]
-        elif "domain" in inst and "problem" in inst:
-            inputs = [str(mpath.parent / inst["domain"]),
-                      str(mpath.parent / inst["problem"])]
-        else:
-            raise UsageError(f"instance {name}: give 'ground' or "
-                             f"'domain'+'problem'")
+        inputs = [str(mpath.parent / inst[k]) for k in
+                  (["ground"] if "ground" in inst else ["domain", "problem"])]
         modes = inst.get("modes", default_modes)
         # one load serves every mode; each row's time includes it
         t0 = time.monotonic()
@@ -406,7 +435,7 @@ def _run_bench(argv: list[str]) -> int:
                              res.stats.plan_length if solved else 0))
         lengths = [c for _, ok, _, c in runs if ok]
         if "ref_length" in inst:
-            lengths.append(int(inst["ref_length"]))
+            lengths.append(inst["ref_length"])
         c_ref = min(lengths) if lengths else 0
         for mode, solved, t, c in runs:
             rows.append(ScoreRow(

@@ -85,8 +85,7 @@ class Encoder:
             act = self.p.actions[a]
             mask |= act.eff_pos | act.eff_neg
         for t in pos.tasks:
-            prof = self.prof.tasks[t]
-            mask |= prof.poss_eff_pos | prof.poss_eff_neg
+            mask |= self.prof.poss_eff_pos[t] | self.prof.poss_eff_neg[t]
         return mask
 
     def sync(self, deadline: float | None = None) -> None:
@@ -155,7 +154,7 @@ class Encoder:
                 encode_amo(self.sess, [col[f] for f in group], self.amo)
 
     def _encode_position(self, pos: Position) -> None:
-        sess = self.sess
+        sess, prof = self.sess, self.prof
         pre, post = self.cols[pos]
         ops = self.ops[pos] = {}
         effects = []  # (selector, facts it may add, facts it may delete)
@@ -171,10 +170,9 @@ class Encoder:
                 sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
-            prof = self.prof.tasks[t]
-            effects.append((v, prof.poss_eff_pos, prof.poss_eff_neg))
+            effects.append((v, prof.poss_eff_pos[t], prof.poss_eff_neg[t]))
             if self.mandatory_preconds:
-                for f in bits(prof.mand_pre):
+                for f in bits(prof.mand_pre[t]):
                     sess.add_clause([-v, pre[f]])
         if pos.has_blank:
             ops[None] = sess.new_var()

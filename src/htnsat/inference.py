@@ -1,14 +1,19 @@
 """Static analysis feeding the relaxed encoding.
 
-When the search treats an undeveloped abstract task like an opaque
-action, it needs an under-approximation of what every refinement
-requires (mandatory preconditions), an over-approximation of what any
-refinement could change (possible add and delete effects), recursion
-flags for expansion control, and fact groups that can never hold two
-members at once (to keep relaxed states from drifting into nonsense
-like one object in two places). The planner also reads which tasks are
-productive, to end a run whose root can never be refined into an
-executable plan.
+One sweep over the task graph's strongly connected components, taken
+inner-first, infers a profile for every abstract task. When the search
+treats an undeveloped abstract task like an opaque action, it reads an
+under-approximation of what every refinement requires (mandatory
+preconditions) and an over-approximation of what any refinement could
+change (possible add and delete effects). Grid expansion reads the
+recursion flags, and the planner reads which tasks are productive, to end
+a run whose root can never be refined into an executable plan. Fact
+groups that can never hold two members at once keep relaxed states from
+drifting into nonsense like one object in two places.
+
+``Profiles`` holds, per abstract task id, ``mand_pre``, ``poss_eff_pos``,
+``poss_eff_neg`` (fact bitmasks), ``recursive`` and ``productive``, plus
+the problem's ``mutex_groups``.
 """
 from __future__ import annotations
 
@@ -18,34 +23,23 @@ from .model import ACTION, Problem, bits, mask, split_name
 
 
 @dataclass
-class RecursionInfo:
-    recursive: list[bool]  # per abstract task id
-    sccs: list[list[int]]  # reverse-topological order of the condensation
-
-
-@dataclass
-class TaskProfile:
-    task: int
-    mand_pre: int
-    poss_eff_pos: int
-    poss_eff_neg: int
-
-
-@dataclass
 class Profiles:
-    """Per-abstract-task profiles plus mutex groups for one problem."""
+    """Per-abstract-task inferences, indexed by task id, plus mutex groups
+    for one problem."""
 
-    tasks: list[TaskProfile]
+    mand_pre: list[int]
+    poss_eff_pos: list[int]
+    poss_eff_neg: list[int]
+    recursive: list[bool]
+    productive: list[bool]
     mutex_groups: list[list[int]]
-    recursion: RecursionInfo
-    productive: list[bool]  # per abstract task id
 
 
-def compute_recursion(p: Problem) -> RecursionInfo:
-    """Tarjan over the task graph (t -> every abstract subtask of M(t)).
-
-    A task is recursive iff it sits in a component of size two or more,
-    or mentions itself in one of its own methods.
+def _components(p: Problem) -> tuple[list[list[int]], list[bool]]:
+    """Tarjan over the task graph (t -> every abstract subtask of M(t)):
+    its components in reverse-topological order of the condensation, and
+    per task whether it is recursive, that is, sits in a component of
+    size two or more or mentions itself in one of its own methods.
     """
     n = len(p.abstracts)
     # a dict per task is a seen-set that keeps first-occurrence order
@@ -107,88 +101,12 @@ def compute_recursion(p: Problem) -> RecursionInfo:
     for t in range(n):
         if t in seen[t]:  # one of its own methods mentions it
             recursive[t] = True
-    return RecursionInfo(recursive, sccs)
+    return sccs, recursive
 
 
-def compute_poss_effects(p: Problem, rec: RecursionInfo) -> tuple[list[int], list[int]]:
-    """Least fixpoint of: poss(t) = union over methods of the subtask
-    possible effects, with actions contributing their literal effects.
-
-    Components are processed inner-first (Tarjan emits them in reverse
-    topological order), iterating each one locally until stable, so
-    mutual recursion needs no special casing.
-    """
-    n = len(p.abstracts)
-    pos = [0] * n
-    neg = [0] * n
-
-    def method_effects(m) -> tuple[int, int]:
-        mp = mn = 0
-        for kind, i in m.subtasks:
-            if kind == ACTION:
-                a = p.actions[i]
-                mp |= a.eff_pos
-                mn |= a.eff_neg
-            else:
-                mp |= pos[i]
-                mn |= neg[i]
-        return mp, mn
-
-    for comp in rec.sccs:
-        changed = True
-        while changed:
-            changed = False
-            for t in comp:
-                for mid in p.abstracts[t].methods:
-                    mp, mn = method_effects(p.methods[mid])
-                    if mp | pos[t] != pos[t] or mn | neg[t] != neg[t]:
-                        pos[t] |= mp
-                        neg[t] |= mn
-                        changed = True
-    return pos, neg
-
-
-def compute_mandatory_preconditions(p: Problem, rec: RecursionInfo) -> list[int]:
-    """Greatest fixpoint of: mand(t) = intersection over M(t) of the
-    first subtask's mandatory precondition, where an empty method
-    contributes the empty set (it promises an empty refinement, which
-    runs anywhere).
-
-    Everything starts at the full fact set and shrinks, so recursive
-    tasks converge from above; a task whose methods were all pruned
-    keeps the full set, which is vacuously sound since it cannot run.
-    """
-    full = (1 << len(p.facts)) - 1
-    mand = [full] * len(p.abstracts)
-
-    def first_sub(m) -> int:
-        if not m.subtasks:
-            return 0
-        kind, i = m.subtasks[0]
-        if kind == ACTION:
-            return p.actions[i].precond
-        return mand[i]
-
-    for comp in rec.sccs:
-        changed = True
-        while changed:
-            changed = False
-            for t in comp:
-                acc = full
-                for mid in p.abstracts[t].methods:
-                    acc &= first_sub(p.methods[mid])
-                if acc != mand[t]:
-                    mand[t] = acc
-                    changed = True
-    return mand
-
-
-def compute_productive(p: Problem, rec: RecursionInfo) -> list[bool]:
-    """Per abstract task, whether it is productive. An action is productive
-    when it is applicable under delete relaxation from the initial state,
-    and a task when one of its methods has only productive subtasks. A
-    task that is not productive has no executable refinement at any
-    depth. Components are taken inner-first, as for possible effects."""
+def _relaxed_applicable(p: Problem) -> list[bool]:
+    """Per action, whether it is applicable under delete relaxation from
+    the initial state."""
     reached = p.init
     applicable = [False] * len(p.actions)
     changed = True
@@ -199,22 +117,7 @@ def compute_productive(p: Problem, rec: RecursionInfo) -> list[bool]:
                 applicable[a.id] = True
                 reached |= a.eff_pos
                 changed = True
-    productive = [False] * len(p.abstracts)
-    for comp in rec.sccs:
-        changed = True
-        while changed:
-            changed = False
-            for t in comp:
-                if productive[t]:
-                    continue
-                for mid in p.abstracts[t].methods:
-                    for kind, i in p.methods[mid].subtasks:
-                        if not (applicable if kind == ACTION else productive)[i]:
-                            break
-                    else:
-                        productive[t] = changed = True
-                        break
-    return productive
+    return applicable
 
 
 def compute_mutex_groups(p: Problem) -> list[list[int]]:
@@ -270,13 +173,66 @@ def _inductive(p: Problem, group: int) -> bool:
 
 
 def compute_profiles(p: Problem) -> Profiles:
-    rec = compute_recursion(p)
-    pos, neg = compute_poss_effects(p, rec)
-    mand = compute_mandatory_preconditions(p, rec)
-    tasks = [TaskProfile(t.id, mand[t.id], pos[t.id], neg[t.id])
-             for t in p.abstracts]
-    return Profiles(tasks=tasks, mutex_groups=compute_mutex_groups(p),
-                    recursion=rec, productive=compute_productive(p, rec))
+    """Infer every task's profile in one sweep over the components.
+
+    - ``poss_eff_pos``/``poss_eff_neg``: least fixpoint of the union over
+      M(t) of the subtasks' possible effects, where an action contributes
+      its literal effects.
+    - ``mand_pre``: greatest fixpoint of the intersection over M(t) of the
+      first subtask's mandatory precondition, where an empty method
+      contributes the empty set (it promises an empty refinement, which
+      runs anywhere). Everything starts at the full fact set and shrinks,
+      so recursive tasks converge from above; a task whose methods were
+      all pruned keeps the full set, which is vacuously sound since it
+      cannot run.
+    - ``productive``: least fixpoint of "some method has only productive
+      subtasks", where an action is productive when it is applicable
+      under delete relaxation. A task that is not productive has no
+      executable refinement at any depth.
+
+    The three operators are monotone and independent of each other, so
+    each component, taken inner-first, is iterated for all three at once
+    until a whole turn changes nothing. A component that is not recursive
+    reads only finished components and needs a single turn.
+    """
+    sccs, recursive = _components(p)
+    applicable = _relaxed_applicable(p)
+    actions, methods = p.actions, p.methods
+    n = len(p.abstracts)
+    full = (1 << len(p.facts)) - 1
+    mand, pos, neg = [full] * n, [0] * n, [0] * n
+    productive = [False] * n
+    for comp in sccs:
+        changed = True
+        while changed:
+            changed = False
+            for t in comp:
+                acc, ep, en, prod = full, pos[t], neg[t], productive[t]
+                for mid in p.abstracts[t].methods:
+                    subs = methods[mid].subtasks
+                    if subs:
+                        kind, i = subs[0]
+                        acc &= actions[i].precond if kind == ACTION else mand[i]
+                    else:
+                        acc = 0
+                    ok = True
+                    for kind, i in subs:
+                        if kind == ACTION:
+                            a = actions[i]
+                            ep |= a.eff_pos
+                            en |= a.eff_neg
+                            ok = ok and applicable[i]
+                        else:
+                            ep |= pos[i]
+                            en |= neg[i]
+                            ok = ok and productive[i]
+                    prod = prod or ok
+                if (acc != mand[t] or ep != pos[t] or en != neg[t]
+                        or prod != productive[t]):
+                    mand[t], pos[t], neg[t], productive[t] = acc, ep, en, prod
+                    changed = recursive[t]  # else one turn settles t
+    return Profiles(mand, pos, neg, recursive, productive,
+                    compute_mutex_groups(p))
 
 
 def dump_profiles(p: Problem, prof: Profiles) -> str:
@@ -284,11 +240,10 @@ def dump_profiles(p: Problem, prof: Profiles) -> str:
         return " ".join(p.facts[i].name for i in fids) or "-"
 
     out = []
-    for tp in prof.tasks:
-        out.append(f"task {p.abstracts[tp.task].name} mand: {names(bits(tp.mand_pre))}"
-                   f" poss+: {names(bits(tp.poss_eff_pos))}"
-                   f" poss-: {names(bits(tp.poss_eff_neg))}")
+    for t in p.abstracts:
+        out.append(f"task {t.name} mand: {names(bits(prof.mand_pre[t.id]))}"
+                   f" poss+: {names(bits(prof.poss_eff_pos[t.id]))}"
+                   f" poss-: {names(bits(prof.poss_eff_neg[t.id]))}")
     for g in prof.mutex_groups:
         out.append(f"mutex: {names(g)}")
     return "\n".join(out) + "\n"
-

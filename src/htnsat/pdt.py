@@ -110,7 +110,7 @@ class Pdt:
         methods = [self.problem.methods[mid] for t in b.tasks
                    for mid in self.problem.abstracts[t].methods]
         width = max([1] + [len(m.subtasks) for m in methods])
-        recursive = self.profiles.recursion.recursive
+        recursive = self.profiles.recursive
         counts = dict(b.anc_counts)  # shared by the children, never mutated
         for t in b.tasks:
             if recursive[t]:

@@ -9,7 +9,7 @@ nesting limit doubles, which releases every held position, and the
 round goes on to pick its targets over the same grid and clause store.
 A recursion of depth d therefore needs about log2(d) reinsertions; with
 nothing held back the problem is genuinely unsolvable. So is a problem
-whose root task is not productive (inference.compute_productive), and
+whose root task is not productive (inference.compute_profiles), and
 that one ends before round 1. So is a run whose relaxed query is UNSAT:
 that query poses no assumption, so the clause store itself is UNSAT,
 and the store only grows, so no later strict query can be satisfied.

@@ -283,11 +283,12 @@ def relaxed_plan_realizable(
                 if s2 is not None and mutex_ok(s2):
                     out.add(s2)
                 continue
-            prof = profiles.tasks[ref.id]
-            if s & prof.mand_pre != prof.mand_pre:
+            mand = profiles.mand_pre[ref.id]
+            if s & mand != mand:
                 continue
-            adds = [f for f in range(len(p.facts)) if prof.poss_eff_pos >> f & 1]
-            dels = [f for f in range(len(p.facts)) if prof.poss_eff_neg >> f & 1]
+            pos, neg = profiles.poss_eff_pos[ref.id], profiles.poss_eff_neg[ref.id]
+            adds = [f for f in range(len(p.facts)) if pos >> f & 1]
+            dels = [f for f in range(len(p.facts)) if neg >> f & 1]
             assert (1 << len(adds)) * (1 << len(dels)) <= subset_cap, "subset cap"
             for abits in range(1 << len(adds)):
                 amask = sum(1 << adds[i] for i in range(len(adds)) if abits >> i & 1)
@@ -304,6 +305,78 @@ def relaxed_plan_realizable(
         if not states:
             return False
     return any(p.is_goal(s) for s in states)
+
+
+def profiles_by_fixpoint(p: Problem) -> dict[str, list]:
+    """Each per-task property of inference.Profiles computed alone, by
+    plain iteration in id order until a whole pass changes nothing, with
+    no component order. A task is recursive when it reaches itself
+    through subtask edges."""
+    n, full = len(p.abstracts), (1 << len(p.facts)) - 1
+    succ = [set() for _ in range(n)]
+    for m in p.methods:
+        succ[m.task] |= {i for kind, i in m.subtasks if kind == ABSTRACT}
+    recursive = []
+    for t in range(n):
+        seen, todo = set(), list(succ[t])
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo.extend(succ[u])
+        recursive.append(t in seen)
+
+    reached, applicable, changed = p.init, set(), True
+    while changed:
+        changed = False
+        for a in p.actions:
+            if a.id not in applicable and a.precond & ~reached == 0:
+                applicable.add(a.id)
+                reached |= a.eff_pos
+                changed = True
+
+    productive, changed = [False] * n, True
+    while changed:
+        changed = False
+        for t in range(n):
+            ok = any(all(i in applicable if kind == ACTION else productive[i]
+                         for kind, i in p.methods[mid].subtasks)
+                     for mid in p.abstracts[t].methods)
+            if ok and not productive[t]:
+                productive[t] = changed = True
+
+    pos, neg, changed = [0] * n, [0] * n, True
+    while changed:
+        changed = False
+        for m in p.methods:
+            for kind, i in m.subtasks:
+                if kind == ACTION:
+                    add, dele = p.actions[i].eff_pos, p.actions[i].eff_neg
+                else:
+                    add, dele = pos[i], neg[i]
+                if add & ~pos[m.task] or dele & ~neg[m.task]:
+                    pos[m.task] |= add
+                    neg[m.task] |= dele
+                    changed = True
+
+    mand, changed = [full] * n, True
+    while changed:
+        changed = False
+        for t in range(n):
+            acc = full
+            for mid in p.abstracts[t].methods:
+                subs = p.methods[mid].subtasks
+                if not subs:
+                    acc = 0
+                elif subs[0][0] == ACTION:
+                    acc &= p.actions[subs[0][1]].precond
+                else:
+                    acc &= mand[subs[0][1]]
+            if acc != mand[t]:
+                mand[t], changed = acc, True
+
+    return {"mand_pre": mand, "poss_eff_pos": pos, "poss_eff_neg": neg,
+            "recursive": recursive, "productive": productive}
 
 
 def relaxed_leaves_by_tree_walk(enc, model):

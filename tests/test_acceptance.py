@@ -11,12 +11,7 @@ import time
 
 from htnsat.cli import ipc_score, parse_plan, quality_score, write_plan
 from htnsat.hddl import parse_ground
-from htnsat.inference import (
-    compute_mandatory_preconditions,
-    compute_poss_effects,
-    compute_profiles,
-    compute_recursion,
-)
+from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, TaskRef
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
 from htnsat.sat import SCHEMES, SatSession, encode_amo
@@ -150,9 +145,8 @@ def test_06_inference_soundness():
     blocking_failures = 0
     for name in suite():
         p = toy(name)
-        rec = compute_recursion(p)
-        pos, neg = compute_poss_effects(p, rec)
-        mand = compute_mandatory_preconditions(p, rec)
+        prof = compute_profiles(p)
+        pos, neg, mand = prof.poss_eff_pos, prof.poss_eff_neg, prof.mand_pre
         states = reachable_states(p)
         for t in p.abstracts:
             ref = TaskRef(ABSTRACT, t.id)

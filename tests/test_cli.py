@@ -8,7 +8,7 @@ import time
 import pytest
 
 import htnsat.cli
-import htnsat.inference
+import htnsat.planner
 from htnsat.cli import (
     PlanFormatError,
     UsageError,
@@ -64,13 +64,13 @@ def inferences(monkeypatch):
     """The problem names that profiles get inferred for, one entry per
     compute_profiles call, whichever module makes it."""
     calls = []
-    real = htnsat.inference.compute_recursion
+    real = htnsat.planner.compute_profiles
 
     def counting(problem):
         calls.append(problem.name)
         return real(problem)
 
-    monkeypatch.setattr(htnsat.inference, "compute_recursion", counting)
+    monkeypatch.setattr(htnsat.planner, "compute_profiles", counting)
     return calls
 
 
@@ -648,6 +648,29 @@ class TestBench:
         assert main(["bench", str(mpath), "--out",
                      str(tmp_path / "s.csv")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        {"modes": ["fast"], "instances": [{"name": "e", "ground": "e.ground"}]},
+        {"timeout": "soon",
+         "instances": [{"name": "e", "ground": "e.ground"}]},
+        {"instances": [{"name": "e", "ground": "e.ground",
+                        "ref_length": "abc"}]},
+        {"instances": [{"name": "e", "ground": "e.ground",
+                        "ref_length": -1}]},
+        {"timeout": math.nan,
+         "instances": [{"name": "e", "ground": "e.ground"}]},
+    ], ids=["mode", "timeout", "ref-text", "ref-negative", "timeout-nan"])
+    def test_malformed_manifest_exits_three(self, tmp_path, capsys, manifest):
+        # e.ground solves with the empty plan, so a reference length below
+        # it would reach quality_score as a zero-length plan
+        (tmp_path / "e.ground").write_text(
+            (FIXTURES / "empty_method.ground").read_text())
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "s.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tiny_limit_exits_three(self, tmp_path, capsys):
         assert main(["bench", str(FIXTURES / "bench.json"),

@@ -6,22 +6,20 @@ import random
 
 import pytest
 
-from htnsat.hddl import parse_ground
+from htnsat.hddl import ground as ground_lifted, parse, parse_ground
 from htnsat.inference import (
-    compute_mandatory_preconditions,
+    _components,
     compute_mutex_groups,
-    compute_poss_effects,
-    compute_productive,
     compute_profiles,
-    compute_recursion,
     dump_profiles,
 )
 from htnsat.model import ABSTRACT, TaskRef, bits, mask
 
 from conftest import FIXTURES
-from domains import random_acyclic
+from domains import random_acyclic, random_recursive, wide_choice
 from oracles import (
     plans_to_depth,
+    profiles_by_fixpoint,
     reachable_states,
     refinements_of_task,
     solvable_by_enumeration,
@@ -39,21 +37,21 @@ def task_id(p, name):
 
 def test_recursion_acyclic_taxi(ground):
     p = ground("taxi")
-    assert compute_recursion(p).recursive == [False, False, False]
+    assert compute_profiles(p).recursive == [False, False, False]
 
 
 def test_recursion_self_loop():
     p = parse_ground("fact f\naction a add f\ntask t\nmethod m t -> a t\nroot t\n")
-    assert compute_recursion(p).recursive == [True]
+    assert compute_profiles(p).recursive == [True]
 
 
 def test_recursion_two_cycle():
     p = parse_ground(
         "fact f\naction a add f\ntask t\ntask u\n"
         "method mt t -> a u\nmethod mu u -> t\nroot t\n")
-    rec = compute_recursion(p)
-    assert rec.recursive == [True, True]
-    assert [0, 1] in rec.sccs
+    sccs, recursive = _components(p)
+    assert recursive == compute_profiles(p).recursive == [True, True]
+    assert [0, 1] in sccs
 
 
 # -- possible effects --------------------------------------------------------
@@ -63,14 +61,15 @@ def test_poss_effects_single_action_method():
     p = parse_ground(
         "fact f\nfact g\naction a pre f add g del f\n"
         "task t\nmethod m t -> a\ninit f\ngoal g\nroot t\n")
-    pos, neg = compute_poss_effects(p, compute_recursion(p))
+    prof = compute_profiles(p)
+    pos, neg = prof.poss_eff_pos, prof.poss_eff_neg
     assert bits(pos[0]) == [p.fact_id("g")]
     assert bits(neg[0]) == [p.fact_id("f")]
 
 
 def test_poss_effects_taxi_reaches_both_booths(ground):
     p = ground("taxi")
-    pos, _ = compute_poss_effects(p, compute_recursion(p))
+    pos = compute_profiles(p).poss_eff_pos
     booths = mask([p.fact_id("at(p,s1)"), p.fact_id("at(p,s2)")])
     assert booths & ~pos[task_id(p, "calltaxi")] == 0
 
@@ -78,7 +77,8 @@ def test_poss_effects_taxi_reaches_both_booths(ground):
 @pytest.mark.parametrize("name", TOYS)
 def test_poss_effects_cover_enumerated_refinements(ground, name):
     p = ground(name)
-    pos, neg = compute_poss_effects(p, compute_recursion(p))
+    prof = compute_profiles(p)
+    pos, neg = prof.poss_eff_pos, prof.poss_eff_neg
     for t in p.abstracts:
         for plan in plans_to_depth(p, TaskRef(ABSTRACT, t.id), 6):
             adds = dels = 0
@@ -94,7 +94,7 @@ def test_poss_effects_cover_enumerated_refinements(ground, name):
 
 def test_mand_pre_shapes(ground):
     p = ground("mpre")
-    mand = compute_mandatory_preconditions(p, compute_recursion(p))
+    mand = compute_profiles(p).mand_pre
     f = p.fact_id("f")
     assert bits(mand[task_id(p, "t")]) == [f]  # both methods start with pre {f}
     assert bits(mand[task_id(p, "u")]) == [f]  # inherited through first subtask t
@@ -104,7 +104,7 @@ def test_mand_pre_shapes(ground):
 @pytest.mark.parametrize("name", TOYS)
 def test_mand_pre_blocks_execution(ground, name):
     p = ground(name)
-    mand = compute_mandatory_preconditions(p, compute_recursion(p))
+    mand = compute_profiles(p).mand_pre
     states = reachable_states(p)
     for t in p.abstracts:
         need = mand[t.id]
@@ -178,7 +178,7 @@ def test_mutex_groups_hold_in_reachable_states(seed):
 
 
 def productive_names(p):
-    prod = compute_productive(p, compute_recursion(p))
+    prod = compute_profiles(p).productive
     return sorted(t.name for t in p.abstracts if prod[t.id])
 
 
@@ -207,7 +207,7 @@ def test_fixture_roots_are_productive(ground, name):
 def test_solvable_roots_are_productive(seed):
     p = parse_ground(random_acyclic(seed))
     if solvable_by_enumeration(p):
-        assert compute_productive(p, compute_recursion(p))[p.root]
+        assert compute_profiles(p).productive[p.root]
 
 
 # -- aggregate properties ----------------------------------------------------
@@ -221,14 +221,11 @@ def test_adding_method_monotone(name, line):
     text = (FIXTURES / f"{name}.ground").read_text()
     p0 = parse_ground(text)
     p1 = parse_ground(text + line + "\n")
-    pos0, neg0 = compute_poss_effects(p0, compute_recursion(p0))
-    pos1, neg1 = compute_poss_effects(p1, compute_recursion(p1))
-    mand0 = compute_mandatory_preconditions(p0, compute_recursion(p0))
-    mand1 = compute_mandatory_preconditions(p1, compute_recursion(p1))
+    prof0, prof1 = compute_profiles(p0), compute_profiles(p1)
     for t in range(len(p0.abstracts)):
-        assert pos0[t] & ~pos1[t] == 0
-        assert neg0[t] & ~neg1[t] == 0
-        assert mand1[t] & ~mand0[t] == 0
+        assert prof0.poss_eff_pos[t] & ~prof1.poss_eff_pos[t] == 0
+        assert prof0.poss_eff_neg[t] & ~prof1.poss_eff_neg[t] == 0
+        assert prof1.mand_pre[t] & ~prof0.mand_pre[t] == 0
 
 
 @pytest.mark.parametrize("name", ["taxi", "mpre"])
@@ -237,15 +234,16 @@ def test_profiles_admit_executable_refinements(ground, name):
     prof = compute_profiles(p)
     states = reachable_states(p)
     for t in p.abstracts:
-        tp = prof.tasks[t.id]
+        mand, pos, neg = (prof.mand_pre[t.id], prof.poss_eff_pos[t.id],
+                          prof.poss_eff_neg[t.id])
         for plan in refinements_of_task(p, t.id):
             for s in states:
                 s2 = p.apply_seq(s, plan)
                 if s2 is None:
                     continue
-                assert s & tp.mand_pre == tp.mand_pre
-                assert (s2 & ~s) & ~tp.poss_eff_pos == 0
-                assert (s & ~s2) & ~tp.poss_eff_neg == 0
+                assert s & mand == mand
+                assert (s2 & ~s) & ~pos == 0
+                assert (s & ~s2) & ~neg == 0
 
 
 def test_profiles_deterministic(ground):
@@ -259,3 +257,34 @@ def test_dump_profiles_lists_tasks_and_groups(ground):
     for t in p.abstracts:
         assert f"task {t.name} " in text
     assert text.count("mutex:") == len(prof.mutex_groups) == 1
+
+
+def _sweep_problems():
+    for path in sorted(FIXTURES.glob("*.ground")):
+        yield path.stem, parse_ground(path.read_text())
+    yield "walker", ground_lifted(*parse(
+        (FIXTURES / "walker.hddl").read_text(),
+        (FIXTURES / "walker1.hddl").read_text()))
+    for w in (4, 8, 16):
+        yield f"wide{w}", parse_ground(wide_choice(w))
+    for seed in range(300):
+        yield f"acyclic{seed}", parse_ground(random_acyclic(seed))
+        yield f"recursive{seed}", parse_ground(random_recursive(seed))
+
+
+def test_profiles_equal_each_property_computed_alone():
+    mismatches, seen = [], set()
+    for name, p in _sweep_problems():
+        prof = compute_profiles(p)
+        for key, want in profiles_by_fixpoint(p).items():
+            if getattr(prof, key) != want:
+                mismatches.append((name, key))
+        if any(prof.recursive):
+            seen.add("recursive")
+        if not all(prof.productive):
+            seen.add("unproductive")
+        if any(len(c) > 1 for c in _components(p)[0]):
+            seen.add("cycle")
+    assert mismatches == []
+    # the problems cover every case the per-component turns must settle
+    assert seen == {"recursive", "unproductive", "cycle"}

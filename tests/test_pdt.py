@@ -19,7 +19,7 @@ def names(problem, ids, kind):
 def counts(problem, pos):
     """Ancestor counts of a position, keyed by task name. Only recursive
     tasks are counted."""
-    recursive = compute_profiles(problem).recursion.recursive
+    recursive = compute_profiles(problem).recursive
     assert all(recursive[t] for t in pos.anc_counts)
     return {problem.abstracts[t].name: c for t, c in pos.anc_counts.items()}
 
