@@ -32,7 +32,7 @@ from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
                     join_name, new_tree, split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
                       profiles_of, verify)
-from .sat import SCHEMES, SolverTimeout
+from .sat import DEFAULT_SCHEME, SCHEMES, SolverTimeout
 
 
 class UsageError(ValueError):
@@ -249,8 +249,8 @@ def _solver_parser() -> _Parser:
                     help="DOMAIN PROBLEM files, or one .ground file")
     pr.add_argument("--mode", choices=(GREEDY, BFS), default=GREEDY,
                     help="expansion strategy (default greedy)")
-    pr.add_argument("--amo", choices=SCHEMES, default="pairwise",
-                    help="at-most-one clause scheme")
+    pr.add_argument("--amo", choices=SCHEMES, default=DEFAULT_SCHEME,
+                    help=f"at-most-one clause scheme (default {DEFAULT_SCHEME})")
     pr.add_argument("--no-mutex", action="store_true",
                     help="drop inferred state invariant clauses")
     pr.add_argument("--mandpre-prune", choices=("on", "off"), default="on",
@@ -275,6 +275,9 @@ def _solver_parser() -> _Parser:
 
 def _run_solve(argv: list[str]) -> int:
     ns = _solver_parser().parse_args(argv)
+    if not 0 < ns.timeout < math.inf:  # NaN would switch every deadline off
+        raise UsageError(f"--timeout must be finite and positive, "
+                         f"got {ns.timeout}")
     t0 = time.monotonic()
     try:
         problem = load_problem(ns.inputs, ns.cap, deadline=t0 + ns.timeout)

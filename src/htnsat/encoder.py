@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .inference import Profiles
 from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, bits, new_tree
 from .pdt import Pdt, Position
-from .sat import PAIRWISE, SatSession, SolverTimeout, encode_amo
+from .sat import DEFAULT_SCHEME, SatSession, SolverTimeout, encode_amo
 
 
 class EncoderBugError(RuntimeError):
@@ -56,7 +56,7 @@ class Encoder:
         problem: Problem,
         profiles: Profiles,
         pdt: Pdt,
-        amo: str = PAIRWISE,
+        amo: str = DEFAULT_SCHEME,
         use_mutex: bool = True,
         mandatory_preconds: bool = True,
         deadline: float | None = None,

@@ -25,7 +25,7 @@ from .encoder import Encoder
 from .inference import Profiles, compute_profiles
 from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef, bits
 from .pdt import Pdt
-from .sat import PAIRWISE, SCHEMES, SolverTimeout, dump_dimacs
+from .sat import DEFAULT_SCHEME, SCHEMES, SolverTimeout, dump_dimacs
 
 GREEDY = "greedy"
 BFS = "bfs"
@@ -34,7 +34,7 @@ BFS = "bfs"
 @dataclass(frozen=True)
 class PlannerConfig:
     mode: str = GREEDY
-    amo_scheme: str = PAIRWISE
+    amo_scheme: str = DEFAULT_SCHEME
     use_mutex: bool = True
     mandatory_preconds: bool = True
     timeout: float = 600.0

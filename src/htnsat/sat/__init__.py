@@ -7,6 +7,9 @@ from .amo import (
     BINARY,
     BIMANDER_HALF,
     BIMANDER_SQRT,
+    AUTO,
+    AUTO_THRESHOLD,
+    DEFAULT_SCHEME,
     SCHEMES,
 )
 from .dimacs import dump_dimacs, parse_dimacs, load_into_session
@@ -21,6 +24,9 @@ __all__ = [
     "BINARY",
     "BIMANDER_HALF",
     "BIMANDER_SQRT",
+    "AUTO",
+    "AUTO_THRESHOLD",
+    "DEFAULT_SCHEME",
     "SCHEMES",
     "dump_dimacs",
     "parse_dimacs",

@@ -11,14 +11,25 @@ with ceil(n/2) or ceil(sqrt n) groups. All are equivalent under
 projection onto the input variables: exactly the n+1 assignments with at
 most one true survive.
 
+The default scheme, auto, picks by group size: pairwise up to
+AUTO_THRESHOLD = 32 literals, bimander-sqrt above. Neither wins
+everywhere. Pairwise needs no auxiliary variables and is the fastest on
+small groups, but at 101 to 152 literals its n(n-1)/2 clauses are most
+of a store (95% of 451,350 clauses on the benchmark's wide workload),
+which bimander-sqrt cuts 5.5-fold. 32 is not a tuned value: the
+benchmark's planning workloads have no group between 24 literals
+(walker's largest) and 101 (wide's smallest), so any threshold in that
+range builds the same stores.
+
 Each group's pairwise clauses go in through one SatSession.add_pairwise
-call; the commander implications go through add_clause one by one.
-add_pairwise builds a group in bulk unless it repeats a variable or has
-a literal true at level 0. A group literal false at level 0 (an op
-selector whose precondition fact is false at level 0, say) is still
-exported in every pair but watched by none, as add_clause would do for
-each pair, so the bulk path leaves the store, the watch lists, the trail
-and so the search exactly as one add_clause per pair would.
+call, and its commander implications through one
+SatSession.add_implications call. Both build their clauses in bulk
+unless a variable repeats or a level-0 value gets in the way, and then
+leave the store, the watch lists, the trail and so the search exactly as
+one add_clause per clause would. add_pairwise keeps the bulk path past a
+group literal false at level 0 (an op selector whose precondition fact
+is false at level 0, say): it is still exported in every pair but
+watched by none, as add_clause would do for each pair.
 """
 from __future__ import annotations
 
@@ -31,6 +42,8 @@ PAIRWISE = "pairwise"
 BINARY = "binary"
 BIMANDER_HALF = "bimander-half"
 BIMANDER_SQRT = "bimander-sqrt"
+AUTO = "auto"
+AUTO_THRESHOLD = 32
 
 # group count per scheme, for n >= 2 variables
 _GROUPS = {
@@ -38,12 +51,15 @@ _GROUPS = {
     BINARY: lambda n: n,
     BIMANDER_HALF: lambda n: math.ceil(n / 2),
     BIMANDER_SQRT: lambda n: math.ceil(math.sqrt(n)),
+    AUTO: lambda n: 1 if n <= AUTO_THRESHOLD else math.ceil(math.sqrt(n)),
 }
 
 SCHEMES = tuple(_GROUPS)
+DEFAULT_SCHEME = AUTO
 
 
-def encode_amo(sess: SatSession, lits: Sequence[int], scheme: str = PAIRWISE) -> list[int]:
+def encode_amo(sess: SatSession, lits: Sequence[int],
+               scheme: str = DEFAULT_SCHEME) -> list[int]:
     """Constrain at most one of lits to be true. Returns the commander
     bits, none for a single group."""
     if scheme not in _GROUPS:
@@ -57,9 +73,8 @@ def encode_amo(sess: SatSession, lits: Sequence[int], scheme: str = PAIRWISE) ->
         return []
     bits = [sess.new_var() for _ in range((len(groups) - 1).bit_length())]
     for code, group in enumerate(groups):
-        for lit in group:
-            for j, b in enumerate(bits):
-                sess.add_clause([-lit, b if code >> j & 1 else -b])
+        sess.add_implications(
+            group, [b if code >> j & 1 else -b for j, b in enumerate(bits)])
     return bits
 
 

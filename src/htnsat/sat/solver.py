@@ -65,6 +65,17 @@ which is true at level 0, so add_clause would watch none of them. The
 watch list of each free -a gains the free literals' negations before a,
 then those after it, which is the order in which the pairs append them.
 
+add_implications adds [-a, h] for every a of lits and every h of heads,
+the commander implications of a bimander group, and leaves the store,
+the watch lists and the trail exactly as one add_clause per clause,
+a-major, would. When every variable is distinct, allocated and free at
+level 0, it exports every clause in one go, and each clause is watched
+over both its literals: the watch list of each -a gains the heads in
+order, and that of each h the negated lits in order, which is what the
+clauses append one by one. Otherwise it goes clause by clause, because
+there add_clause merges literals, raises part way, drops a satisfied
+clause's watches or puts units on the trail.
+
 The decision queue is a heap of (-activity, variable) entries kept
 across solve() calls, as in MiniSat's order heap. A per-variable
 ``queued`` flag marks a variable's one live entry, whose key is its
@@ -289,6 +300,41 @@ class SatSession:
             ws = watches[a]
             ws += free[:i]
             ws += free[i + 1:]
+
+    def add_implications(self, lits: Sequence[int],
+                         heads: Sequence[int]) -> None:
+        """Add [-a, h] for every a in lits and every h in heads, in that
+        order.
+
+        The store, the watch lists and the trail end up exactly as after
+        one add_clause call per clause. If a variable repeats, is
+        unallocated or is assigned at level 0, that is the path taken;
+        otherwise every clause is built in bulk and watched over both
+        literals (see the module docstring).
+        """
+        neg = [-a for a in lits]
+        nvars, assign = self.num_vars, self.assign
+        vs = {abs(x) for x in neg}
+        vs.update(map(abs, heads))
+        if (len(vs) < len(neg) + len(heads)
+                or not all(0 < v <= nvars for v in vs)
+                or any(map(assign.__getitem__, vs))):
+            for a in neg:
+                for h in heads:
+                    self.add_clause([a, h])
+            return
+        flat: list[int] = []
+        for a in neg:
+            pairs = [a, 0, 0] * len(heads)
+            pairs[1::3] = heads
+            flat += pairs
+        self.store.fromlist(flat)
+        self.num_clauses += len(neg) * len(heads)
+        watches = self.watches
+        for a in neg:
+            watches[a] += heads
+        for h in heads:
+            watches[h] += neg
 
     # -- trail management ---------------------------------------------------
 

@@ -19,14 +19,14 @@ def ground():
     return _load
 
 
-@pytest.fixture
-def pairwise_fallbacks(monkeypatch):
-    """Record every SatSession.add_pairwise call that adds clauses one by
-    one through add_clause: the list gains (group, level-0 values of its
-    literals at the call) for each."""
+def _record_fallbacks(monkeypatch, method):
+    """Record every call of the bulk SatSession method that adds clauses
+    one by one through add_clause: the list gains, for each, its literal
+    arguments as lists, then the level-0 values of their literals at the
+    call (None for an unallocated variable)."""
     from htnsat.sat import SatSession
 
-    add_clause, add_pairwise = SatSession.add_clause, SatSession.add_pairwise
+    add_clause, bulk = SatSession.add_clause, getattr(SatSession, method)
     fallbacks, inside = [], []
 
     def counting_add_clause(self, lits):
@@ -34,17 +34,31 @@ def pairwise_fallbacks(monkeypatch):
             inside[-1] += 1
         return add_clause(self, lits)
 
-    def watched_add_pairwise(self, lits):
-        values = [self.assign[abs(x)] * (1 if x > 0 else -1)
-                  if 0 < abs(x) <= self.num_vars else None for x in lits]
+    def watched(self, *groups):
+        values = [[self.assign[abs(x)] * (1 if x > 0 else -1)
+                   if 0 < abs(x) <= self.num_vars else None for x in g]
+                  for g in groups]
         inside.append(0)
         try:
-            return add_pairwise(self, lits)
+            return bulk(self, *groups)
         finally:
-            calls = inside.pop()
-            if calls:
-                fallbacks.append((list(lits), values))
+            if inside.pop():
+                fallbacks.append((*map(list, groups), *values))
 
     monkeypatch.setattr(SatSession, "add_clause", counting_add_clause)
-    monkeypatch.setattr(SatSession, "add_pairwise", watched_add_pairwise)
+    monkeypatch.setattr(SatSession, method, watched)
     return fallbacks
+
+
+@pytest.fixture
+def pairwise_fallbacks(monkeypatch):
+    """(group, level-0 values) for each add_pairwise call that went
+    pair by pair."""
+    return _record_fallbacks(monkeypatch, "add_pairwise")
+
+
+@pytest.fixture
+def implication_fallbacks(monkeypatch):
+    """(lits, heads, level-0 values of each) for each add_implications
+    call that went clause by clause."""
+    return _record_fallbacks(monkeypatch, "add_implications")

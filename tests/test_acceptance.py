@@ -14,7 +14,7 @@ from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, TaskRef
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
-from htnsat.sat import SCHEMES, SatSession, encode_amo
+from htnsat.sat import AUTO, AUTO_THRESHOLD, SCHEMES, SatSession, encode_amo
 
 from domains import random_acyclic, wide_choice
 from oracles import (
@@ -74,7 +74,10 @@ def test_01_sat_oracle_agreement():
 
 def test_02_amo_projection_counts():
     ok = True
-    for scheme, n in itertools.product(SCHEMES, range(2, 9)):
+    # auto is pairwise up to its threshold: check both sides of it
+    cases = [*itertools.product(SCHEMES, range(2, 9)),
+             (AUTO, AUTO_THRESHOLD), (AUTO, AUTO_THRESHOLD + 1)]
+    for scheme, n in cases:
         sess = SatSession()
         vs = [sess.new_var() for _ in range(n)]
         encode_amo(sess, vs, scheme)

@@ -240,8 +240,17 @@ class TestSolveCommand:
         assert ";; status unsolvable" in capsys.readouterr().out
 
     def test_timeout_exits_two(self, capsys):
-        assert main([fixture("fork3"), "--timeout", "0"]) == 2
+        # the smallest budget accepted is spent before the search begins
+        assert main([fixture("fork3"), "--timeout", "1e-9"]) == 2
         assert ";; status timeout" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
+    def test_timeout_that_is_not_finite_and_positive_exits_three(
+            self, capsys, limit):
+        # NaN would switch every deadline off and solve with exit 0
+        assert main([fixture("fork3"), "--timeout", limit]) == 3
+        out, err = capsys.readouterr()
+        assert "error: --timeout" in err and ";; status" not in out
 
     def test_timeout_budget_includes_grounding(self, monkeypatch, capsys):
         def slow_load(inputs, cap, **kw):

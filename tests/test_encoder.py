@@ -13,7 +13,8 @@ from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
-from htnsat.sat import dump_dimacs, encode_amo, parse_dimacs
+from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, dump_dimacs, encode_amo,
+                        parse_dimacs)
 
 from oracles import (
     relaxed_leaves_by_tree_walk,
@@ -243,13 +244,13 @@ PINNED_BENCH_SEARCH = {
          ("s", 1, 0, 50), ("r", 0, 25, 617), ("s", 0, 0, 730)],
         349, 49),
     ("wide-100x4", "greedy"): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 209), ("r", 0, 5, 5),
-         ("s", 0, 0, 210), ("r", 0, 4, 4), ("s", 0, 0, 210), ("r", 0, 3, 3),
-         ("s", 0, 0, 212), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 217), ("r", 0, 5, 5),
+         ("s", 0, 0, 218), ("r", 0, 4, 4), ("s", 0, 0, 218), ("r", 0, 3, 3),
+         ("s", 0, 0, 220), ("r", 0, 0, 0), ("s", 0, 0, 4)],
         405, 5),
     ("wide-100x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 209), ("s", 0, 0, 416),
-         ("s", 0, 0, 621), ("s", 0, 0, 827), ("s", 0, 0, 823)],
+        [("s", 0, 0, 10), ("s", 0, 0, 217), ("s", 0, 0, 428),
+         ("s", 0, 0, 637), ("s", 0, 0, 847), ("s", 0, 0, 839)],
         1405, 5),
 }
 
@@ -384,9 +385,24 @@ def test_pairwise_groups_go_in_bulk_on_walker(pairwise_fallbacks):
                 or 1 in values), group
 
 
+def test_commander_implications_go_in_bulk_on_wide(
+        monkeypatch, implication_fallbacks):
+    # the commander bits are fresh and no literal of a group above the
+    # threshold is fixed at level 0, so every group takes the bulk path
+    sizes = []
+
+    def record(sess, lits, *args):
+        sizes.append(len(lits))
+        return encode_amo(sess, lits, *args)
+
+    monkeypatch.setattr(encoder, "encode_amo", record)
+    assert plan(generated("wide-100x4")).status == "solved"
+    assert max(sizes) > AUTO_THRESHOLD
+    assert implication_fallbacks == []
+
+
 class TestSchemesAndDumps:
-    @pytest.mark.parametrize("scheme", ["pairwise", "binary",
-                                        "bimander-half", "bimander-sqrt"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_all_amo_schemes_reach_the_same_plan(self, ground, scheme):
         p = ground("taxi")
         _, pdt, enc = setup(p, amo=scheme)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htnsat.sat import (
+    AUTO,
+    AUTO_THRESHOLD,
     BINARY,
     BIMANDER_HALF,
     BIMANDER_SQRT,
@@ -374,23 +376,29 @@ def test_level0_assignments_simplify_what_gets_watched():
     assert s.num_clauses == 7
 
 
-def _replay_pairwise_both_ways(nvars: int, steps: list[tuple]) -> None:
+def _replay_bulk_both_ways(nvars: int, steps: list[tuple]) -> None:
     """Replay steps on two sessions, one taking each AMO step through
-    add_pairwise and one pair by pair through add_clause; after every
-    step the two must be in the same state."""
+    add_pairwise and each implication step, a (lits, heads) pair, through
+    add_implications, the other clause by clause through add_clause;
+    after every step the two must be in the same state."""
     bulk, loop = SatSession(), SatSession()
     for s in (bulk, loop):
         for _ in range(nvars):
             s.new_var()
 
-    def by_clauses(lits):
+    def pairs_by_clauses(lits):
         for i, a in enumerate(lits):
             for b in lits[i + 1:]:
                 loop.add_clause([-a, -b])
 
-    def attempt(add, lits):
+    def implications_by_clauses(lits, heads):
+        for a in lits:
+            for h in heads:
+                loop.add_clause([-a, h])
+
+    def attempt(add, *args):
         try:
-            add(lits)
+            add(*args)
         except SolverUsageError as e:
             return str(e)
 
@@ -403,7 +411,11 @@ def _replay_pairwise_both_ways(nvars: int, steps: list[tuple]) -> None:
             bulk.add_clause(list(lits))
             loop.add_clause(list(lits))
         elif kind == "amo":
-            assert attempt(bulk.add_pairwise, lits) == attempt(by_clauses, lits)
+            assert (attempt(bulk.add_pairwise, lits)
+                    == attempt(pairs_by_clauses, lits))
+        elif kind == "implies":
+            assert (attempt(bulk.add_implications, *lits)
+                    == attempt(implications_by_clauses, *lits))
         else:
             assert bulk.solve(lits) == loop.solve(lits)
         assert state(bulk) == state(loop)
@@ -418,16 +430,15 @@ def test_add_pairwise_goes_in_bulk_past_literals_false_at_level0(
     steps += [("amo", [1, -2, -3, 4, 5, 6]), ("amo", [6, 7, 1]),
               ("clause", [-5, 7]), ("solve", [5]), ("amo", [5, 1, -3]),
               ("solve", [])]
-    _replay_pairwise_both_ways(7, steps)
+    _replay_bulk_both_ways(7, steps)
     assert pairwise_fallbacks == []
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_add_pairwise_matches_one_add_clause_per_pair(data):
-    # Clauses of 1-3 literals, AMO groups and solves under 0-2 assumptions.
-    # A group may repeat a variable, take both signs, reuse a literal fixed
-    # by an earlier unit, or, rarely, name an unallocated variable.
+def _drawn_history(data, kinds: list[str]) -> tuple[int, list[tuple]]:
+    """Clauses of 1-3 literals, AMO groups, implication steps and solves
+    under 0-2 assumptions, of the kinds given. A group, lits or heads may
+    repeat a variable, take both signs, reuse a literal fixed by an
+    earlier unit, or, rarely, name an unallocated variable."""
     nvars = data.draw(st.integers(2, 8))
 
     def lits(top, size):
@@ -435,25 +446,63 @@ def test_add_pairwise_matches_one_add_clause_per_pair(data):
         return data.draw(st.lists(v.flatmap(lambda v: st.sampled_from([v, -v])),
                                   min_size=size[0], max_size=size[1]))
 
+    def top():
+        return nvars + data.draw(st.sampled_from([0] * 9 + [1]))
+
     steps = []
     for _ in range(data.draw(st.integers(1, 14))):
-        kind = data.draw(st.sampled_from(["clause", "clause", "amo", "solve"]))
+        kind = data.draw(st.sampled_from(kinds))
         if kind == "clause":
             steps.append((kind, lits(nvars, (1, 3))))
         elif kind == "amo":
-            top = nvars + data.draw(st.sampled_from([0] * 9 + [1]))
-            steps.append((kind, lits(top, (0, 8))))
+            steps.append((kind, lits(top(), (0, 8))))
+        elif kind == "implies":
+            steps.append((kind, (lits(top(), (0, 5)), lits(top(), (0, 3)))))
         else:
             steps.append((kind, lits(nvars, (0, 2))))
-    _replay_pairwise_both_ways(nvars, steps)
+    return nvars, steps
 
 
-def _planted_history(seed: int, units: bool) -> tuple[int, list[tuple]]:
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_add_pairwise_matches_one_add_clause_per_pair(data):
+    _replay_bulk_both_ways(
+        *_drawn_history(data, ["clause", "clause", "amo", "solve"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_add_implications_matches_one_add_clause_per_pair(data):
+    _replay_bulk_both_ways(*_drawn_history(
+        data, ["clause", "clause", "amo", "implies", "solve"]))
+
+
+def test_add_implications_goes_in_bulk_over_free_distinct_variables(
+        implication_fallbacks):
+    steps = [("implies", ([1, -2, 3], [4, -5])),
+             ("clause", [-1]),  # 1 is false at level 0 from here on
+             ("implies", ([1, 6], [7])),
+             ("implies", ([6], [-2, 7])),
+             ("implies", ([2], [-2, 3])),  # a repeated variable
+             ("implies", ([6], [8])),  # an unallocated one
+             ("solve", [6]),  # puts -2, 4 and -5 on the level-0 trail
+             ("implies", ([6, -3], [7])),
+             ("implies", ([7], [-5, 3])),  # a head true at level 0
+             ("implies", ([], [2])),
+             ("solve", [])]
+    _replay_bulk_both_ways(7, steps)
+    assert [(lits, heads) for lits, heads, *_ in implication_fallbacks] == [
+        ([1, 6], [7]), ([2], [-2, 3]), ([6], [8]), ([7], [-5, 3])]
+
+
+def _planted_history(seed: int, units: bool,
+                     implies: bool = False) -> tuple[int, list[tuple]]:
     """Clauses, AMO groups and solves that all hold under a hidden
     assignment, so the store stays satisfiable and the solves in between
     do conflicts and learning. With units, some steps are unit clauses
-    true under it, which fix group literals false at level 0; without,
-    no extra random number is drawn."""
+    true under it, which fix group literals false at level 0; with
+    implies, some steps are implications whose heads are true under it.
+    Without either, no extra random number is drawn."""
     rng = random.Random(seed)
     nvars = 50
     hidden = [rng.random() < 0.5 for _ in range(nvars + 1)]
@@ -469,6 +518,13 @@ def _planted_history(seed: int, units: bool) -> tuple[int, list[tuple]]:
     for _ in range(250):
         if units and rng.random() < 0.08:
             steps.append(("clause", [-false_lit(rng.randint(1, nvars))]))
+        if implies and rng.random() < 0.15:
+            vs = rng.sample(range(1, nvars + 1), rng.randint(2, 10))
+            k = rng.randint(1, 3)
+            lits = [lit(v) for v in vs[k:]]
+            if rng.random() < 0.2:  # a repeated variable, either sign
+                lits.append(lit(vs[0]))
+            steps.append(("implies", (lits, [-false_lit(v) for v in vs[:k]])))
         r = rng.random()
         if r < 0.7:
             c = [lit() for _ in range(3)]
@@ -490,14 +546,21 @@ def _planted_history(seed: int, units: bool) -> tuple[int, list[tuple]]:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_add_pairwise_matches_add_clause_on_planted_histories(seed):
-    _replay_pairwise_both_ways(*_planted_history(seed, units=False))
+    _replay_bulk_both_ways(*_planted_history(seed, units=False))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_add_pairwise_matches_add_clause_on_planted_histories_with_units(seed):
     # AMO groups over false_lit meet literals false at level 0, from the
     # units and from what the solves in between learn
-    _replay_pairwise_both_ways(*_planted_history(seed, units=True))
+    _replay_bulk_both_ways(*_planted_history(seed, units=True))
+
+
+@pytest.mark.parametrize("units", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_add_implications_matches_add_clause_on_planted_histories(seed, units):
+    # with units, lits and heads meet values fixed at level 0, true or false
+    _replay_bulk_both_ways(*_planted_history(seed, units, implies=True))
 
 
 def _seeded_history(var_inc: float) -> list[tuple]:
@@ -634,6 +697,17 @@ def test_amo_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown AMO scheme"):
         encode_amo(s, vs, "bogus")
     assert s.num_clauses == 0
+
+
+def test_auto_is_pairwise_up_to_the_threshold_and_bimander_above():
+    for n, bits in [(AUTO_THRESHOLD, 0), (AUTO_THRESHOLD + 1, 3)]:
+        s = SatSession()
+        vs = [s.new_var() for _ in range(n)]
+        assert len(encode_amo(s, vs, AUTO)) == bits
+        t = SatSession()
+        ws = [t.new_var() for _ in range(n)]
+        encode_amo(t, ws, PAIRWISE if bits == 0 else BIMANDER_SQRT)
+        assert list(s.clauses()) == list(t.clauses())
 
 
 @pytest.mark.parametrize("scheme", [BIMANDER_HALF, BIMANDER_SQRT])
