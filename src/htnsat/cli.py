@@ -210,6 +210,17 @@ def _num(tok: str, ln: str) -> int:
 # -- problem loading ----------------------------------------------------------
 
 
+def _read_text(path: Path) -> str:
+    """A file's text; one that cannot be read or decoded is a usage error
+    (exit 3), never a verdict."""
+    try:
+        return path.read_text()
+    except OSError as e:
+        raise UsageError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: {e}") from e
+
+
 def load_problem(inputs: list[str], cap: int = DEFAULT_CAP,
                  deadline: float | None = None) -> Problem:
     """Read a .ground file, or parse and ground a DOMAIN PROBLEM pair.
@@ -221,14 +232,14 @@ def load_problem(inputs: list[str], cap: int = DEFAULT_CAP,
                 raise UsageError(
                     "a single input must be a .ground file; pass DOMAIN "
                     "PROBLEM for lifted input")
-            return parse_ground(path.read_text(), path.stem)
+            return parse_ground(_read_text(path), path.stem)
         if len(inputs) == 2:
             dom_path, prob_path = Path(inputs[0]), Path(inputs[1])
-            dom, prob = parse(dom_path.read_text(), prob_path.read_text(),
+            dom, prob = parse(_read_text(dom_path), _read_text(prob_path),
                               domain_src=dom_path.name,
                               problem_src=prob_path.name)
             return ground(dom, prob, cap, deadline)
-    except (OSError, HddlParseError, GroundingError, GroundFormatError) as e:
+    except (HddlParseError, GroundingError, GroundFormatError) as e:
         raise UsageError(str(e)) from e
     raise UsageError("expected DOMAIN PROBLEM or a single .ground file")
 
@@ -323,10 +334,7 @@ def _run_solve(argv: list[str]) -> int:
 
 
 def _validate_only(problem: Problem, planfile: str) -> int:
-    try:
-        text = Path(planfile).read_text()
-    except OSError as e:
-        raise UsageError(str(e)) from e
+    text = _read_text(Path(planfile))
     try:
         tree = parse_plan(problem, text)
     except PlanFormatError as e:
@@ -397,8 +405,8 @@ def _run_bench(argv: list[str]) -> int:
     ns = _bench_parser().parse_args(argv)
     mpath = Path(ns.manifest)
     try:
-        manifest = json.loads(mpath.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        manifest = json.loads(_read_text(mpath))
+    except (UsageError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read manifest: {e}") from e
     _check_manifest(manifest)
     limit = ns.timeout if ns.timeout is not None \

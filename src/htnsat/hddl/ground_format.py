@@ -14,12 +14,15 @@ a comment that runs to the end of the line:
     root TASK
 
 Ids follow declaration order, so the format pins the numbering exactly.
-Records may appear in any order; method subtask lists (``S``) name
-actions or tasks declared anywhere in the file, which is why actions and
-tasks must not share a name. ``init`` and ``goal`` default to empty when
-the line is absent; ``root`` is required. dump_ground writes canonical
-text that parses back into an identical problem, naming the facts of
-every set in ascending id order.
+Facts, actions, tasks and methods share one namespace: a name is
+declared once, under one kind, and is none of the format's keywords
+(the record kinds, the section words and ``->``).
+Records may appear in any order, except that an action names only facts
+declared above it; a method's ``TASK`` and subtasks (``S``), ``init``,
+``goal`` and ``root`` may name what is declared anywhere in the file.
+``init`` and ``goal`` default to empty when the line is absent; ``root``
+is required. dump_ground writes canonical text that parses back into an
+identical problem, naming the facts of every set in ascending id order.
 """
 from __future__ import annotations
 
@@ -41,10 +44,10 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
     actions: list[Action] = []
     tasks: list[AbstractTask] = []
     fact_ids: dict[str, int] = {}
-    action_ids: dict[str, int] = {}
-    task_ids: dict[str, int] = {}
+    # each action and task name to the one TaskRef every method shares
+    refs: dict[str, TaskRef] = {}
+    declared = set(_RESERVED)  # every fact, action, task and method name
     method_recs: list[tuple[int, str, str, list[str]]] = []
-    method_names: set[str] = set()
     init: tuple[int, list[str]] | None = None
     goal: tuple[int, list[str]] | None = None
     root: tuple[int, str] | None = None
@@ -53,10 +56,10 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
         raise GroundFormatError(f"line {ln}: {msg}")
 
     def fresh_name(ln: int, nm: str, what: str) -> str:
-        if nm in _RESERVED:
-            fail(ln, f"{what} name {nm!r} is a reserved word")
-        if nm in fact_ids or nm in action_ids or nm in task_ids or nm in method_names:
-            fail(ln, f"name {nm!r} already declared")
+        if nm in declared:
+            fail(ln, f"{what} name {nm!r} is a reserved word"
+                 if nm in _RESERVED else f"name {nm!r} already declared")
+        declared.add(nm)
         return nm
 
     def fact_mask(ln: int, toks: list[str]) -> int:
@@ -66,27 +69,33 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
         return mask(fact_ids[t] for t in toks)
 
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.partition("#")[0].split()
+        if not toks:
             continue
-        toks = line.split()
-        kind, rest = toks[0], toks[1:]
-        if kind == "problem":
-            if len(rest) != 1:
-                fail(ln, "problem takes exactly one name")
-            name = rest[0]
+        kind = toks[0]
+        if kind == "method":  # the most frequent records first
+            if len(toks) < 4 or toks[3] != "->":
+                fail(ln, "method syntax is: method NAME TASK -> [S ...]")
+            method_recs.append((ln, fresh_name(ln, toks[1], "method"), toks[2],
+                                toks[4:]))
+        elif kind == "task":
+            if len(toks) != 2:
+                fail(ln, "task takes exactly one name")
+            nm = fresh_name(ln, toks[1], "task")
+            refs[nm] = TaskRef(ABSTRACT, len(tasks))
+            tasks.append(AbstractTask(len(tasks), nm))
         elif kind == "fact":
-            if len(rest) != 1:
+            if len(toks) != 2:
                 fail(ln, "fact takes exactly one name")
-            fact_ids[fresh_name(ln, rest[0], "fact")] = len(facts)
-            facts.append(Fact(len(facts), rest[0]))
+            fact_ids[fresh_name(ln, toks[1], "fact")] = len(facts)
+            facts.append(Fact(len(facts), toks[1]))
         elif kind == "action":
-            if not rest:
+            if len(toks) < 2:
                 fail(ln, "action needs a name")
-            nm = fresh_name(ln, rest[0], "action")
+            nm = fresh_name(ln, toks[1], "action")
             secs: dict[str, list[str]] = {s: [] for s in _SECTIONS}
             cur: str | None = None
-            for t in rest[1:]:
+            for t in toks[2:]:
                 if t in _SECTIONS:
                     if secs[t]:
                         fail(ln, f"duplicate {t!r} section")
@@ -95,61 +104,51 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
                     fail(ln, f"expected pre/add/del before {t!r}")
                 else:
                     secs[cur].append(t)
-            action_ids[nm] = len(actions)
+            refs[nm] = TaskRef(ACTION, len(actions))
             actions.append(Action(len(actions), nm,
                                   *(fact_mask(ln, secs[k]) for k in _SECTIONS)))
-        elif kind == "task":
-            if len(rest) != 1:
-                fail(ln, "task takes exactly one name")
-            task_ids[fresh_name(ln, rest[0], "task")] = len(tasks)
-            tasks.append(AbstractTask(len(tasks), rest[0]))
-        elif kind == "method":
-            if len(rest) < 3 or rest[2] != "->":
-                fail(ln, "method syntax is: method NAME TASK -> [S ...]")
-            nm = fresh_name(ln, rest[0], "method")
-            method_names.add(nm)
-            method_recs.append((ln, nm, rest[1], rest[3:]))
+        elif kind == "problem":
+            if len(toks) != 2:
+                fail(ln, "problem takes exactly one name")
+            name = toks[1]
         elif kind == "init":
             if init is not None:
                 fail(ln, "duplicate init")
-            init = (ln, rest)
+            init = (ln, toks[1:])
         elif kind == "goal":
             if goal is not None:
                 fail(ln, "duplicate goal")
-            goal = (ln, rest)
+            goal = (ln, toks[1:])
         elif kind == "root":
             if root is not None:
                 fail(ln, "duplicate root")
-            if len(rest) != 1:
+            if len(toks) != 2:
                 fail(ln, "root takes exactly one task name")
-            root = (ln, rest[0])
+            root = (ln, toks[1])
         else:
             fail(ln, f"unknown record {kind!r}")
 
     methods: list[Method] = []
     for ln, nm, tname, subs in method_recs:
-        if tname not in task_ids:
+        task = refs.get(tname)
+        if task is None or task.kind != ABSTRACT:
             fail(ln, f"unknown task {tname!r}")
-        refs = []
-        for s in subs:
-            if s in action_ids:
-                refs.append(TaskRef(ACTION, action_ids[s]))
-            elif s in task_ids:
-                refs.append(TaskRef(ABSTRACT, task_ids[s]))
-            else:
-                fail(ln, f"unknown subtask {s!r}")
+        sub_refs = list(map(refs.get, subs))
+        if None in sub_refs:
+            fail(ln, f"unknown subtask {subs[sub_refs.index(None)]!r}")
         mid = len(methods)
-        methods.append(Method(mid, nm, task_ids[tname], refs))
-        tasks[task_ids[tname]].methods.append(mid)
+        methods.append(Method(mid, nm, task.id, sub_refs))
+        tasks[task.id].methods.append(mid)
 
     if root is None:
         raise GroundFormatError("missing root record")
     ln, rname = root
-    if rname not in task_ids:
+    r = refs.get(rname)
+    if r is None or r.kind != ABSTRACT:
         fail(ln, f"unknown root task {rname!r}")
 
     return Problem(name=name, facts=facts, actions=actions, abstracts=tasks,
-                   methods=methods, root=task_ids[rname],
+                   methods=methods, root=r.id,
                    init=fact_mask(*(init or (0, []))),
                    goal=fact_mask(*(goal or (0, [])))).finalize()
 

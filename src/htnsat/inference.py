@@ -42,56 +42,57 @@ def _components(p: Problem) -> tuple[list[list[int]], list[bool]]:
     size two or more or mentions itself in one of its own methods.
     """
     n = len(p.abstracts)
-    # a dict per task is a seen-set that keeps first-occurrence order
-    seen: list[dict[int, None]] = [{} for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
     for m in p.methods:
+        out = succ[m.task]
         for kind, i in m.subtasks:
             if kind != ACTION:
-                seen[m.task][i] = None
-    succ = [list(s) for s in seen]
+                out.append(i)
+    # each abstract subtask once, in first-occurrence order; most tasks
+    # have one method with at most one abstract subtask, so only the few
+    # longer lists pay for a dict
+    succ = [list(dict.fromkeys(s)) if len(s) > 1 else s for s in succ]
 
+    # a task's visit index, or n once its component is out, which never
+    # lowers a low-link
     idx = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
     for start in range(n):
         if idx[start] != -1:
             continue
-        work = [(start, 0)]
+        idx[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        work = [(start, iter(succ[start]))]
         while work:
-            v, i = work.pop()
-            if i == 0:
-                idx[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            while i < len(succ[v]):
-                w = succ[v][i]
-                i += 1
+            v, edges = work[-1]
+            for w in edges:
                 if idx[w] == -1:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    descended = True
+                    idx[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], idx[w])
-            if descended:
-                continue
-            if low[v] == idx[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if idx[w] < low[v]:
+                    low[v] = idx[w]
+            else:
+                work.pop()
+                if low[v] == idx[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        idx[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
+                # a search's start always closes a component, so v has a
+                # parent here
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
     recursive = [False] * n
     for comp in sccs:
@@ -99,7 +100,7 @@ def _components(p: Problem) -> tuple[list[list[int]], list[bool]]:
             for t in comp:
                 recursive[t] = True
     for t in range(n):
-        if t in seen[t]:  # one of its own methods mentions it
+        if t in succ[t]:  # one of its own methods mentions it
             recursive[t] = True
     return sccs, recursive
 

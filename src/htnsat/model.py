@@ -100,27 +100,25 @@ class Problem:
         for i, t in enumerate(self.abstracts):
             if t.id != i:
                 raise ModelError(f"abstract id {t.id} out of order")
+        nt, nm = len(self.abstracts), len(self.methods)
+        pool_size = {ACTION: len(self.actions), ABSTRACT: nt}
         for i, m in enumerate(self.methods):
             if m.id != i:
                 raise ModelError(f"method id {m.id} out of order")
-            if not 0 <= m.task < len(self.abstracts):
+            if not 0 <= m.task < nt:
                 raise ModelError(f"method {m.name}: bad task id {m.task}")
             for ref in m.subtasks:
-                self._check_ref(ref, f"method {m.name}")
+                if not 0 <= ref.id < pool_size.get(ref.kind, 0):
+                    raise ModelError(f"method {m.name}: bad task reference {ref}")
         for t in self.abstracts:
             for mid in t.methods:
-                if not 0 <= mid < len(self.methods) or self.methods[mid].task != t.id:
+                if not 0 <= mid < nm or self.methods[mid].task != t.id:
                     raise ModelError(f"abstract {t.name}: inconsistent method list")
         if not 0 <= self.root < len(self.abstracts):
             raise ModelError(f"bad root task id {self.root}")
         if self.goal >> nf:
             raise ModelError(f"bad goal fact id {self.goal.bit_length() - 1}")
         return self
-
-    def _check_ref(self, ref: TaskRef, where: str) -> None:
-        pool = self.actions if ref.kind == ACTION else self.abstracts
-        if ref.kind not in (ACTION, ABSTRACT) or not 0 <= ref.id < len(pool):
-            raise ModelError(f"{where}: bad task reference {ref}")
 
     # -- execution semantics ------------------------------------------------
 

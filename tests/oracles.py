@@ -307,24 +307,37 @@ def relaxed_plan_realizable(
     return any(p.is_goal(s) for s in states)
 
 
-def profiles_by_fixpoint(p: Problem) -> dict[str, list]:
-    """Each per-task property of inference.Profiles computed alone, by
-    plain iteration in id order until a whole pass changes nothing, with
-    no component order. A task is recursive when it reaches itself
-    through subtask edges."""
-    n, full = len(p.abstracts), (1 << len(p.facts)) - 1
-    succ = [set() for _ in range(n)]
+def task_successors(p: Problem) -> list[set[int]]:
+    """Per abstract task, the abstract tasks its methods name."""
+    succ: list[set[int]] = [set() for _ in p.abstracts]
     for m in p.methods:
         succ[m.task] |= {i for kind, i in m.subtasks if kind == ABSTRACT}
-    recursive = []
-    for t in range(n):
+    return succ
+
+
+def reaches_itself(p: Problem) -> list[bool]:
+    """Per abstract task, whether a path of one or more subtask edges
+    leads from it back to it, by a plain search from every task."""
+    succ = task_successors(p)
+    out = []
+    for t in range(len(p.abstracts)):
         seen, todo = set(), list(succ[t])
         while todo:
             u = todo.pop()
             if u not in seen:
                 seen.add(u)
                 todo.extend(succ[u])
-        recursive.append(t in seen)
+        out.append(t in seen)
+    return out
+
+
+def profiles_by_fixpoint(p: Problem) -> dict[str, list]:
+    """Each per-task property of inference.Profiles computed alone, by
+    plain iteration in id order until a whole pass changes nothing, with
+    no component order. A task is recursive when it reaches itself
+    through subtask edges."""
+    n, full = len(p.abstracts), (1 << len(p.facts)) - 1
+    recursive = reaches_itself(p)
 
     reached, applicable, changed = p.init, set(), True
     while changed:

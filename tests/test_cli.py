@@ -54,6 +54,9 @@ BLOWUP_PROBLEM = """\
   (:goal (and)))
 """
 
+# a lone continuation byte is not UTF-8 text
+NOT_UTF8 = b"fact f\n\x80\n"
+
 
 def fixture(name):
     return str(FIXTURES / f"{name}.ground")
@@ -282,6 +285,18 @@ class TestSolveCommand:
         assert main(["nope.ground"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_ground_file_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ground"
+        bad.write_bytes(NOT_UTF8)
+        assert main([str(bad)]) == 3
+        assert f"error: {bad}: " in capsys.readouterr().err
+
+    def test_non_utf8_domain_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.hddl"
+        bad.write_bytes(NOT_UTF8)
+        assert main([str(bad), str(FIXTURES / "taxi1.hddl")]) == 3
+        assert f"error: {bad}: " in capsys.readouterr().err
+
     def test_unknown_flag_exits_three(self, capsys):
         assert main([fixture("fork3"), "--frobnicate"]) == 3
         assert "error:" in capsys.readouterr().err
@@ -483,6 +498,12 @@ class TestValidateOnly:
         assert main([fixture("taxi"), "--validate-only", "gone.plan"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_plan_file_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.plan"
+        bad.write_bytes(NOT_UTF8)
+        assert main([fixture("taxi"), "--validate-only", str(bad)]) == 3
+        assert f"error: {bad}: " in capsys.readouterr().err
+
 
 class TestBench:
     def test_fixture_manifest_scores(self, tmp_path, capsys):
@@ -537,6 +558,24 @@ class TestBench:
         assert [r["solved"] for r in rows] == ["1", "1", "0", "0"]
         for r in rows[2:]:
             assert float(r["ipc"]) == 0 and float(r["quality"]) == 0
+
+    def test_non_utf8_instance_scores_zero_and_the_run_goes_on(
+            self, tmp_path, capsys):
+        (tmp_path / "bad.ground").write_bytes(NOT_UTF8)
+        (tmp_path / "fork3.ground").write_text(
+            (FIXTURES / "fork3.ground").read_text())
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "timeout": 30,
+            "instances": [{"name": "bad", "ground": "bad.ground"},
+                          {"name": "fork", "ground": "fork3.ground"}]}))
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 0
+        assert "error: instance bad: " in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["solved"], r["ipc"]) for r in rows] == [
+            ("bad", "0", "0.000000"), ("fork", "1", "1.000000")]
 
     def test_malformed_hddl_scores_zero_and_the_run_goes_on(
             self, tmp_path, capsys):
@@ -657,6 +696,14 @@ class TestBench:
         assert main(["bench", str(mpath), "--out",
                      str(tmp_path / "s.csv")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_three(self, tmp_path, capsys):
+        mpath = tmp_path / "m.json"
+        mpath.write_bytes(NOT_UTF8)
+        out = tmp_path / "s.csv"
+        assert main(["bench", str(mpath), "--out", str(out)]) == 3
+        assert "error: cannot read manifest: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("manifest", [
         {"modes": ["fast"], "instances": [{"name": "e", "ground": "e.ground"}]},

@@ -46,6 +46,25 @@ def test_parse_defaults_empty_init_and_goal():
     ("fact f\naction a pre f pre f\ntask t\nroot t\n", "duplicate 'pre' section"),
     ("task t\ngoal\ngoal\nroot t\n", "duplicate goal"),
     ("task t\nroot t\nroot t\n", "duplicate root"),
+    # a method's TASK must name an abstract task, not an action
+    ("action a\ntask t\nmethod m a ->\nroot t\n", "line 3: unknown task 'a'"),
+    # facts, actions, tasks and methods share one namespace
+    ("task t\nmethod m t ->\nfact m\nroot t\n",
+     "line 3: name 'm' already declared"),
+    ("task t\nmethod m t ->\naction m\nroot t\n",
+     "line 3: name 'm' already declared"),
+    ("task t\nmethod m t ->\ntask m\nroot t\n",
+     "line 3: name 'm' already declared"),
+    ("fact f\ntask t\nmethod f t ->\nroot t\n",
+     "line 3: name 'f' already declared"),
+    # of two unknown subtasks, the first one is reported
+    ("action a\ntask t\nmethod m t -> a y x\nroot t\n",
+     "line 3: unknown subtask 'y'"),
+    # blank and comment-only lines count
+    ("\n# header\n\ntask t\nfact t\nroot t\n",
+     "line 5: name 't' already declared"),
+    ("task t\n  # note\n\nmethod m t -> u\nroot t\n",
+     "line 4: unknown subtask 'u'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(GroundFormatError, match=fragment):
@@ -58,5 +77,8 @@ def test_parse_error_names_line():
 
 
 def test_comments_and_blank_lines_ignored():
-    p = parse_ground("# header\n\nfact f  # trailing\ntask t\nmethod m t ->\nroot t\n")
+    p = parse_ground("# header\n\nfact f  # fact g\ntask t # root u\n"
+                     "method m t -> # u v\ninit f # g\nroot t # t t\n")
     assert [f.name for f in p.facts] == ["f"]
+    assert [m.subtasks for m in p.methods] == [[]]
+    assert (p.init, p.root) == (1, 0)

@@ -21,8 +21,10 @@ from oracles import (
     plans_to_depth,
     profiles_by_fixpoint,
     reachable_states,
+    reaches_itself,
     refinements_of_task,
     solvable_by_enumeration,
+    task_successors,
 )
 
 TOYS = ["taxi", "tower", "mpre", "addonly"]
@@ -288,3 +290,16 @@ def test_profiles_equal_each_property_computed_alone():
     assert mismatches == []
     # the problems cover every case the per-component turns must settle
     assert seen == {"recursive", "unproductive", "cycle"}
+
+
+def test_components_keep_their_contract():
+    for name, p in _sweep_problems():
+        sccs, recursive = _components(p)
+        assert sorted(t for c in sccs for t in c) == list(range(len(p.abstracts))), name
+        assert all(c == sorted(c) for c in sccs), name
+        # reverse topological order: no edge leads to a later component
+        comp_of = {t: k for k, c in enumerate(sccs) for t in c}
+        succ = task_successors(p)
+        assert all(comp_of[u] <= comp_of[t] for t in comp_of
+                   for u in succ[t]), name
+        assert recursive == reaches_itself(p), name

@@ -68,11 +68,16 @@ def test_finalize_rejects_out_of_order_ids():
 
 
 def test_finalize_rejects_dangling_refs():
-    with pytest.raises(ModelError):
-        Problem(name="bad", facts=[Fact(0, "f")], actions=[], abstracts=[
-            AbstractTask(0, "t", methods=[0])], methods=[
-            Method(0, "m", 0, [TaskRef(ACTION, 3)])], root=0, init=0,
-            goal=0).finalize()
+    # one action and one task: each reference misses its pool or names none
+    for ref in (TaskRef(ACTION, 3), TaskRef(ABSTRACT, 1), TaskRef(ACTION, -1),
+                TaskRef(METHOD, 0), TaskRef("bogus", 0)):
+        p = Problem(name="bad", facts=[Fact(0, "f")],
+                    actions=[Action(0, "a", 0, 0, 0)],
+                    abstracts=[AbstractTask(0, "t", methods=[0])],
+                    methods=[Method(0, "m", 0, [TaskRef(ACTION, 0), ref])],
+                    root=0, init=0, goal=0)
+        with pytest.raises(ModelError, match="bad task reference"):
+            p.finalize()
 
 
 def test_finalize_rejects_bad_root():
