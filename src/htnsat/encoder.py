@@ -1,13 +1,14 @@
 """Incremental CNF encoding of the refinement grid.
 
-Variables: one selector per candidate op at every position, one
-selector per method of each task at its expanded position, one blank
-filler where a position may stay unused, and one boolean per fact at
-every state column. Columns sit between neighbouring positions of a
-layer; a child row reuses its parent's boundary columns at both ends and
-allocates fresh fact variables only where the position to the left can
-actually change the fact. The final column is therefore shared by every
-layer, which lets the goal be asserted once as permanent units.
+Variables: one selector per candidate op at every position (bar the
+actions that level 0 rules out, below), one selector per method of each
+task at its expanded position, one blank filler where a position may
+stay unused, and one boolean per fact at every state column. Columns
+sit between neighbouring positions of a layer; a child row reuses its
+parent's boundary columns at both ends and allocates fresh fact
+variables only where the position to the left can actually change the
+fact. The final column is therefore shared by every layer, which lets
+the goal be asserted once as permanent units.
 
 A position carried unexpanded into the next layer is encoded once, in
 the layer where it first appears, and keeps its variables and columns
@@ -19,6 +20,28 @@ retires it when the next layer arrives, so the clause store only ever
 grows. The relaxed query needs no selector: it solves the store with no
 assumption, and unexpanded tasks act through their mandatory
 preconditions and possible effects.
+
+Each position is encoded against what the session already knows at
+level 0, the assignment no search undoes. An action with a precondition
+fact false at level 0 in its position's pre column gets no selector: no
+variable, no clause, no place in the position's at-most-one group, its
+at-least-one clause or the frame axioms' support lists. A precondition
+fact true at level 0 gets no clause, and of a fact's two frame axioms
+the one its pre value at level 0 satisfies is left out. In linkage, a
+parent action whose child has no selector is forbidden by a unit, and
+a method whose subtask action has none is forbidden by a unit in place
+of that slot's clause. This leaves the search as it was: the full
+encoding would put each such selector false on the level-0 trail the
+moment its clause went in, before any query, and the solver never
+watches a clause that a level-0 value satisfies, so the same clauses
+are watched in the same order over the same variables, renumbered in
+order. Only level-0 propagation counts, variable and clause counts and
+the dumped CNF differ. That holds wherever a position's group is
+encoded pairwise (the auto scheme up to AUTO_THRESHOLD literals); a
+scheme with commander bits spreads its codes over the live selectors
+only, which is the same constraint but may watch other clauses. Method selectors, abstract task selectors and the fact
+columns are still made in full, so the method groups keep their sizes
+and their at-most-one encodings.
 
 A relaxed answer is read off the bottom layer in one pass. The linkage
 clauses force every position's op from its parent's, and an unexpanded
@@ -155,19 +178,30 @@ class Encoder:
 
     def _encode_position(self, pos: Position) -> None:
         sess, prof = self.sess, self.prof
+        assign = sess.assign
         pre, post = self.cols[pos]
         ops = self.ops[pos] = {}
         effects = []  # (selector, facts it may add, facts it may delete)
         for a in pos.acts:
-            v = ops[TaskRef(ACTION, a)] = sess.new_var()
             act = self.p.actions[a]
-            effects.append((v, act.eff_pos, act.eff_neg))
+            # a precondition fact false at level 0 rules the action out;
+            # one true at level 0 needs no clause
+            need = []
             for f in bits(act.precond):
-                sess.add_clause([-v, pre[f]])
-            for f in bits(act.eff_pos):
-                sess.add_clause([-v, post[f]])
-            for f in bits(act.eff_neg):
-                sess.add_clause([-v, -post[f]])
+                x = assign[pre[f]]
+                if x < 0:
+                    break
+                if not x:
+                    need.append(pre[f])
+            else:
+                v = ops[TaskRef(ACTION, a)] = sess.new_var()
+                effects.append((v, act.eff_pos, act.eff_neg))
+                for lit in need:
+                    sess.add_clause([-v, lit])
+                for f in bits(act.eff_pos):
+                    sess.add_clause([-v, post[f]])
+                for f in bits(act.eff_neg):
+                    sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
             effects.append((v, prof.poss_eff_pos[t], prof.poss_eff_neg[t]))
@@ -183,13 +217,20 @@ class Encoder:
 
     def _frame(self, effects: list[tuple[int, int, int]],
                pre: list[int], post: list[int]) -> None:
+        """Explanatory frame axioms for each fact that may change. Of the
+        two clauses of a fact, the one a level-0 value of pre[f] already
+        satisfies is left out."""
+        sess = self.sess
+        assign = sess.assign
         for f in range(len(self.p.facts)):
-            if pre[f] == post[f]:
+            x, y = pre[f], post[f]
+            if x == y:
                 continue
-            self.sess.add_clause([pre[f], -post[f]]
-                                 + [v for v, add, _ in effects if add >> f & 1])
-            self.sess.add_clause([-pre[f], post[f]]
-                                 + [v for v, _, dele in effects if dele >> f & 1])
+            val = assign[x]
+            if val <= 0:
+                sess.add_clause([x, -y] + [v for v, add, _ in effects if add >> f & 1])
+            if val >= 0:
+                sess.add_clause([-x, y] + [v for v, _, dele in effects if dele >> f & 1])
 
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
@@ -204,13 +245,23 @@ class Encoder:
                 mvars.append(mv)
                 sess.add_clause([-mv, tv])
                 subs = self.p.methods[mid].subtasks
-                for i, kid in enumerate(kids):
-                    sess.add_clause([-mv, kid[subs[i] if i < len(subs) else None]])
+                try:
+                    for i, kid in enumerate(kids):
+                        sess.add_clause([-mv, kid[subs[i] if i < len(subs) else None]])
+                except KeyError:  # a subtask action ruled out at level 0
+                    sess.add_clause([-mv])
             sess.add_clause([-tv] + mvars)
             encode_amo(sess, mvars, self.amo)
         for a in pos.acts:
-            av = ops[TaskRef(ACTION, a)]
-            sess.add_clause([-av, kids[0][TaskRef(ACTION, a)]])
+            ref = TaskRef(ACTION, a)
+            av = ops.get(ref)
+            if av is None:
+                continue
+            kv = kids[0].get(ref)
+            if kv is None:  # ruled out at level 0 since the parent's encoding
+                sess.add_clause([-av])
+                continue
+            sess.add_clause([-av, kv])
             for kid in kids[1:]:
                 sess.add_clause([-av, kid[None]])
         if pos.has_blank:

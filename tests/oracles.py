@@ -398,7 +398,9 @@ def relaxed_leaves_by_tree_walk(enc, model):
     and return the tree's leaves in order and the grid positions of its
     undeveloped abstract leaves. Takes the encoder's variable maps and
     grid as given and checks that each visited position selects exactly
-    one non-blank op and each developed task exactly one method."""
+    one non-blank op and each developed task exactly one method. An
+    action candidate without a selector, one the encoder ruled out at
+    level 0, counts as unselected."""
     frontier: list[TaskRef] = []
     targets = []
     stack = [enc.pdt.root]
@@ -406,7 +408,7 @@ def relaxed_leaves_by_tree_walk(enc, model):
         pos = stack.pop()
         ops = enc.ops[pos]
         hits = [TaskRef(ACTION, a) for a in pos.acts
-                if model[ops[TaskRef(ACTION, a)]]]
+                if model[ops.get(TaskRef(ACTION, a), 0)]]
         hits += [TaskRef(ABSTRACT, t) for t in pos.tasks
                  if model[ops[TaskRef(ABSTRACT, t)]]]
         blank = pos.has_blank and model[ops[None]]

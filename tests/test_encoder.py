@@ -237,11 +237,11 @@ GENERATED = [inst.name for wl in ("walker", "wide")
 PINNED_BENCH_SEARCH = {
     ("walker-8x3", "greedy"): (
         [("s", 0, 0, 47), ("r", 0, 24, 24), ("s", 0, 0, 7), ("r", 0, 24, 40),
-         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 156), ("r", 0, 1, 10),
-         ("s", 0, 0, 126), ("r", 0, 4, 53), ("s", 0, 0, 99), ("r", 0, 7, 123),
-         ("s", 0, 0, 78), ("r", 0, 10, 214), ("s", 0, 0, 57),
-         ("r", 0, 13, 326), ("s", 0, 0, 34), ("r", 0, 16, 461),
-         ("s", 1, 0, 50), ("r", 0, 25, 617), ("s", 0, 0, 730)],
+         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 77), ("r", 0, 1, 10),
+         ("s", 0, 0, 57), ("r", 0, 4, 53), ("s", 0, 0, 46), ("r", 0, 7, 123),
+         ("s", 0, 0, 37), ("r", 0, 10, 214), ("s", 0, 0, 28),
+         ("r", 0, 13, 326), ("s", 0, 0, 17), ("r", 0, 16, 461),
+         ("s", 1, 0, 44), ("r", 0, 25, 617), ("s", 0, 0, 730)],
         349, 49),
     ("wide-100x4", "greedy"): (
         [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 217), ("r", 0, 5, 5),
@@ -372,17 +372,40 @@ root top
         assert len(calls) == len(set(calls))
 
 
-def test_pairwise_groups_go_in_bulk_on_walker(pairwise_fallbacks):
-    # a precondition false at level 0 fixes its op selector false before
-    # the position's AMO is added; only a repeated variable or a literal
-    # true at level 0 sends a group through add_clause pair by pair
+def walker_fixture():
     fixtures = Path(__file__).parent / "fixtures"
-    p = ground_lifted(*parse((fixtures / "walker.hddl").read_text(),
-                             (fixtures / "walker1.hddl").read_text()))
-    assert plan(p).status == "solved"
+    return ground_lifted(*parse((fixtures / "walker.hddl").read_text(),
+                                (fixtures / "walker1.hddl").read_text()))
+
+
+def test_pairwise_groups_go_in_bulk_on_walker(pairwise_fallbacks):
+    # only a repeated variable or a literal true at level 0 sends a group
+    # through add_clause pair by pair
+    assert plan(walker_fixture()).status == "solved"
     for group, values in pairwise_fallbacks:
         assert (len({abs(x) for x in group}) < len(group)
                 or 1 in values), group
+
+
+@pytest.mark.parametrize("name", ["walker-hddl", "walker-8x3"])
+def test_no_action_selector_is_false_at_level_0_when_made(monkeypatch, name):
+    # an action with a precondition fact false at level 0 gets no selector
+    # at all, so no selector is made only to be fixed false at once
+    p = walker_fixture() if name == "walker-hddl" else generated(name)
+    encode = Encoder._encode_position
+    made, dead = [], []
+
+    def checked(self, pos):
+        encode(self, pos)
+        for ref, v in self.ops[pos].items():
+            if ref is not None and ref.is_action():
+                made.append(v)
+                if self.sess.assign[v] < 0:
+                    dead.append(v)
+
+    monkeypatch.setattr(Encoder, "_encode_position", checked)
+    assert plan(p).status == "solved"
+    assert made and dead == []
 
 
 def test_commander_implications_go_in_bulk_on_wide(

@@ -10,6 +10,9 @@ change no output must leave every one of them equal.
 To regenerate the file after a change that is meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+It prints, for each output key, how many cases changed against the old
+file, so a change can be checked against the outputs it means to alter.
 """
 from __future__ import annotations
 
@@ -97,8 +100,12 @@ def test_outputs_match_golden(case, golden, tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     table = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as d:
             table[case] = run_case(case, Path(d))
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    for key in sorted(table[CASES[0]]):
+        changed = sum(old.get(c, {}).get(key) != table[c][key] for c in CASES)
+        print(f"{key}: {changed} of {len(CASES)} cases changed")
