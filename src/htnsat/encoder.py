@@ -2,13 +2,13 @@
 
 Variables: one selector per candidate op at every position (bar the
 actions that level 0 rules out, below), one selector per method of each
-task at its expanded position, one blank filler where a position may
-stay unused, and one boolean per fact at every state column. Columns
-sit between neighbouring positions of a layer; a child row reuses its
-parent's boundary columns at both ends and allocates fresh fact
-variables only where the position to the left can actually change the
-fact. The final column is therefore shared by every layer, which lets
-the goal be asserted once as permanent units.
+task that level 0 leaves open at its expanded position, one blank
+filler where a position may stay unused, and one boolean per fact at
+every state column. Columns sit between neighbouring positions of a
+layer; a child row reuses its parent's boundary columns at both ends
+and allocates fresh fact variables only where the position to the left
+can actually change the fact. The final column is therefore shared by
+every layer, which lets the goal be asserted once as permanent units.
 
 A position carried unexpanded into the next layer is encoded once, in
 the layer where it first appears, and keeps its variables and columns
@@ -30,18 +30,28 @@ fact true at level 0 gets no clause, and of a fact's two frame axioms
 the one its pre value at level 0 satisfies is left out. In linkage, a
 parent action whose child has no selector is forbidden by a unit, and
 a method whose subtask action has none is forbidden by a unit in place
-of that slot's clause. This leaves the search as it was: the full
-encoding would put each such selector false on the level-0 trail the
-moment its clause went in, before any query, and the solver never
-watches a clause that a level-0 value satisfies, so the same clauses
-are watched in the same order over the same variables, renumbered in
-order. Only level-0 propagation counts, variable and clause counts and
-the dumped CNF differ. That holds wherever a position's group is
-encoded pairwise (the auto scheme up to AUTO_THRESHOLD literals); a
-scheme with commander bits spreads its codes over the live selectors
-only, which is the same constraint but may watch other clauses. Method selectors, abstract task selectors and the fact
-columns are still made in full, so the method groups keep their sizes
-and their at-most-one encodings.
+of that slot's clause. A task whose selector is false at level 0 when
+its position is linked gets no method block: no method selector, no
+linkage clause, no at-least-one clause over its methods and no
+at-most-one group; and a strict query adds no clause for a task false
+at level 0 when it opens.
+
+This leaves the search as it was: each clause left out holds a literal
+that is true at level 0 the moment it would go in (the full encoding
+would put each dropped selector false on the level-0 trail before any
+query), and the solver never watches a clause that a level-0 value
+satisfies, so the same clauses are watched in the same order over the
+same variables, renumbered in order. Only level-0 propagation counts,
+variable and clause counts and the dumped CNF differ. That holds
+wherever a group is encoded pairwise (the auto scheme up to
+AUTO_THRESHOLD literals). A scheme with commander bits spreads a
+position's codes over its live selectors only, which is the same
+constraint but may watch other clauses; and a dead task's method group
+above the threshold would have had commander bits that no watched
+clause holds, so dropping it can only take away decisions that force
+nothing. Task selectors and the fact columns are still made in full,
+and a live task keeps a selector for every method, so its group keeps
+its size and its at-most-one encoding.
 
 A relaxed answer is read off the bottom layer in one pass. The linkage
 clauses force every position's op from its parent's, and an unexpanded
@@ -234,11 +244,14 @@ class Encoder:
 
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
+        assign = sess.assign
         ops = self.ops[pos]
         kids = [self.ops[q] for q in pos.children]
         mvar = self.mvar[pos] = {}
         for t in pos.tasks:
             tv = ops[TaskRef(ABSTRACT, t)]
+            if assign[tv] < 0:  # ruled out at level 0: no method block
+                continue
             mvars = []
             for mid in self.p.abstracts[t].methods:
                 mv = mvar[mid] = sess.new_var()
@@ -271,14 +284,19 @@ class Encoder:
 
     def _open_query(self, layer_idx: int) -> None:
         sess = self.sess
+        assign = sess.assign
         if self.strict:
             sess.add_clause([-self.strict])
         a = self.strict = sess.new_var()
         # every position on a layer is unexpanded at its horizon: an
-        # expanded position gives way to its children in the next layer
+        # expanded position gives way to its children in the next layer;
+        # a task false at level 0 needs no clause
         for pos in self.pdt.layers[layer_idx]:
+            ops = self.ops[pos]
             for t in pos.tasks:
-                sess.add_clause([-a, -self.ops[pos][TaskRef(ABSTRACT, t)]])
+                tv = ops[TaskRef(ABSTRACT, t)]
+                if assign[tv] >= 0:
+                    sess.add_clause([-a, -tv])
 
     # -- solving and decoding ------------------------------------------------
 

@@ -249,9 +249,18 @@ PINNED_BENCH_SEARCH = {
          ("s", 0, 0, 220), ("r", 0, 0, 0), ("s", 0, 0, 4)],
         405, 5),
     ("wide-100x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 217), ("s", 0, 0, 428),
-         ("s", 0, 0, 637), ("s", 0, 0, 847), ("s", 0, 0, 839)],
+        [("s", 0, 0, 10), ("s", 0, 0, 217), ("s", 0, 0, 328),
+         ("s", 0, 0, 437), ("s", 0, 0, 547), ("s", 0, 0, 439)],
         1405, 5),
+    ("wide-150x4", "greedy"): (
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 317), ("r", 0, 5, 5),
+         ("s", 0, 0, 318), ("r", 0, 4, 4), ("s", 0, 0, 318), ("r", 0, 3, 3),
+         ("s", 0, 0, 320), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        605, 5),
+    ("wide-150x4", "bfs"): (
+        [("s", 0, 0, 10), ("s", 0, 0, 317), ("s", 0, 0, 478),
+         ("s", 0, 0, 637), ("s", 0, 0, 797), ("s", 0, 0, 639)],
+        2105, 5),
 }
 
 
@@ -406,6 +415,44 @@ def test_no_action_selector_is_false_at_level_0_when_made(monkeypatch, name):
     monkeypatch.setattr(Encoder, "_encode_position", checked)
     assert plan(p).status == "solved"
     assert made and dead == []
+
+
+@pytest.mark.parametrize("name, mode", [("wide-100x4", "greedy"),
+                                        ("wide-100x4", "bfs"),
+                                        ("walker-8x3", "greedy")])
+def test_no_method_block_for_a_task_false_at_level_0(monkeypatch, name, mode):
+    # a task whose selector is false at level 0 gets no method selector
+    # when its position is linked, and no clause when a strict query opens
+    link, query = Encoder._encode_linkage, Encoder._open_query
+    live, dead = [], []
+
+    def linked(self, pos):
+        was = {t: self.sess.assign[self.ops[pos][TaskRef(ABSTRACT, t)]]
+               for t in pos.tasks}
+        link(self, pos)
+        for t, x in was.items():
+            made = [m for m in self.p.abstracts[t].methods if m in self.mvar[pos]]
+            (dead if x < 0 else live).extend(made)
+
+    def opened(self, layer_idx):
+        sess = self.sess
+        add = sess.add_clause
+
+        def add_checked(lits):
+            if len(lits) == 2 and lits[0] == -self.strict and sess.assign[-lits[1]] < 0:
+                dead.append(-lits[1])
+            add(lits)
+
+        sess.add_clause = add_checked
+        try:
+            query(self, layer_idx)
+        finally:
+            del sess.add_clause
+
+    monkeypatch.setattr(Encoder, "_encode_linkage", linked)
+    monkeypatch.setattr(Encoder, "_open_query", opened)
+    assert plan(generated(name), PlannerConfig(mode=mode)).status == "solved"
+    assert live and dead == []
 
 
 def test_commander_implications_go_in_bulk_on_wide(

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "htnsat"
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 # package __init__ modules import names to re-export them
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+MAX_LINE = 99
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -66,6 +68,12 @@ def unused_private_functions(trees: dict[str, ast.Module]) -> list[str]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and fn.name.startswith("_") and not fn.name.endswith("__")
             and fn.name not in mentioned]
+
+
+def long_lines(text: str) -> list[str]:
+    """Lines longer than MAX_LINE characters."""
+    return [f"line {i}: {len(line)} characters"
+            for i, line in enumerate(text.splitlines(), 1) if len(line) > MAX_LINE]
 
 
 def collector_policy_calls(tree: ast.Module) -> list[str]:
@@ -129,9 +137,19 @@ def test_checker_sees_a_function_that_calls_itself():
     assert self_calls(tree) == ["line 2: f", "line 5: walk", "line 10: outer"]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_line_is_too_long(path):
+    assert long_lines(path.read_text()) == []
+
+
+def test_checker_sees_a_long_line():
+    text = "x = 1\n" + "y" * MAX_LINE + "\n" + "z" * (MAX_LINE + 1) + "\n"
+    assert long_lines(text) == [f"line 3: {MAX_LINE + 1} characters"]
+
+
 def test_no_private_function_is_unused():
     trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text())
-             for p in PACKAGE.rglob("*.py")}
+             for p in SOURCES}
     assert unused_private_functions(trees) == []
 
 
@@ -155,7 +173,7 @@ def test_checker_sees_an_unused_private_function():
 # cost down by holding fewer tracked objects, not by switching it off.
 def test_no_collector_policy_in_the_package():
     found = [f"{p.relative_to(PACKAGE)} {hit}"
-             for p in sorted(PACKAGE.rglob("*.py"))
+             for p in SOURCES
              for hit in collector_policy_calls(ast.parse(p.read_text()))]
     assert found == []
 
