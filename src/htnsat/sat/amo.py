@@ -27,9 +27,8 @@ SatSession.add_implications call. Both build their clauses in bulk
 unless a variable repeats or a level-0 value gets in the way, and then
 leave the store, the watch lists, the trail and so the search exactly as
 one add_clause per clause would. add_pairwise keeps the bulk path past a
-group literal false at level 0 (an op selector whose precondition fact
-is false at level 0, say): it is still exported in every pair but
-watched by none, as add_clause would do for each pair.
+group literal false at level 0: it builds the pairs of the other
+literals only, since add_clause stores none of that literal's pairs.
 """
 from __future__ import annotations
 

@@ -18,9 +18,9 @@ trail back to level 0 in one ``finally`` on every exit, an exception
 included.
 So add_clause attaches a clause without touching the search state, and
 the common case, a binary clause over two unassigned variables, is two
-list appends. For export, each clause is kept as added (duplicates
-merged, tautologies included) in one flat ``array('i')`` of 0-terminated
-literals rather than as a list of its own.
+list appends. For export, each stored clause is kept as added
+(duplicates merged) in one flat ``array('i')`` of 0-terminated literals
+rather than as a list of its own.
 
 A clause watched over two literals is not a list either: as in
 MiniSat's binary watches, its entry in the watch list of one literal is
@@ -40,41 +40,46 @@ learnt clauses, the counters and the models are the same. What goes is
 one list per binary clause, an object the cyclic garbage collector
 tracks and walks; an int is not tracked.
 
-What gets watched is simplified by the level-0 assignment, as in
-MiniSat (Een & Sorensson, SAT 2003). A clause with a literal true at
-level 0 is not watched at all; literals false at level 0 are left out;
-if one literal is left it is put on the trail as a level-0 unit, and if
-none is left the store is UNSAT. A level-0 assignment is never undone,
-because the search never backtracks below level 0, so none of this
-changes the search. A clause true at level 0 can never become unit or
-conflicting, and taking it out of the watch lists leaves every other
-watcher in the same order. A literal false at level 0 is never picked as
-a new watch, and conflict analysis skips level-0 variables without
-bumping them. So the trail, the learnt clauses, the counters and the
-models are the same as with every clause watched in full.
+What is stored is simplified by the level-0 assignment, as in MiniSat
+(Een & Sorensson, SAT 2003): add_clause stores no tautology and no
+clause with a literal true at level 0 as it is added, and nothing at all
+once the store is UNSAT, since solve() then answers None at once. Of a
+stored clause, literals false at level 0 are not watched; if one literal
+is left it is put on the trail as a level-0 unit, and if none is left
+the store is UNSAT. A level-0 assignment follows from the stored
+clauses and is never undone, because the search never backtracks below
+level 0. So the store stays equivalent to every clause added, and none
+of this changes the search: a clause true at level 0 can never become
+unit or conflicting, so leaving it out leaves every watcher in the same
+order; a literal false at level 0 is never picked as a new watch, and
+conflict analysis skips level-0 variables without bumping them. The
+trail, the learnt clauses, the counters and the models are the same as
+with every clause stored and watched in full.
 
 add_pairwise adds the pairwise at-most-one clauses [-a, -b] of a whole
 group in one call, and leaves the store, the watch lists and the trail
-exactly as one add_clause per pair, in pair order, would. It exports
-every pair in one go unless the group repeats a variable, names an
-unallocated one, or has a literal true at level 0; those go pair by
-pair, because there add_clause merges literals, raises part way, or
-puts units on the trail in pair order. A literal false at level 0 is
-exported but never watched: each of its pairs holds its negation,
-which is true at level 0, so add_clause would watch none of them. The
-watch list of each free -a gains the free literals' negations before a,
-then those after it, which is the order in which the pairs append them.
+exactly as one add_clause per pair, in pair order, would. It builds the
+pairs in one go unless the store is UNSAT or the group repeats a
+variable, names an unallocated one, or has a literal true at level 0;
+those go pair by pair, because there add_clause stores nothing, merges
+literals, raises part way, or puts units on the trail in pair order. A
+literal false at level 0 is in no stored pair: each of its pairs holds
+its negation, which is true at level 0. So the bulk path stores the
+pairs of the free literals, in pair order, and the watch list of each
+free -a gains the free literals' negations before a, then those after
+it, which is the order in which the pairs append them.
 
 add_implications adds [-a, h] for every a of lits and every h of heads,
 the commander implications of a bimander group, and leaves the store,
 the watch lists and the trail exactly as one add_clause per clause,
-a-major, would. When every variable is distinct, allocated and free at
-level 0, it exports every clause in one go, and each clause is watched
-over both its literals: the watch list of each -a gains the heads in
-order, and that of each h the negated lits in order, which is what the
-clauses append one by one. Otherwise it goes clause by clause, because
-there add_clause merges literals, raises part way, drops a satisfied
-clause's watches or puts units on the trail.
+a-major, would. When the store is not UNSAT and every variable is
+distinct, allocated and free at level 0, it stores every clause in one
+go, and each clause is watched over both its literals: the watch list
+of each -a gains the heads in order, and that of each h the negated
+lits in order, which is what the clauses append one by one. Otherwise
+it goes clause by clause, because there add_clause stores nothing,
+merges literals, raises part way, leaves out a satisfied clause or puts
+units on the trail.
 
 The decision queue is a heap of (-activity, variable) entries kept
 across solve() calls, as in MiniSat's order heap. A per-variable
@@ -148,7 +153,7 @@ class SatSession:
         # per literal, the clauses to visit when it becomes false: a
         # binary clause as its other literal, a longer one as its list
         self.watches: dict[int, list[list[int] | int]] = {}
-        self.store = array("i")  # problem clauses as added, each 0-terminated
+        self.store = array("i")  # stored clauses as added, each 0-terminated
         self.num_clauses = 0
         self.n_learnt = 0
         self.trail: list[int] = []
@@ -182,10 +187,11 @@ class SatSession:
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause over previously allocated variables.
 
-        Duplicate literals are merged, tautologies accepted and dropped,
-        the empty clause marks the store permanently UNSAT. Every clause
-        is exported as added; what gets watched is simplified by the
-        level-0 assignment (see the module docstring).
+        Duplicate literals are merged, the empty clause marks the store
+        permanently UNSAT. A tautology, a clause with a literal true at
+        level 0 or any clause once the store is UNSAT is not stored; any
+        other is stored as added, and what gets watched is simplified by
+        the level-0 assignment (see the module docstring).
         """
         nvars = self.num_vars
         store = self.store
@@ -197,24 +203,23 @@ class SatSession:
             if not 0 < vb <= nvars:
                 raise SolverUsageError(f"literal {b} uses unallocated variable")
             if a != b:
-                store.fromlist(lits)
-                store.append(0)
-                self.num_clauses += 1
-                if a == -b:  # tautology: exported, never watched
+                if a == -b or self.hard_unsat:  # a tautology, or nothing to add
                     return
                 assign = self.assign
                 xa, xb = assign[va], assign[vb]
-                if not (xa or xb):  # both free: watch both
-                    self.watches[a].append(b)
-                    self.watches[b].append(a)
-                    return
                 if a < 0:
                     xa = -xa
                 if b < 0:
                     xb = -xb
                 if xa > 0 or xb > 0:
                     return  # satisfied at level 0
-                if xa < 0 and xb < 0:
+                store.fromlist(lits)
+                store.append(0)
+                self.num_clauses += 1
+                if not (xa or xb):  # both free: watch both
+                    self.watches[a].append(b)
+                    self.watches[b].append(a)
+                elif xa and xb:
                     self.hard_unsat = True
                 else:
                     self._enqueue(b if xa else a, None)
@@ -231,10 +236,7 @@ class SatSession:
                     taut = True
                 seen.add(lit)
                 clause.append(lit)
-        store.fromlist(clause)
-        store.append(0)
-        self.num_clauses += 1
-        if taut:
+        if taut or self.hard_unsat:
             return
         # keep the free literals; one true at level 0 satisfies the clause
         assign = self.assign
@@ -245,6 +247,9 @@ class SatSession:
                 free.append(lit)
             elif v > 0:
                 return
+        store.fromlist(clause)
+        store.append(0)
+        self.num_clauses += 1
         if len(free) > 2:
             free.sort(key=abs)  # in variable order, the lowest two watched
             self.watches[free[0]].append(free)
@@ -264,21 +269,22 @@ class SatSession:
         The store, the watch lists and the trail end up exactly as after
         one add_clause call per pair. A group with a repeated variable,
         an unallocated one or a literal true at level 0 takes that path,
-        one pair at a time. Any other group is built in bulk: every pair
-        is exported, a literal false at level 0 is watched by none of its
-        pairs (each is satisfied at level 0), and the watch list of each
-        free -a gains the negations of the free literals before a, then
-        of those after it (see the module docstring).
+        one pair at a time, and so does any group once the store is
+        UNSAT. Any other group is built in bulk over its
+        literals free at level 0 (a pair with a literal false at level 0
+        is satisfied there): each of their pairs is stored, and the watch
+        list of each free -a gains the negations of the free literals
+        before a, then of those after it (see the module docstring).
         """
         neg = [-x for x in lits]
         n = len(neg)
         nvars, assign = self.num_vars, self.assign
         vs = {abs(x) for x in neg}
         free = neg
-        if len(vs) < n or not all(0 < v <= nvars for v in vs):
+        if self.hard_unsat or len(vs) < n or not all(0 < v <= nvars for v in vs):
             free = None
         elif any(map(assign.__getitem__, vs)):
-            # the level-0 value of each -x: true drops the pair's watch,
+            # the level-0 value of each -x: true satisfies the pair,
             # false (x true) makes the other literal a unit
             vals = [assign[a] if a > 0 else -assign[-a] for a in neg]
             free = (None if min(vals) < 0
@@ -288,10 +294,11 @@ class SatSession:
                 for b in neg[i + 1:]:
                     self.add_clause([a, b])
             return
+        n = len(free)
         flat: list[int] = []
-        for i, a in enumerate(neg):
+        for i, a in enumerate(free):
             pairs = [a, 0, 0] * (n - 1 - i)
-            pairs[1::3] = neg[i + 1:]
+            pairs[1::3] = free[i + 1:]
             flat += pairs
         self.store.fromlist(flat)
         self.num_clauses += n * (n - 1) // 2
@@ -307,8 +314,9 @@ class SatSession:
         order.
 
         The store, the watch lists and the trail end up exactly as after
-        one add_clause call per clause. If a variable repeats, is
-        unallocated or is assigned at level 0, that is the path taken;
+        one add_clause call per clause. If the store is UNSAT or a
+        variable repeats, is unallocated or is assigned at level 0, that
+        is the path taken;
         otherwise every clause is built in bulk and watched over both
         literals (see the module docstring).
         """
@@ -316,7 +324,7 @@ class SatSession:
         nvars, assign = self.num_vars, self.assign
         vs = {abs(x) for x in neg}
         vs.update(map(abs, heads))
-        if (len(vs) < len(neg) + len(heads)
+        if (self.hard_unsat or len(vs) < len(neg) + len(heads)
                 or not all(0 < v <= nvars for v in vs)
                 or any(map(assign.__getitem__, vs))):
             for a in neg:
@@ -621,7 +629,7 @@ class SatSession:
     # -- reporting ----------------------------------------------------------
 
     def clauses(self) -> Iterator[list[int]]:
-        """The problem clauses in the order added, duplicates merged."""
+        """The stored clauses in the order added, duplicates merged."""
         clause: list[int] = []
         for lit in self.store:
             if lit:

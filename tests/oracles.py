@@ -37,8 +37,8 @@ def _columns(nvars: int) -> list[np.ndarray]:
     return _col_cache[nvars]
 
 
-def truth_table_sat(nvars: int, clauses: list[list[int]]) -> bool:
-    """Brute-force satisfiability over all 2^nvars assignments."""
+def truth_table(nvars: int, clauses: list[list[int]]) -> np.ndarray:
+    """Which of the 2^nvars assignments satisfy every clause."""
     cols = _columns(nvars)
     ok = np.ones(1 << nvars, dtype=bool)
     for clause in clauses:
@@ -47,9 +47,12 @@ def truth_table_sat(nvars: int, clauses: list[list[int]]) -> bool:
             col = cols[abs(lit) - 1]
             sat |= col if lit > 0 else ~col
         ok &= sat
-        if not ok.any():
-            return False
-    return bool(ok.any())
+    return ok
+
+
+def truth_table_sat(nvars: int, clauses: list[list[int]]) -> bool:
+    """Brute-force satisfiability over all 2^nvars assignments."""
+    return bool(truth_table(nvars, clauses).any())
 
 
 def truth_table_models(nvars: int, clauses: list[list[int]]) -> set[tuple[bool, ...]]:

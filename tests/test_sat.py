@@ -1,6 +1,8 @@
 """Solver and AMO encoding tests against brute-force oracles."""
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 
@@ -24,7 +26,12 @@ from htnsat.sat import (
     luby,
     parse_dimacs,
 )
-from oracles import DecisionCheckingSession, enumerate_session_models, truth_table_sat
+from oracles import (
+    DecisionCheckingSession,
+    enumerate_session_models,
+    truth_table,
+    truth_table_sat,
+)
 
 
 def random_3cnf(rng: random.Random, nvars: int, nclauses: int) -> list[list[int]]:
@@ -239,7 +246,11 @@ def test_ingestion_matches_brute_force(data):
             assert any(abs(l) > n for l in clause)
         else:
             accepted.append(list(clause))
-        assert s.num_clauses == len(accepted)
+        # the store may leave out what level 0 satisfies, but it stays
+        # equivalent to every clause accepted
+        stored = list(s.clauses())
+        assert s.num_clauses == len(stored) <= len(accepted)
+        assert (truth_table(n, stored) == truth_table(n, accepted)).all()
     model = s.solve()
     assert (model is not None) == truth_table_sat(n, accepted)
 
@@ -266,19 +277,20 @@ def test_dimacs_round_trip_keeps_clauses_as_added():
     s = SatSession()
     for _ in range(3):
         s.new_var()
-    s.add_clause([1, -1])  # tautologies: exported, never watched
+    s.add_clause([1, -1])  # tautologies: neither stored nor watched
     s.add_clause((2, 1, -2))
-    assert not any(s.watches.values())
+    assert s.num_clauses == 0 and not any(s.watches.values())
     s.add_clause([-2, 3, -2])  # duplicate merged, first-seen order kept
     s.add_clause([3])
     s.add_clause([2, -1])
+    s.add_clause([1, 3])  # satisfied at level 0 by the unit: not stored
     text = dump_dimacs(s)
-    assert text == "p cnf 3 5\n1 -1 0\n2 1 -2 0\n-2 3 0\n3 0\n2 -1 0\n"
+    assert text == "p cnf 3 3\n-2 3 0\n3 0\n2 -1 0\n"
     nvars, clauses = parse_dimacs(text)
-    assert (nvars, clauses) == (3, [[1, -1], [2, 1, -2], [-2, 3], [3], [2, -1]])
+    assert (nvars, clauses) == (3, [[-2, 3], [3], [2, -1]])
     t = SatSession()
     load_into_session(text, t)
-    assert t.num_clauses == 5 and dump_dimacs(t) == text
+    assert t.num_clauses == 3 and dump_dimacs(t) == text
 
 
 def test_determinism_identical_history():
@@ -360,9 +372,9 @@ def test_level0_assignments_simplify_what_gets_watched():
     for _ in range(5):
         s.new_var()
     s.add_clause([-1])  # var 1 is false from here on
-    s.add_clause([-1, 2])  # satisfied at level 0
-    s.add_clause([-3, 4, -1])  # satisfied too, on the general path
-    assert dump_dimacs(s).splitlines()[1:] == ["-1 0", "-1 2 0", "-3 4 -1 0"]
+    s.add_clause([-1, 2])  # satisfied at level 0: not stored
+    s.add_clause([-3, 4, -1])  # nor is this one, on the general path
+    assert dump_dimacs(s).splitlines()[1:] == ["-1 0"]
     assert not any(s.watches.values())
     s.add_clause([1, 3])  # the other literal is false: 3 becomes a unit
     s.add_clause([1, -3, 4])
@@ -373,7 +385,10 @@ def test_level0_assignments_simplify_what_gets_watched():
     assert s.watches[2] == [5] and s.watches[5] == [2]
     s.add_clause([-4, 1])  # every literal false
     assert s.hard_unsat and s.solve() is None
-    assert s.num_clauses == 7
+    # a stored clause keeps its literals false at level 0
+    assert dump_dimacs(s).splitlines()[1:] == [
+        "-1 0", "1 3 0", "1 -3 4 0", "5 1 2 0", "-4 1 0"]
+    assert s.num_clauses == 5
 
 
 def _replay_bulk_both_ways(nvars: int, steps: list[tuple]) -> None:
@@ -493,6 +508,52 @@ def test_add_implications_goes_in_bulk_over_free_distinct_variables(
     _replay_bulk_both_ways(7, steps)
     assert [(lits, heads) for lits, heads, *_ in implication_fallbacks] == [
         ([1, 6], [7]), ([2], [-2, 3]), ([6], [8]), ([7], [-5, 3])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_store_leaves_out_only_what_level_0_satisfies(data):
+    # histories of units, longer clauses, AMO groups, implications and
+    # solves: no stored clause is a tautology or held a literal true at
+    # level 0 when it went in, the store stays equivalent to every
+    # clause passed in, and its DIMACS dump reloads to itself
+    nvars, steps = _drawn_history(
+        data, ["clause", "clause", "amo", "implies", "solve"])
+    s = SatSession()
+    for _ in range(nvars):
+        s.new_var()
+    passed: list[list[int]] = []
+    for kind, lits in steps:
+        before = s.num_clauses
+        values = s.assign[:]
+        if kind == "solve":
+            s.solve(lits)
+            continue
+        if kind == "clause":
+            clauses, add = [lits], lambda: s.add_clause(list(lits))
+        elif kind == "amo":
+            clauses = [[-a, -b] for i, a in enumerate(lits) for b in lits[i + 1:]]
+            add = functools.partial(s.add_pairwise, lits)
+        else:
+            clauses = [[-a, h] for a in lits[0] for h in lits[1]]
+            add = functools.partial(s.add_implications, *lits)
+        try:
+            add()
+        except SolverUsageError:
+            # the clauses before the first unallocated variable went in
+            clauses = list(itertools.takewhile(
+                lambda c: all(abs(x) <= nvars for x in c), clauses))
+        passed += clauses
+        for c in list(s.clauses())[before:]:
+            assert not any(-x in c for x in c), c
+            assert not any(values[abs(x)] == (1 if x > 0 else -1) for x in c), c
+    stored = list(s.clauses())
+    assert s.num_clauses == len(stored)
+    assert (truth_table(nvars, stored) == truth_table(nvars, passed)).all()
+    text = dump_dimacs(s)
+    t = SatSession()
+    load_into_session(text, t)
+    assert dump_dimacs(t) == text
 
 
 def _planted_history(seed: int, units: bool,
