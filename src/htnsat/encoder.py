@@ -1,8 +1,8 @@
 """Incremental CNF encoding of the refinement grid.
 
 Variables: one selector per candidate op at every position (bar the
-actions that level 0 rules out, below), one selector per method of each
-task that level 0 leaves open at its expanded position, one blank
+actions that level 0 rules out, below), one selector per live method of
+each task that level 0 leaves open at its expanded position, one blank
 filler where a position may stay unused, and one boolean per fact at
 every state column. Columns sit between neighbouring positions of a
 layer; a child row reuses its parent's boundary columns at both ends
@@ -21,37 +21,25 @@ grows. The relaxed query needs no selector: it solves the store with no
 assumption, and unexpanded tasks act through their mandatory
 preconditions and possible effects.
 
-Each position is encoded against what the session already knows at
-level 0, the assignment no search undoes. An action with a precondition
-fact false at level 0 in its position's pre column gets no selector: no
-variable, no clause, no place in the position's at-most-one group, its
-at-least-one clause or the frame axioms' support lists. A precondition
-fact true at level 0 gets no clause, and of a fact's two frame axioms
-the one its pre value at level 0 satisfies is left out. In linkage, a
-parent action whose child has no selector is forbidden by a unit, and
-a method whose subtask action has none is forbidden by a unit in place
-of that slot's clause. A task whose selector is false at level 0 when
-its position is linked gets no method block: no method selector, no
-linkage clause, no at-least-one clause over its methods and no
-at-most-one group; and a strict query adds no clause for a task false
-at level 0 when it opens.
+The encoder reads the session's level-0 assignment, which no search
+undoes, only to decide which selectors exist. An action with a
+precondition fact false at level 0 in its position's pre column gets no
+selector: no variable, no clause, no place in the position's
+at-most-one group, its at-least-one clause or the frame axioms' support
+lists. A task whose selector is false at level 0 when its position is
+linked gets no method block, and a strict query adds no clause for a
+task false at level 0 when it opens. A method with a subtask slot that
+has no selector gets none either, and a parent action whose child has
+no selector is forbidden by a unit. Every other clause is added in
+full; the session stores none that level 0 already satisfies.
 
-This leaves the search as it was: each clause left out holds a literal
-that is true at level 0 the moment it would go in (the full encoding
-would put each dropped selector false on the level-0 trail before any
-query), and the solver never watches a clause that a level-0 value
-satisfies, so the same clauses are watched in the same order over the
-same variables, renumbered in order. Only level-0 propagation counts,
-variable and clause counts and the dumped CNF differ. That holds
-wherever a group is encoded pairwise (the auto scheme up to
-AUTO_THRESHOLD literals). A scheme with commander bits spreads a
-position's codes over its live selectors only, which is the same
-constraint but may watch other clauses; and a dead task's method group
-above the threshold would have had commander bits that no watched
-clause holds, so dropping it can only take away decisions that force
-nothing. Task selectors and the fact columns are still made in full,
-and a live task keeps a selector for every method, so its group keeps
-its size and its at-most-one encoding.
+So the search is the one the full encoding would make: each selector
+left out would be false at level 0 before the first decision, and every
+clause left out with it would be satisfied there and never watched.
+The same clauses are watched in the same order over the same variables,
+renumbered in order. Where a group has commander bits (above
+AUTO_THRESHOLD literals, or a binary scheme), they encode the same
+constraint over the live selectors only, and may watch other clauses.
 
 A relaxed answer is read off the bottom layer in one pass. The linkage
 clauses force every position's op from its parent's, and an unexpanded
@@ -194,24 +182,17 @@ class Encoder:
         effects = []  # (selector, facts it may add, facts it may delete)
         for a in pos.acts:
             act = self.p.actions[a]
-            # a precondition fact false at level 0 rules the action out;
-            # one true at level 0 needs no clause
-            need = []
-            for f in bits(act.precond):
-                x = assign[pre[f]]
-                if x < 0:
-                    break
-                if not x:
-                    need.append(pre[f])
-            else:
-                v = ops[TaskRef(ACTION, a)] = sess.new_var()
-                effects.append((v, act.eff_pos, act.eff_neg))
-                for lit in need:
-                    sess.add_clause([-v, lit])
-                for f in bits(act.eff_pos):
-                    sess.add_clause([-v, post[f]])
-                for f in bits(act.eff_neg):
-                    sess.add_clause([-v, -post[f]])
+            need = [pre[f] for f in bits(act.precond)]
+            if any(assign[x] < 0 for x in need):
+                continue  # a precondition fact false at level 0 rules it out
+            v = ops[TaskRef(ACTION, a)] = sess.new_var()
+            effects.append((v, act.eff_pos, act.eff_neg))
+            for x in need:
+                sess.add_clause([-v, x])
+            for f in bits(act.eff_pos):
+                sess.add_clause([-v, post[f]])
+            for f in bits(act.eff_neg):
+                sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
             effects.append((v, prof.poss_eff_pos[t], prof.poss_eff_neg[t]))
@@ -227,20 +208,14 @@ class Encoder:
 
     def _frame(self, effects: list[tuple[int, int, int]],
                pre: list[int], post: list[int]) -> None:
-        """Explanatory frame axioms for each fact that may change. Of the
-        two clauses of a fact, the one a level-0 value of pre[f] already
-        satisfies is left out."""
+        """Explanatory frame axioms for each fact that may change."""
         sess = self.sess
-        assign = sess.assign
         for f in range(len(self.p.facts)):
             x, y = pre[f], post[f]
             if x == y:
                 continue
-            val = assign[x]
-            if val <= 0:
-                sess.add_clause([x, -y] + [v for v, add, _ in effects if add >> f & 1])
-            if val >= 0:
-                sess.add_clause([-x, y] + [v for v, _, dele in effects if dele >> f & 1])
+            sess.add_clause([x, -y] + [v for v, add, _ in effects if add >> f & 1])
+            sess.add_clause([-x, y] + [v for v, _, dele in effects if dele >> f & 1])
 
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
@@ -254,15 +229,16 @@ class Encoder:
                 continue
             mvars = []
             for mid in self.p.abstracts[t].methods:
+                subs = self.p.methods[mid].subtasks
+                slots = [kid.get(subs[i] if i < len(subs) else None)
+                         for i, kid in enumerate(kids)]
+                if None in slots:  # a slot without a selector: no method
+                    continue
                 mv = mvar[mid] = sess.new_var()
                 mvars.append(mv)
                 sess.add_clause([-mv, tv])
-                subs = self.p.methods[mid].subtasks
-                try:
-                    for i, kid in enumerate(kids):
-                        sess.add_clause([-mv, kid[subs[i] if i < len(subs) else None]])
-                except KeyError:  # a subtask action ruled out at level 0
-                    sess.add_clause([-mv])
+                for kv in slots:
+                    sess.add_clause([-mv, kv])
             sess.add_clause([-tv] + mvars)
             encode_amo(sess, mvars, self.amo)
         for a in pos.acts:
@@ -348,7 +324,7 @@ class Encoder:
                     raise EncoderBugError(
                         f"unexpanded task in a strict answer on layer {pos.layer}")
                 chosen = [m for m in self.p.abstracts[ref.id].methods
-                          if model[self.mvar[pos][m]]]
+                          if model[self.mvar[pos].get(m, 0)]]  # model[0] is False
                 if len(chosen) != 1:
                     raise EncoderBugError(f"{len(chosen)} methods selected for "
                                           f"a task on layer {pos.layer}")

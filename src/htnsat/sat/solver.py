@@ -58,16 +58,15 @@ with every clause stored and watched in full.
 
 add_pairwise adds the pairwise at-most-one clauses [-a, -b] of a whole
 group in one call, and leaves the store, the watch lists and the trail
-exactly as one add_clause per pair, in pair order, would. It builds the
-pairs in one go unless the store is UNSAT or the group repeats a
-variable, names an unallocated one, or has a literal true at level 0;
-those go pair by pair, because there add_clause stores nothing, merges
-literals, raises part way, or puts units on the trail in pair order. A
-literal false at level 0 is in no stored pair: each of its pairs holds
-its negation, which is true at level 0. So the bulk path stores the
-pairs of the free literals, in pair order, and the watch list of each
-free -a gains the free literals' negations before a, then those after
-it, which is the order in which the pairs append them.
+exactly as one add_clause per pair, in pair order, would. A group goes
+pair by pair if the store is UNSAT or the group repeats a variable,
+names an unallocated one or has a literal true at level 0: there
+add_clause stores nothing, merges literals, raises part way or puts
+units on the trail. Any other group is built in bulk over its literals
+free at level 0, since each pair of a literal false at level 0 holds its
+negation: their pairs are stored in pair order, and the watch list of
+each free -a gains the free literals' negations before a, then those
+after it, which is the order in which the pairs append them.
 
 add_implications adds [-a, h] for every a of lits and every h of heads,
 the commander implications of a bimander group, and leaves the store,
@@ -207,22 +206,23 @@ class SatSession:
                     return
                 assign = self.assign
                 xa, xb = assign[va], assign[vb]
-                if a < 0:
-                    xa = -xa
-                if b < 0:
-                    xb = -xb
-                if xa > 0 or xb > 0:
-                    return  # satisfied at level 0
+                if xa or xb:
+                    if a < 0:
+                        xa = -xa
+                    if b < 0:
+                        xb = -xb
+                    if xa > 0 or xb > 0:
+                        return  # satisfied at level 0
+                    if xa and xb:
+                        self.hard_unsat = True
+                    else:
+                        self._enqueue(b if xa else a, None)
+                else:  # both free: watch both
+                    self.watches[a].append(b)
+                    self.watches[b].append(a)
                 store.fromlist(lits)
                 store.append(0)
                 self.num_clauses += 1
-                if not (xa or xb):  # both free: watch both
-                    self.watches[a].append(b)
-                    self.watches[b].append(a)
-                elif xa and xb:
-                    self.hard_unsat = True
-                else:
-                    self._enqueue(b if xa else a, None)
                 return
         # general path: longer clauses, duplicates, non-lists
         seen: set[int] = set()
@@ -267,21 +267,14 @@ class SatSession:
         """Add [-a, -b] for every pair of lits, a before b, in that order.
 
         The store, the watch lists and the trail end up exactly as after
-        one add_clause call per pair. A group with a repeated variable,
-        an unallocated one or a literal true at level 0 takes that path,
-        one pair at a time, and so does any group once the store is
-        UNSAT. Any other group is built in bulk over its
-        literals free at level 0 (a pair with a literal false at level 0
-        is satisfied there): each of their pairs is stored, and the watch
-        list of each free -a gains the negations of the free literals
-        before a, then of those after it (see the module docstring).
+        one add_clause call per pair, whether the pairs go in that way
+        or in bulk (see the module docstring).
         """
         neg = [-x for x in lits]
-        n = len(neg)
         nvars, assign = self.num_vars, self.assign
         vs = {abs(x) for x in neg}
         free = neg
-        if self.hard_unsat or len(vs) < n or not all(0 < v <= nvars for v in vs):
+        if self.hard_unsat or len(vs) < len(neg) or not all(0 < v <= nvars for v in vs):
             free = None
         elif any(map(assign.__getitem__, vs)):
             # the level-0 value of each -x: true satisfies the pair,
@@ -314,11 +307,8 @@ class SatSession:
         order.
 
         The store, the watch lists and the trail end up exactly as after
-        one add_clause call per clause. If the store is UNSAT or a
-        variable repeats, is unallocated or is assigned at level 0, that
-        is the path taken;
-        otherwise every clause is built in bulk and watched over both
-        literals (see the module docstring).
+        one add_clause call per clause, whether the clauses go in that
+        way or in bulk (see the module docstring).
         """
         neg = [-a for a in lits]
         nvars, assign = self.num_vars, self.assign

@@ -402,8 +402,8 @@ def relaxed_leaves_by_tree_walk(enc, model):
     undeveloped abstract leaves. Takes the encoder's variable maps and
     grid as given and checks that each visited position selects exactly
     one non-blank op and each developed task exactly one method. An
-    action candidate without a selector, one the encoder ruled out at
-    level 0, counts as unselected."""
+    action or method without a selector, one the encoder ruled out,
+    counts as unselected."""
     frontier: list[TaskRef] = []
     targets = []
     stack = [enc.pdt.root]
@@ -423,7 +423,7 @@ def relaxed_leaves_by_tree_walk(enc, model):
                 targets.append(pos)
             continue
         chosen = [m for m in enc.p.abstracts[ref.id].methods
-                  if model[enc.mvar[pos][m]]]
+                  if model[enc.mvar[pos].get(m, 0)]]
         assert len(chosen) == 1, f"{len(chosen)} methods on layer {pos.layer}"
         width = len(enc.p.methods[chosen[0]].subtasks)
         stack.extend(pos.children[i] for i in reversed(range(width)))

@@ -237,11 +237,11 @@ GENERATED = [inst.name for wl in ("walker", "wide")
 PINNED_BENCH_SEARCH = {
     ("walker-8x3", "greedy"): (
         [("s", 0, 0, 47), ("r", 0, 24, 24), ("s", 0, 0, 7), ("r", 0, 24, 40),
-         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 77), ("r", 0, 1, 10),
-         ("s", 0, 0, 57), ("r", 0, 4, 53), ("s", 0, 0, 46), ("r", 0, 7, 123),
-         ("s", 0, 0, 37), ("r", 0, 10, 214), ("s", 0, 0, 28),
-         ("r", 0, 13, 326), ("s", 0, 0, 17), ("r", 0, 16, 461),
-         ("s", 1, 0, 44), ("r", 0, 25, 617), ("s", 0, 0, 730)],
+         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 36), ("r", 0, 1, 10),
+         ("s", 0, 0, 21), ("r", 0, 4, 53), ("s", 0, 0, 18), ("r", 0, 7, 123),
+         ("s", 0, 0, 15), ("r", 0, 10, 214), ("s", 0, 0, 12),
+         ("r", 0, 13, 326), ("s", 0, 0, 7), ("r", 0, 16, 461),
+         ("s", 1, 0, 40), ("r", 0, 25, 617), ("s", 0, 0, 730)],
         349, 49),
     ("wide-100x4", "greedy"): (
         [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 217), ("r", 0, 5, 5),
@@ -452,6 +452,26 @@ def test_no_method_block_for_a_task_false_at_level_0(monkeypatch, name, mode):
     monkeypatch.setattr(Encoder, "_encode_linkage", linked)
     monkeypatch.setattr(Encoder, "_open_query", opened)
     assert plan(generated(name), PlannerConfig(mode=mode)).status == "solved"
+    assert live and dead == []
+
+
+def test_no_method_selector_for_a_slot_without_one(monkeypatch):
+    # a method with a subtask slot that has no selector at its child
+    # position (an action ruled out there at level 0) gets no selector
+    link = Encoder._encode_linkage
+    live, dead = [], []
+
+    def linked(self, pos):
+        link(self, pos)
+        kids = [self.ops[q] for q in pos.children]
+        for mid, mv in self.mvar[pos].items():
+            subs = self.p.methods[mid].subtasks
+            slots = [subs[i] if i < len(subs) else None for i in range(len(kids))]
+            missing = any(ref not in kid for ref, kid in zip(slots, kids))
+            (dead if missing else live).append(mv)
+
+    monkeypatch.setattr(Encoder, "_encode_linkage", linked)
+    assert plan(generated("walker-8x3")).status == "solved"
     assert live and dead == []
 
 

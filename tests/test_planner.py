@@ -209,19 +209,19 @@ PINNED_SEARCH = {
         [("s", 0, 0, 10), ("s", 1, 0, 5), ("s", 0, 1, 40)],
         ["begin-right", "mid-right", "end-right"]),
     ("tower", GREEDY): (
-        [("s", 0, 0, 6), ("r", 0, 2, 2), ("s", 1, 0, 20), ("r", 0, 1, 1),
-         ("s", 0, 0, 12)],
+        [("s", 0, 0, 6), ("r", 0, 2, 2), ("s", 1, 0, 19), ("r", 0, 1, 1),
+         ("s", 0, 0, 11)],
         ["pop(2,1)"]),
     ("tower", BFS): (
-        [("s", 0, 0, 6), ("s", 1, 0, 20), ("s", 0, 0, 12)],
+        [("s", 0, 0, 6), ("s", 1, 0, 19), ("s", 0, 0, 11)],
         ["pop(2,1)"]),
     ("reinsert", GREEDY): (
-        [("s", 0, 0, 7), ("r", 0, 3, 3), ("s", 0, 0, 7), ("r", 0, 5, 6),
-         ("s", 0, 0, 16), ("r", 0, 3, 4), ("s", 0, 0, 8), ("r", 0, 1, 1),
+        [("s", 0, 0, 7), ("r", 0, 3, 3), ("s", 0, 0, 6), ("r", 0, 5, 6),
+         ("s", 0, 0, 14), ("r", 0, 3, 4), ("s", 0, 0, 7), ("r", 0, 1, 1),
          ("s", 0, 0, 13)],
         ["pop(2,1)", "pop(1,0)", "check"]),
     ("reinsert", BFS): (
-        [("s", 0, 0, 7), ("s", 0, 0, 7), ("s", 0, 0, 16), ("s", 0, 0, 8),
+        [("s", 0, 0, 7), ("s", 0, 0, 6), ("s", 0, 0, 14), ("s", 0, 0, 7),
          ("r", 0, 1, 1), ("s", 0, 0, 13)],
         ["pop(2,1)", "pop(1,0)", "check"]),
 }
