@@ -183,16 +183,18 @@ class Encoder:
         for a in pos.acts:
             act = self.p.actions[a]
             need = [pre[f] for f in bits(act.precond)]
-            if any(assign[x] < 0 for x in need):
-                continue  # a precondition fact false at level 0 rules it out
-            v = ops[TaskRef(ACTION, a)] = sess.new_var()
-            effects.append((v, act.eff_pos, act.eff_neg))
             for x in need:
-                sess.add_clause([-v, x])
-            for f in bits(act.eff_pos):
-                sess.add_clause([-v, post[f]])
-            for f in bits(act.eff_neg):
-                sess.add_clause([-v, -post[f]])
+                if assign[x] < 0:  # a precondition fact false at level 0
+                    break  # rules the action out
+            else:
+                v = ops[TaskRef(ACTION, a)] = sess.new_var()
+                effects.append((v, act.eff_pos, act.eff_neg))
+                for x in need:
+                    sess.add_clause([-v, x])
+                for f in bits(act.eff_pos):
+                    sess.add_clause([-v, post[f]])
+                for f in bits(act.eff_neg):
+                    sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
             effects.append((v, prof.poss_eff_pos[t], prof.poss_eff_neg[t]))

@@ -98,6 +98,23 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+def test_search_key_moves_with_the_search_only():
+    query = {"round": 1, "kind": "relaxed", "verdict": "sat", "time": 0.1,
+             "vars": 9, "clauses": 20, "conflicts": 1, "decisions": 4,
+             "propagations": 30, "frontier": ["a"]}
+    stats = {"mode": "greedy", "rounds": 1, "methods_developed": 2,
+             "wall_time": 1.0, "grounding_time": 0.5, "queries": [query],
+             "events": []}
+    sizes = dict(stats, wall_time=2.0, grounding_time=0.0, queries=[
+        dict(query, time=0.3, vars=7, clauses=12, propagations=11)])
+    assert search_stats(sizes) == search_stats(stats)
+    for key, value in [("conflicts", 2), ("decisions", 5), ("frontier", ["b"]),
+                       ("verdict", "unsat")]:
+        moved = dict(stats, queries=[dict(query, **{key: value})])
+        assert search_stats(moved) != search_stats(stats), key
+    assert search_stats(dict(stats, methods_developed=3)) != search_stats(stats)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden(case, golden, tmp_path):
     assert run_case(case, tmp_path) == golden[case]
