@@ -37,8 +37,8 @@ So the search is the one the full encoding would make: each selector
 left out would be false at level 0 before the first decision, and every
 clause left out with it would be satisfied there and never watched.
 The same clauses are watched in the same order over the same variables,
-renumbered in order. Where a group has commander bits (above
-AUTO_THRESHOLD literals, or a binary scheme), they encode the same
+renumbered in order. Where a group has commander bits (auto above
+AUTO_THRESHOLD literals, binary, bimander), they encode the same
 constraint over the live selectors only, and may watch other clauses.
 
 A relaxed answer is read off the bottom layer in one pass. The linkage

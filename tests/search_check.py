@@ -26,9 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 MODES = ("greedy", "bfs")
-# per query: how big the store is and how far level 0 reaches, which
-# an encoding change may move without moving the search
-SIZE_FIELDS = ("time", "vars", "clauses", "propagations")
+# per query: the clock, how big the store is and how far level 0
+# reaches, which an encoding change may move without moving the search
+QUERY_NOISE = ("time", "vars", "clauses", "propagations")
 
 
 def search_stats(stats: dict) -> str:
@@ -36,7 +36,7 @@ def search_stats(stats: dict) -> str:
     propagation counts."""
     stats = {k: v for k, v in stats.items()
              if k not in ("wall_time", "grounding_time")}
-    stats["queries"] = [{k: v for k, v in q.items() if k not in SIZE_FIELDS}
+    stats["queries"] = [{k: v for k, v in q.items() if k not in QUERY_NOISE}
                         for q in stats["queries"]]
     return json.dumps(stats, indent=2)
 

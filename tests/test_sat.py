@@ -385,6 +385,12 @@ def test_level0_assignments_simplify_what_gets_watched():
     assert s.watches[2] == [5] and s.watches[5] == [2]
     s.add_clause([-4, 1])  # every literal false
     assert s.hard_unsat and s.solve() is None
+    # once the store is UNSAT nothing more is stored
+    s.add_clause([-2, 5, -3])
+    s.add_clause([5])
+    s.add_clause([-2, 5])
+    s.add_pairwise([2, 5])
+    s.add_implications([2], [5])
     # a stored clause keeps its literals false at level 0
     assert dump_dimacs(s).splitlines()[1:] == [
         "-1 0", "1 3 0", "1 -3 4 0", "5 1 2 0", "-4 1 0"]
@@ -524,11 +530,10 @@ def test_store_leaves_out_only_what_level_0_satisfies(data):
         s.new_var()
     passed: list[list[int]] = []
     for kind, lits in steps:
-        before = s.num_clauses
-        values = s.assign[:]
         if kind == "solve":
             s.solve(lits)
             continue
+        before, values = s.num_clauses, s.assign[:]
         if kind == "clause":
             clauses, add = [lits], lambda: s.add_clause(list(lits))
         elif kind == "amo":
