@@ -32,7 +32,7 @@ from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
                     join_name, new_tree, split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
                       profiles_of, verify)
-from .sat import DEFAULT_SCHEME, SCHEMES, SolverTimeout
+from .sat import AUTO_THRESHOLD, DEFAULT_SCHEME, SCHEMES, SolverTimeout
 
 
 class UsageError(ValueError):
@@ -261,7 +261,9 @@ def _solver_parser() -> _Parser:
     pr.add_argument("--mode", choices=(GREEDY, BFS), default=GREEDY,
                     help="expansion strategy (default greedy)")
     pr.add_argument("--amo", choices=SCHEMES, default=DEFAULT_SCHEME,
-                    help=f"at-most-one clause scheme (default {DEFAULT_SCHEME})")
+                    help=f"at-most-one clause scheme (default {DEFAULT_SCHEME}: "
+                         f"pairwise up to {AUTO_THRESHOLD} literals, the product "
+                         "encoding above)")
     pr.add_argument("--no-mutex", action="store_true",
                     help="drop inferred state invariant clauses")
     pr.add_argument("--mandpre-prune", choices=("on", "off"), default="on",

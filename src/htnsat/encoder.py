@@ -37,9 +37,19 @@ So the search is the one the full encoding would make: each selector
 left out would be false at level 0 before the first decision, and every
 clause left out with it would be satisfied there and never watched.
 The same clauses are watched in the same order over the same variables,
-renumbered in order. Where a group has commander bits (auto above
-AUTO_THRESHOLD literals, binary, bimander), they encode the same
+renumbered in order. Where a group has auxiliaries (the product
+encoding's row and column bits for auto above AUTO_THRESHOLD literals,
+or the commander bits of binary and bimander), they encode the same
 constraint over the live selectors only, and may watch other clauses.
+
+A task's method selectors need an at-most-one only among methods with
+the same slots: the same selector at every child position. Two methods
+whose slots differ imply different selectors at some child position,
+and that position's at-most-one over its ops and blank already forbids
+both. So a task gets one method group per set of methods with equal
+slots, and none if its methods all differ; with the task's at-least-one
+clause over its methods, a strict answer still selects exactly one
+method for each task it selects.
 
 A relaxed answer is read off the bottom layer in one pass. The linkage
 clauses force every position's op from its parent's, and an unexpanded
@@ -230,19 +240,24 @@ class Encoder:
             if assign[tv] < 0:  # ruled out at level 0: no method block
                 continue
             mvars = []
+            same_slots: dict[tuple[int, ...], list[int]] = {}
             for mid in self.p.abstracts[t].methods:
                 subs = self.p.methods[mid].subtasks
-                slots = [kid.get(subs[i] if i < len(subs) else None)
-                         for i, kid in enumerate(kids)]
+                slots = tuple(kid.get(subs[i] if i < len(subs) else None)
+                              for i, kid in enumerate(kids))
                 if None in slots:  # a slot without a selector: no method
                     continue
                 mv = mvar[mid] = sess.new_var()
                 mvars.append(mv)
+                same_slots.setdefault(slots, []).append(mv)
                 sess.add_clause([-mv, tv])
                 for kv in slots:
                     sess.add_clause([-mv, kv])
             sess.add_clause([-tv] + mvars)
-            encode_amo(sess, mvars, self.amo)
+            # methods with different slots already exclude each other
+            # through a child position's at-most-one
+            for group in same_slots.values():
+                encode_amo(sess, group, self.amo)
         for a in pos.acts:
             ref = TaskRef(ACTION, a)
             av = ops.get(ref)

@@ -117,24 +117,24 @@ class Pdt:
                 counts[t] = counts.get(t, 0) + 1
         kids = []
         for i in range(width):
-            acts: list[int] = []
-            tasks: list[int] = []
+            # insertion-ordered sets: each id once, at its first occurrence
+            acts: dict[int, None] = {}
+            tasks: dict[int, None] = {}
             blank = False
             if i == 0:
-                acts.extend(b.acts)
+                acts = dict.fromkeys(b.acts)
                 blank = b.has_blank
             elif b.acts or b.has_blank:
                 blank = True
             for m in methods:
                 if i < len(m.subtasks):
                     ref = m.subtasks[i]
-                    pool = acts if ref.is_action() else tasks
-                    if ref.id not in pool:
-                        pool.append(ref.id)
+                    (acts if ref.is_action() else tasks)[ref.id] = None
                 else:
                     blank = True
-            kids.append(Position(layer=len(self.layers), acts=acts, tasks=tasks,
-                                 has_blank=blank, anc_counts=counts))
+            kids.append(Position(layer=len(self.layers), acts=list(acts),
+                                 tasks=list(tasks), has_blank=blank,
+                                 anc_counts=counts))
         b.children = kids
         self.methods_developed += len(methods)
         return kids

@@ -12,23 +12,35 @@ projection onto the input variables: exactly the n+1 assignments with at
 most one true survive.
 
 The default scheme, auto, picks by group size: pairwise up to
-AUTO_THRESHOLD = 32 literals, bimander-sqrt above. Neither wins
-everywhere. Pairwise needs no auxiliary variables and is the fastest on
-small groups, but at 101 to 152 literals its n(n-1)/2 clauses are most
-of a store (95% of 451,350 clauses on the benchmark's wide workload),
-which bimander-sqrt cuts 5.5-fold. 32 is not a tuned value: the
-benchmark's planning workloads have no group between 24 literals
-(walker's largest) and 101 (wide's smallest), so any threshold in that
-range builds the same stores.
+AUTO_THRESHOLD = 32 literals, and above it the product encoding (Chen,
+ModRef 2010). That lays the n literals row-major on a grid of
+q = ceil(sqrt n) columns and p = ceil(n/q) rows; each literal implies
+its row bit and its column bit, and pairwise clauses over the row bits
+and over the column bits allow at most one of each. Two true literals
+would need two row bits or two column bits, so the same n+1 projected
+assignments survive, from 2n + C(p,2) + C(q,2) clauses over p + q
+auxiliaries. Pairwise needs no auxiliary variables and is the fastest on
+small groups, but it is quadratic. On the benchmark's wide workload,
+whose position groups hold 101 to 151 literals, bimander-sqrt needs 818
+to 1,407 clauses per group and the product encoding 302 to 446. With
+the encoder's method groups (encoder.py), that cuts the last query's
+store of a seed-1 attempt by 61-72% (wide-100x4 greedy 7,873 to 2,504
+clauses, wide-150x4 bfs 28,871 to 9,750), for 5-11% more variables.
+32 is not a tuned value: the benchmark's planning workloads have no
+group between 24 literals (walker's largest) and 101 (wide's smallest),
+so any threshold in that range builds the same stores.
 
 Each group's pairwise clauses go in through one SatSession.add_pairwise
 call, and its commander implications through one
-SatSession.add_implications call. Both build their clauses in bulk
-unless a variable repeats or a level-0 value gets in the way, and then
-leave the store, the watch lists, the trail and so the search exactly as
-one add_clause per clause would. add_pairwise keeps the bulk path past a
-group literal false at level 0: it builds the pairs of the other
-literals only, since add_clause stores none of that literal's pairs.
+SatSession.add_implications call; the product encoding makes one
+add_implications call per row and per column, and one add_pairwise call
+over the row bits and one over the column bits. Both methods build
+their clauses in bulk unless a variable repeats or a level-0 value gets
+in the way, and then leave the store, the watch lists, the trail and so
+the search exactly as one add_clause per clause would. add_pairwise
+keeps the bulk path past a group literal false at level 0: it builds
+the pairs of the other literals only, since add_clause stores none of
+that literal's pairs.
 """
 from __future__ import annotations
 
@@ -44,27 +56,31 @@ BIMANDER_SQRT = "bimander-sqrt"
 AUTO = "auto"
 AUTO_THRESHOLD = 32
 
-# group count per scheme, for n >= 2 variables
+# group count per bimander scheme, for n >= 2 variables
 _GROUPS = {
     PAIRWISE: lambda n: 1,
     BINARY: lambda n: n,
     BIMANDER_HALF: lambda n: math.ceil(n / 2),
     BIMANDER_SQRT: lambda n: math.ceil(math.sqrt(n)),
-    AUTO: lambda n: 1 if n <= AUTO_THRESHOLD else math.ceil(math.sqrt(n)),
 }
 
-SCHEMES = tuple(_GROUPS)
+SCHEMES = (*_GROUPS, AUTO)
 DEFAULT_SCHEME = AUTO
 
 
 def encode_amo(sess: SatSession, lits: Sequence[int],
                scheme: str = DEFAULT_SCHEME) -> list[int]:
-    """Constrain at most one of lits to be true. Returns the commander
-    bits, none for a single group."""
-    if scheme not in _GROUPS:
+    """Constrain at most one of lits to be true. Returns the auxiliary
+    variables: the commander bits, none for a single group, or the
+    product grid's row bits then column bits."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown AMO scheme {scheme!r}")
     if len(lits) < 2:
         return []
+    if scheme == AUTO:
+        if len(lits) > AUTO_THRESHOLD:
+            return _product(sess, lits)
+        scheme = PAIRWISE
     groups = _split(lits, _GROUPS[scheme](len(lits)))
     for group in groups:
         sess.add_pairwise(group)
@@ -75,6 +91,22 @@ def encode_amo(sess: SatSession, lits: Sequence[int],
         sess.add_implications(
             group, [b if code >> j & 1 else -b for j, b in enumerate(bits)])
     return bits
+
+
+def _product(sess: SatSession, lits: Sequence[int]) -> list[int]:
+    """Chen's product encoding over lits laid row-major on a grid of
+    ceil(sqrt n) columns."""
+    q = math.ceil(math.sqrt(len(lits)))
+    rows = [lits[i:i + q] for i in range(0, len(lits), q)]
+    row_bits = [sess.new_var() for _ in rows]
+    col_bits = [sess.new_var() for _ in range(q)]
+    for row, r in zip(rows, row_bits):
+        sess.add_implications(row, [r])
+    for j, c in enumerate(col_bits):
+        sess.add_implications(lits[j::q], [c])
+    sess.add_pairwise(row_bits)
+    sess.add_pairwise(col_bits)
+    return row_bits + col_bits
 
 
 def _split(lits: Sequence[int], g: int) -> list[Sequence[int]]:

@@ -69,16 +69,16 @@ each free -a gains the free literals' negations before a, then those
 after it, which is the order in which the pairs append them.
 
 add_implications adds [-a, h] for every a of lits and every h of heads,
-the commander implications of a bimander group, and leaves the store,
-the watch lists and the trail exactly as one add_clause per clause,
-a-major, would. When the store is not UNSAT and every variable is
-distinct, allocated and free at level 0, it stores every clause in one
-go, and each clause is watched over both its literals: the watch list
-of each -a gains the heads in order, and that of each h the negated
-lits in order, which is what the clauses append one by one. Otherwise
-it goes clause by clause, because there add_clause stores nothing,
-merges literals, raises part way, leaves out a satisfied clause or puts
-units on the trail.
+the commander implications of a bimander group or a product grid's row
+or column implications, and leaves the store, the watch lists and the
+trail exactly as one add_clause per clause, a-major, would. When the
+store is not UNSAT and every variable is distinct, allocated and free
+at level 0, it stores every clause in one go, and each clause is
+watched over both its literals: the watch list of each -a gains the
+heads in order, and that of each h the negated lits in order, which is
+what the clauses append one by one. Otherwise it goes clause by clause,
+because there add_clause stores nothing, merges literals, raises part
+way, leaves out a satisfied clause or puts units on the trail.
 
 The decision queue is a heap of (-activity, variable) entries kept
 across solve() calls, as in MiniSat's order heap. A per-variable
@@ -99,7 +99,14 @@ count, which bounds its memory over long runs.
 
 _propagate, _analyze, _cancel_to and the branch pick in solve() are the
 hot loops: they keep attributes in locals and inline the value test,
-the enqueue and the activity bump.
+the enqueue and the activity bump. _propagate leaves a long clause whose
+other watch is true as it is, without first swapping the false literal
+into slot 1. That keeps the search: the clause is watched by the same
+two literals either way, every later visit puts the literal it visits
+for into slot 1 before it reads anything past the watches, and a clause
+becomes a reason or a conflict only in such a visit. Only the order of
+the two watches inside the list may differ, and the store is not the
+list.
 """
 from __future__ import annotations
 
@@ -413,17 +420,27 @@ class SatSession:
                     reason[v] = false_lit
                     trail.append(c)
                     continue
-                # make sure the false literal sits in slot 1
                 first = c[0]
                 if first == false_lit:
-                    first = c[0] = c[1]
-                    c[1] = false_lit
+                    first = c[1]
+                # first is the other watch; a clause it satisfies is left
+                # as it is (see the module docstring)
                 val = assign[first] if first > 0 else -assign[-first]
                 if val == 1:
                     ws[j] = c
                     j += 1
                     continue
-                for k in range(2, len(c)):
+                # the other watch goes to slot 0, a new one or the false
+                # literal to slot 1
+                c[0] = first
+                lit = c[2]
+                if (assign[lit] if lit > 0 else -assign[-lit]) >= 0:
+                    c[1] = lit
+                    c[2] = false_lit
+                    watches[lit].append(c)
+                    continue
+                c[1] = false_lit
+                for k in range(3, len(c)):
                     lit = c[k]
                     if (assign[lit] if lit > 0 else -assign[-lit]) >= 0:
                         c[1] = lit

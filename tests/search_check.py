@@ -9,7 +9,9 @@ without what only measures the encoding or the clock. What is left is
 each query's kind, verdict, conflicts, decisions and frontier, and each
 run's rounds, methods developed, events and plan length. An encoding
 change that keeps the search reads "30 of 30 runs identical". Exits 1
-if a run differs.
+if a run differs. It also prints, per workload and per tree, the sum
+over the runs of the last query's clauses and variables, which shows
+what an encoding change does to the store.
 
 ``search_stats`` is also what the ``search`` key of the golden hashes
 (``test_golden.py``) is taken over.
@@ -41,8 +43,9 @@ def search_stats(stats: dict) -> str:
     return json.dumps(stats, indent=2)
 
 
-def fingerprints() -> dict[str, str]:
-    """Plan every run with the htnsat on sys.path; a hash per run."""
+def fingerprints() -> dict[str, tuple[str, int, int]]:
+    """Plan every run with the htnsat on sys.path. Per run: its search
+    hash, and the last query's clauses and variables."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from htnsat.hddl import ground, parse, parse_ground
@@ -57,12 +60,14 @@ def fingerprints() -> dict[str, str]:
                          else ground(*parse(inst.domain_text, inst.problem_text)))
                     res = plan(p, PlannerConfig(mode=mode))
                     text = search_stats(vars(res.stats))
-                    out[f"{inst.name}/seed{seed}/{mode}"] = \
-                        hashlib.sha256(text.encode()).hexdigest()
+                    last = res.stats.queries[-1]
+                    out[f"{wl}/{inst.name}/seed{seed}/{mode}"] = (
+                        hashlib.sha256(text.encode()).hexdigest(),
+                        last["clauses"], last["vars"])
     return out
 
 
-def run_tree(src: Path) -> dict[str, str]:
+def run_tree(src: Path) -> dict[str, list]:
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, __file__, "--fingerprints"],
                           env=env, capture_output=True, text=True, check=True)
@@ -77,7 +82,12 @@ def main(argv: list[str]) -> int:
         sys.exit("usage: python tests/search_check.py OLD_SRC [NEW_SRC]")
     old = run_tree(Path(argv[0]).resolve())
     new = run_tree(Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src")
-    differ = [run for run in old if old[run] != new.get(run)]
+    for wl in ("walker", "wide"):
+        for tree, runs in (("old", old), ("new", new)):
+            last = [v for run, v in runs.items() if run.startswith(wl + "/")]
+            print(f"{wl} {tree}: last queries hold {sum(v[1] for v in last):,} "
+                  f"clauses over {sum(v[2] for v in last):,} variables")
+    differ = [run for run in old if old[run][0] != new[run][0]]
     for run in differ:
         print(f"differs: {run}")
     print(f"{len(old) - len(differ)} of {len(old)} runs identical")

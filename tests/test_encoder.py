@@ -17,6 +17,7 @@ from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, dump_dimacs, encode_amo,
                         parse_dimacs)
 
 from oracles import (
+    enumerate_session_models,
     relaxed_leaves_by_tree_walk,
     relaxed_plan_realizable,
     solvable_by_enumeration,
@@ -244,22 +245,22 @@ PINNED_BENCH_SEARCH = {
          ("s", 1, 0, 40), ("r", 0, 25, 617), ("s", 0, 0, 730)],
         349, 49),
     ("wide-100x4", "greedy"): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 217), ("r", 0, 5, 5),
-         ("s", 0, 0, 218), ("r", 0, 4, 4), ("s", 0, 0, 218), ("r", 0, 3, 3),
-         ("s", 0, 0, 220), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 230), ("r", 0, 5, 5),
+         ("s", 0, 0, 231), ("r", 0, 4, 4), ("s", 0, 0, 231), ("r", 0, 3, 3),
+         ("s", 0, 0, 233), ("r", 0, 0, 0), ("s", 0, 0, 4)],
         405, 5),
     ("wide-100x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 217), ("s", 0, 0, 328),
-         ("s", 0, 0, 437), ("s", 0, 0, 547), ("s", 0, 0, 439)],
+        [("s", 0, 0, 10), ("s", 0, 0, 230), ("s", 0, 0, 358),
+         ("s", 0, 0, 484), ("s", 0, 0, 611), ("s", 0, 0, 507)],
         1405, 5),
     ("wide-150x4", "greedy"): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 317), ("r", 0, 5, 5),
-         ("s", 0, 0, 318), ("r", 0, 4, 4), ("s", 0, 0, 318), ("r", 0, 3, 3),
-         ("s", 0, 0, 320), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 334), ("r", 0, 5, 5),
+         ("s", 0, 0, 335), ("r", 0, 4, 4), ("s", 0, 0, 335), ("r", 0, 3, 3),
+         ("s", 0, 0, 337), ("r", 0, 0, 0), ("s", 0, 0, 4)],
         605, 5),
     ("wide-150x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 317), ("s", 0, 0, 478),
-         ("s", 0, 0, 637), ("s", 0, 0, 797), ("s", 0, 0, 639)],
+        [("s", 0, 0, 10), ("s", 0, 0, 334), ("s", 0, 0, 516),
+         ("s", 0, 0, 696), ("s", 0, 0, 877), ("s", 0, 0, 723)],
         2105, 5),
 }
 
@@ -475,10 +476,66 @@ def test_no_method_selector_for_a_slot_without_one(monkeypatch):
     assert live and dead == []
 
 
+# two methods with the same subtask sequence: only a method group tells
+# them apart
+TWINS = """\
+problem twins
+fact start
+fact done
+action go pre start add done del start
+task main
+method first main -> go
+method second main -> go
+init start
+goal done
+root main
+"""
+
+
+def method_groups(monkeypatch, problem):
+    """The root's method selectors after one expansion, and every AMO
+    group of two or more made over some of them (encode_amo adds nothing
+    for a single literal)."""
+    calls = []
+
+    def record(sess, lits, *args):
+        calls.append(list(lits))
+        return encode_amo(sess, lits, *args)
+
+    monkeypatch.setattr(encoder, "encode_amo", record)
+    _, pdt, enc = setup(problem)
+    grow(pdt, enc)
+    mvars = [enc.mvar[pdt.root][m] for m in problem.abstracts[problem.root].methods]
+    return enc, mvars, [c for c in calls if len(c) > 1 and set(c) & set(mvars)]
+
+
+def test_methods_with_the_same_slots_keep_a_method_group(monkeypatch):
+    p = parse_ground(TWINS)
+    enc, mvars, groups = method_groups(monkeypatch, p)
+    assert groups == [mvars]
+    tree = enc.solve_solution()
+    methods = [n for n in tree.nodes if n.kind == METHOD]
+    assert len(methods) == 1
+    # at most one of the two methods in every model of the store
+    models = enumerate_session_models(enc.sess, mvars)
+    assert models == {(True, False), (False, True)}
+
+
+def test_methods_with_different_slots_get_no_method_group(monkeypatch, ground):
+    # go-left and go-right differ in their first slot, whose position's
+    # at-most-one already excludes one when the other is chosen
+    p = ground("fork3")
+    enc, mvars, groups = method_groups(monkeypatch, p)
+    assert len(mvars) == 2 and groups == []
+    models = enumerate_session_models(enc.sess, mvars)
+    assert models == {(True, False), (False, True)}
+
+
 def test_commander_implications_go_in_bulk_on_wide(
         monkeypatch, implication_fallbacks):
-    # the commander bits are fresh and no literal of a group above the
-    # threshold is fixed at level 0, so every group takes the bulk path
+    # the product encoding's row and column bits are fresh and no literal
+    # of a group above the threshold is fixed at level 0, so every row's
+    # and column's implications take the bulk path
     sizes = []
 
     def record(sess, lits, *args):
@@ -502,7 +559,7 @@ class TestSchemesAndDumps:
         assert tree is not None and len(tree.plan()) == 2
 
     def test_binary_scheme_gives_the_method_choice_commander_bits(
-            self, ground, monkeypatch):
+            self, monkeypatch):
         calls = []
 
         def record(sess, lits, *args):
@@ -511,7 +568,7 @@ class TestSchemesAndDumps:
             return bits
 
         monkeypatch.setattr(encoder, "encode_amo", record)
-        p = ground("fork3")
+        p = parse_ground(TWINS)
         _, pdt, enc = setup(p, amo="binary")
         grow(pdt, enc)
         choice = [enc.mvar[pdt.root][m] for m in p.abstracts[p.root].methods]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -765,15 +766,52 @@ def test_amo_unknown_scheme_rejected():
     assert s.num_clauses == 0
 
 
-def test_auto_is_pairwise_up_to_the_threshold_and_bimander_above():
-    for n, bits in [(AUTO_THRESHOLD, 0), (AUTO_THRESHOLD + 1, 3)]:
-        s = SatSession()
-        vs = [s.new_var() for _ in range(n)]
-        assert len(encode_amo(s, vs, AUTO)) == bits
-        t = SatSession()
-        ws = [t.new_var() for _ in range(n)]
-        encode_amo(t, ws, PAIRWISE if bits == 0 else BIMANDER_SQRT)
-        assert list(s.clauses()) == list(t.clauses())
+def product_clauses(vs, first_aux):
+    """Chen's product encoding of vs, clause by clause: each variable
+    implies its row bit, then its column bit, on a grid of ceil(sqrt n)
+    columns filled row-major; then pairwise over the row bits and over
+    the column bits. The auxiliaries are numbered from first_aux, rows
+    first."""
+    q = math.ceil(math.sqrt(len(vs)))
+    p = math.ceil(len(vs) / q)
+    rows = list(range(first_aux, first_aux + p))
+    cols = list(range(first_aux + p, first_aux + p + q))
+    clauses = [[-v, rows[i // q]] for i, v in enumerate(vs)]
+    clauses += [[-v, cols[j]] for j in range(q) for v in vs[j::q]]
+    clauses += [[-a, -b] for a, b in itertools.combinations(rows, 2)]
+    clauses += [[-a, -b] for a, b in itertools.combinations(cols, 2)]
+    return rows + cols, clauses
+
+
+def test_auto_is_pairwise_up_to_the_threshold_and_product_above():
+    s = SatSession()
+    vs = [s.new_var() for _ in range(AUTO_THRESHOLD)]
+    assert encode_amo(s, vs, AUTO) == []
+    t = SatSession()
+    ws = [t.new_var() for _ in range(AUTO_THRESHOLD)]
+    encode_amo(t, ws, PAIRWISE)
+    assert list(s.clauses()) == list(t.clauses())
+
+    n = AUTO_THRESHOLD + 1
+    s = SatSession()
+    vs = [s.new_var() for _ in range(n)]
+    aux, clauses = product_clauses(vs, n + 1)
+    assert encode_amo(s, vs, AUTO) == aux
+    assert list(s.clauses()) == clauses
+
+
+@pytest.mark.parametrize("n", [33, 40, 57, 151])
+def test_auto_above_the_threshold_admits_exactly_n_plus_one(n):
+    q = math.ceil(math.sqrt(n))
+    p = math.ceil(n / q)
+    s = SatSession()
+    vs = [s.new_var() for _ in range(n)]
+    aux = encode_amo(s, vs, AUTO)
+    assert len(aux) == p + q
+    assert s.num_clauses == 2 * n + math.comb(p, 2) + math.comb(q, 2)
+    models = enumerate_session_models(s, vs)
+    assert len(models) == n + 1
+    assert all(sum(m) <= 1 for m in models)
 
 
 @pytest.mark.parametrize("scheme", [BIMANDER_HALF, BIMANDER_SQRT])
