@@ -493,7 +493,8 @@ def main(argv: list[str] | None = None) -> int:
         if args and args[0] == "bench":
             return _run_bench(args[1:])
         return _run_solve(args)
-    except UsageError as e:
+    except (UsageError, OSError) as e:
+        # an output that cannot be written is no verdict either
         print(f"error: {e}", file=sys.stderr)
         return 3
 

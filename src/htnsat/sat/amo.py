@@ -31,16 +31,14 @@ group between 24 literals (walker's largest) and 101 (wide's smallest),
 so any threshold in that range builds the same stores.
 
 Each group's pairwise clauses go in through one SatSession.add_pairwise
-call, and its commander implications through one
-SatSession.add_implications call; the product encoding makes one
-add_implications call per row and per column, and one add_pairwise call
-over the row bits and one over the column bits. Both methods build
-their clauses in bulk unless a variable repeats or a level-0 value gets
-in the way, and then leave the store, the watch lists, the trail and so
-the search exactly as one add_clause per clause would. add_pairwise
-keeps the bulk path past a group literal false at level 0: it builds
-the pairs of the other literals only, since add_clause stores none of
-that literal's pairs.
+call, which builds them in bulk and leaves the store, the watch lists,
+the trail and so the search exactly as one add_clause per pair would;
+the product encoding makes one add_pairwise call over the row bits and
+one over the column bits. Implications go in through add_clause, one
+[-a, h] at a time: each literal of a bimander group, in order, implies
+its group's commander bits in bit order, and the product grid adds its
+row implications row by row, then its column implications column by
+column.
 """
 from __future__ import annotations
 
@@ -88,8 +86,10 @@ def encode_amo(sess: SatSession, lits: Sequence[int],
         return []
     bits = [sess.new_var() for _ in range((len(groups) - 1).bit_length())]
     for code, group in enumerate(groups):
-        sess.add_implications(
-            group, [b if code >> j & 1 else -b for j, b in enumerate(bits)])
+        heads = [b if code >> j & 1 else -b for j, b in enumerate(bits)]
+        for a in group:
+            for h in heads:
+                sess.add_clause([-a, h])
     return bits
 
 
@@ -101,9 +101,11 @@ def _product(sess: SatSession, lits: Sequence[int]) -> list[int]:
     row_bits = [sess.new_var() for _ in rows]
     col_bits = [sess.new_var() for _ in range(q)]
     for row, r in zip(rows, row_bits):
-        sess.add_implications(row, [r])
+        for a in row:
+            sess.add_clause([-a, r])
     for j, c in enumerate(col_bits):
-        sess.add_implications(lits[j::q], [c])
+        for a in lits[j::q]:
+            sess.add_clause([-a, c])
     sess.add_pairwise(row_bits)
     sess.add_pairwise(col_bits)
     return row_bits + col_bits

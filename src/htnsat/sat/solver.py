@@ -68,17 +68,12 @@ negation: their pairs are stored in pair order, and the watch list of
 each free -a gains the free literals' negations before a, then those
 after it, which is the order in which the pairs append them.
 
-add_implications adds [-a, h] for every a of lits and every h of heads,
-the commander implications of a bimander group or a product grid's row
-or column implications, and leaves the store, the watch lists and the
-trail exactly as one add_clause per clause, a-major, would. When the
-store is not UNSAT and every variable is distinct, allocated and free
-at level 0, it stores every clause in one go, and each clause is
-watched over both its literals: the watch list of each -a gains the
-heads in order, and that of each h the negated lits in order, which is
-what the clauses append one by one. Otherwise it goes clause by clause,
-because there add_clause stores nothing, merges literals, raises part
-way, leaves out a satisfied clause or puts units on the trail.
+add_pairwise is the one bulk path because pairwise groups are where the
+planner's clauses come from in bulk: a seed-1 pass of the benchmark's
+walker workload sends it 380 groups and 21,995 pairs, and taking them
+pair by pair through add_clause made that pass about 10% slower. Every
+other clause, at-most-one implications included, goes in through
+add_clause.
 
 The decision queue is a heap of (-activity, variable) entries kept
 across solve() calls, as in MiniSat's order heap. A per-variable
@@ -307,39 +302,6 @@ class SatSession:
             ws = watches[a]
             ws += free[:i]
             ws += free[i + 1:]
-
-    def add_implications(self, lits: Sequence[int],
-                         heads: Sequence[int]) -> None:
-        """Add [-a, h] for every a in lits and every h in heads, in that
-        order.
-
-        The store, the watch lists and the trail end up exactly as after
-        one add_clause call per clause, whether the clauses go in that
-        way or in bulk (see the module docstring).
-        """
-        neg = [-a for a in lits]
-        nvars, assign = self.num_vars, self.assign
-        vs = {abs(x) for x in neg}
-        vs.update(map(abs, heads))
-        if (self.hard_unsat or len(vs) < len(neg) + len(heads)
-                or not all(0 < v <= nvars for v in vs)
-                or any(map(assign.__getitem__, vs))):
-            for a in neg:
-                for h in heads:
-                    self.add_clause([a, h])
-            return
-        flat: list[int] = []
-        for a in neg:
-            pairs = [a, 0, 0] * len(heads)
-            pairs[1::3] = heads
-            flat += pairs
-        self.store.fromlist(flat)
-        self.num_clauses += len(neg) * len(heads)
-        watches = self.watches
-        for a in neg:
-            watches[a] += heads
-        for h in heads:
-            watches[h] += neg
 
     # -- trail management ---------------------------------------------------
 

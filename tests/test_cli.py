@@ -353,6 +353,15 @@ class TestSolveCommand:
         assert dumps
         assert dumps[0].read_text().startswith("p cnf ")
 
+    @pytest.mark.parametrize("flag", ["--plan", "--stats", "--emit-dot",
+                                      "--dump-cnf"])
+    def test_unwritable_output_exits_three(self, tmp_path, capsys, flag):
+        # exit 1 would read as proven unsolvable
+        dest = tmp_path / "missing" / "out"
+        assert main([fixture("fork3"), flag, str(dest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dest) in err
+
     def test_dump_profiles_shares_the_planner_profiles(self, capsys,
                                                        inferences):
         assert main([fixture("tower"), "--dump-profiles"]) == 0
@@ -727,6 +736,13 @@ class TestBench:
         assert main(["bench", str(mpath), "--out", str(out)]) == 3
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["bench", str(FIXTURES / "bench.json"),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_tiny_limit_exits_three(self, tmp_path, capsys):
         assert main(["bench", str(FIXTURES / "bench.json"),

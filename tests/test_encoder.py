@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 import tracemalloc
@@ -531,21 +532,27 @@ def test_methods_with_different_slots_get_no_method_group(monkeypatch, ground):
     assert models == {(True, False), (False, True)}
 
 
-def test_commander_implications_go_in_bulk_on_wide(
-        monkeypatch, implication_fallbacks):
-    # the product encoding's row and column bits are fresh and no literal
-    # of a group above the threshold is fixed at level 0, so every row's
-    # and column's implications take the bulk path
+def test_wide_groups_above_the_threshold_get_product_auxiliaries(monkeypatch):
+    # wide is the planning workload whose groups pass the threshold. Each
+    # such group gets its p row and q column bits, and no literal of it is
+    # fixed at level 0, so every one of its clauses is stored
     sizes = []
 
     def record(sess, lits, *args):
-        sizes.append(len(lits))
-        return encode_amo(sess, lits, *args)
+        n, before = len(lits), sess.num_clauses
+        aux = encode_amo(sess, lits, *args)
+        if n > AUTO_THRESHOLD:
+            q = math.ceil(math.sqrt(n))
+            p = math.ceil(n / q)
+            assert len(aux) == p + q
+            assert (sess.num_clauses - before
+                    == 2 * n + math.comb(p, 2) + math.comb(q, 2))
+        sizes.append(n)
+        return aux
 
     monkeypatch.setattr(encoder, "encode_amo", record)
     assert plan(generated("wide-100x4")).status == "solved"
     assert max(sizes) > AUTO_THRESHOLD
-    assert implication_fallbacks == []
 
 
 class TestSchemesAndDumps:

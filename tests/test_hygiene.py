@@ -13,6 +13,12 @@ MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MAX_LINE = 99
 
 
+def package_trees() -> dict[str, ast.Module]:
+    """Every package source parsed, keyed by its path in the package."""
+    return {str(p.relative_to(PACKAGE)): ast.parse(p.read_text())
+            for p in SOURCES}
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never mentions again."""
     bound: dict[str, int] = {}
@@ -68,6 +74,21 @@ def unused_private_functions(trees: dict[str, ast.Module]) -> list[str]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and fn.name.startswith("_") and not fn.name.endswith("__")
             and fn.name not in mentioned]
+
+
+def uncalled_methods(trees: dict[str, ast.Module], module: str,
+                     cls: str) -> list[str]:
+    """Public methods of class cls in module that no other module of the
+    package calls, as ``<anything>.<name>(...)``."""
+    called = {n.func.attr for name, tree in trees.items() if name != module
+              for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    return [f"{module} line {fn.lineno}: {cls}.{fn.name}"
+            for c in ast.walk(trees[module])
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for fn in c.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and fn.name not in called]
 
 
 def long_lines(text: str) -> list[str]:
@@ -148,9 +169,7 @@ def test_checker_sees_a_long_line():
 
 
 def test_no_private_function_is_unused():
-    trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text())
-             for p in SOURCES}
-    assert unused_private_functions(trees) == []
+    assert unused_private_functions(package_trees()) == []
 
 
 def test_checker_sees_an_unused_private_function():
@@ -167,6 +186,29 @@ def test_checker_sees_an_unused_private_function():
     }
     assert unused_private_functions(trees) == [
         "a.py line 2: _orphan", "a.py line 6: _spare"]
+
+
+# A method of the SAT session that only its own module or the tests call
+# is code the planner pays nothing for, such as a bulk path kept for tests.
+def test_every_public_session_method_is_called_outside_the_solver():
+    assert uncalled_methods(package_trees(), "sat/solver.py", "SatSession") == []
+
+
+def test_checker_sees_an_uncalled_public_method():
+    trees = {
+        "s.py": ast.parse(
+            "class S:\n"
+            "    def used(self): pass\n"
+            "    def spare(self): self.used()\n"
+            "    def mentioned(self): pass\n"
+            "    def _private(self): pass\n"
+            "class T:\n"
+            "    def other(self): pass\n"
+            "S().spare()\n"),  # a call inside the module does not count
+        "b.py": ast.parse("import s\ns.S().used()\nf = s.S().mentioned\n"),
+    }
+    assert uncalled_methods(trees, "s.py", "S") == [
+        "s.py line 3: S.spare", "s.py line 4: S.mentioned"]
 
 
 # Collector policy belongs to the caller: the package keeps the collector's

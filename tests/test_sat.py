@@ -391,7 +391,6 @@ def test_level0_assignments_simplify_what_gets_watched():
     s.add_clause([5])
     s.add_clause([-2, 5])
     s.add_pairwise([2, 5])
-    s.add_implications([2], [5])
     # a stored clause keeps its literals false at level 0
     assert dump_dimacs(s).splitlines()[1:] == [
         "-1 0", "1 3 0", "1 -3 4 0", "5 1 2 0", "-4 1 0"]
@@ -400,9 +399,8 @@ def test_level0_assignments_simplify_what_gets_watched():
 
 def _replay_bulk_both_ways(nvars: int, steps: list[tuple]) -> None:
     """Replay steps on two sessions, one taking each AMO step through
-    add_pairwise and each implication step, a (lits, heads) pair, through
-    add_implications, the other clause by clause through add_clause;
-    after every step the two must be in the same state."""
+    add_pairwise, the other pair by pair through add_clause; after every
+    step the two must be in the same state."""
     bulk, loop = SatSession(), SatSession()
     for s in (bulk, loop):
         for _ in range(nvars):
@@ -413,14 +411,9 @@ def _replay_bulk_both_ways(nvars: int, steps: list[tuple]) -> None:
             for b in lits[i + 1:]:
                 loop.add_clause([-a, -b])
 
-    def implications_by_clauses(lits, heads):
-        for a in lits:
-            for h in heads:
-                loop.add_clause([-a, h])
-
-    def attempt(add, *args):
+    def attempt(add, lits):
         try:
-            add(*args)
+            add(lits)
         except SolverUsageError as e:
             return str(e)
 
@@ -435,9 +428,6 @@ def _replay_bulk_both_ways(nvars: int, steps: list[tuple]) -> None:
         elif kind == "amo":
             assert (attempt(bulk.add_pairwise, lits)
                     == attempt(pairs_by_clauses, lits))
-        elif kind == "implies":
-            assert (attempt(bulk.add_implications, *lits)
-                    == attempt(implications_by_clauses, *lits))
         else:
             assert bulk.solve(lits) == loop.solve(lits)
         assert state(bulk) == state(loop)
@@ -457,10 +447,10 @@ def test_add_pairwise_goes_in_bulk_past_literals_false_at_level0(
 
 
 def _drawn_history(data, kinds: list[str]) -> tuple[int, list[tuple]]:
-    """Clauses of 1-3 literals, AMO groups, implication steps and solves
-    under 0-2 assumptions, of the kinds given. A group, lits or heads may
-    repeat a variable, take both signs, reuse a literal fixed by an
-    earlier unit, or, rarely, name an unallocated variable."""
+    """Clauses of 1-3 literals, AMO groups and solves under 0-2
+    assumptions, of the kinds given. A group may repeat a variable, take
+    both signs, reuse a literal fixed by an earlier unit, or, rarely,
+    name an unallocated variable."""
     nvars = data.draw(st.integers(2, 8))
 
     def lits(top, size):
@@ -478,8 +468,6 @@ def _drawn_history(data, kinds: list[str]) -> tuple[int, list[tuple]]:
             steps.append((kind, lits(nvars, (1, 3))))
         elif kind == "amo":
             steps.append((kind, lits(top(), (0, 8))))
-        elif kind == "implies":
-            steps.append((kind, (lits(top(), (0, 5)), lits(top(), (0, 3)))))
         else:
             steps.append((kind, lits(nvars, (0, 2))))
     return nvars, steps
@@ -494,38 +482,12 @@ def test_add_pairwise_matches_one_add_clause_per_pair(data):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_add_implications_matches_one_add_clause_per_pair(data):
-    _replay_bulk_both_ways(*_drawn_history(
-        data, ["clause", "clause", "amo", "implies", "solve"]))
-
-
-def test_add_implications_goes_in_bulk_over_free_distinct_variables(
-        implication_fallbacks):
-    steps = [("implies", ([1, -2, 3], [4, -5])),
-             ("clause", [-1]),  # 1 is false at level 0 from here on
-             ("implies", ([1, 6], [7])),
-             ("implies", ([6], [-2, 7])),
-             ("implies", ([2], [-2, 3])),  # a repeated variable
-             ("implies", ([6], [8])),  # an unallocated one
-             ("solve", [6]),  # puts -2, 4 and -5 on the level-0 trail
-             ("implies", ([6, -3], [7])),
-             ("implies", ([7], [-5, 3])),  # a head true at level 0
-             ("implies", ([], [2])),
-             ("solve", [])]
-    _replay_bulk_both_ways(7, steps)
-    assert [(lits, heads) for lits, heads, *_ in implication_fallbacks] == [
-        ([1, 6], [7]), ([2], [-2, 3]), ([6], [8]), ([7], [-5, 3])]
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
 def test_store_leaves_out_only_what_level_0_satisfies(data):
-    # histories of units, longer clauses, AMO groups, implications and
-    # solves: no stored clause is a tautology or held a literal true at
-    # level 0 when it went in, the store stays equivalent to every
-    # clause passed in, and its DIMACS dump reloads to itself
-    nvars, steps = _drawn_history(
-        data, ["clause", "clause", "amo", "implies", "solve"])
+    # histories of units, longer clauses, AMO groups and solves: no
+    # stored clause is a tautology or held a literal true at level 0
+    # when it went in, the store stays equivalent to every clause passed
+    # in, and its DIMACS dump reloads to itself
+    nvars, steps = _drawn_history(data, ["clause", "clause", "amo", "solve"])
     s = SatSession()
     for _ in range(nvars):
         s.new_var()
@@ -537,12 +499,9 @@ def test_store_leaves_out_only_what_level_0_satisfies(data):
         before, values = s.num_clauses, s.assign[:]
         if kind == "clause":
             clauses, add = [lits], lambda: s.add_clause(list(lits))
-        elif kind == "amo":
+        else:
             clauses = [[-a, -b] for i, a in enumerate(lits) for b in lits[i + 1:]]
             add = functools.partial(s.add_pairwise, lits)
-        else:
-            clauses = [[-a, h] for a in lits[0] for h in lits[1]]
-            add = functools.partial(s.add_implications, *lits)
         try:
             add()
         except SolverUsageError:
@@ -562,14 +521,12 @@ def test_store_leaves_out_only_what_level_0_satisfies(data):
     assert dump_dimacs(t) == text
 
 
-def _planted_history(seed: int, units: bool,
-                     implies: bool = False) -> tuple[int, list[tuple]]:
+def _planted_history(seed: int, units: bool) -> tuple[int, list[tuple]]:
     """Clauses, AMO groups and solves that all hold under a hidden
     assignment, so the store stays satisfiable and the solves in between
     do conflicts and learning. With units, some steps are unit clauses
-    true under it, which fix group literals false at level 0; with
-    implies, some steps are implications whose heads are true under it.
-    Without either, no extra random number is drawn."""
+    true under it, which fix group literals false at level 0. Without
+    units, no extra random number is drawn."""
     rng = random.Random(seed)
     nvars = 50
     hidden = [rng.random() < 0.5 for _ in range(nvars + 1)]
@@ -585,13 +542,6 @@ def _planted_history(seed: int, units: bool,
     for _ in range(250):
         if units and rng.random() < 0.08:
             steps.append(("clause", [-false_lit(rng.randint(1, nvars))]))
-        if implies and rng.random() < 0.15:
-            vs = rng.sample(range(1, nvars + 1), rng.randint(2, 10))
-            k = rng.randint(1, 3)
-            lits = [lit(v) for v in vs[k:]]
-            if rng.random() < 0.2:  # a repeated variable, either sign
-                lits.append(lit(vs[0]))
-            steps.append(("implies", (lits, [-false_lit(v) for v in vs[:k]])))
         r = rng.random()
         if r < 0.7:
             c = [lit() for _ in range(3)]
@@ -621,13 +571,6 @@ def test_add_pairwise_matches_add_clause_on_planted_histories_with_units(seed):
     # AMO groups over false_lit meet literals false at level 0, from the
     # units and from what the solves in between learn
     _replay_bulk_both_ways(*_planted_history(seed, units=True))
-
-
-@pytest.mark.parametrize("units", [False, True])
-@pytest.mark.parametrize("seed", range(12))
-def test_add_implications_matches_add_clause_on_planted_histories(seed, units):
-    # with units, lits and heads meet values fixed at level 0, true or false
-    _replay_bulk_both_ways(*_planted_history(seed, units, implies=True))
 
 
 def _seeded_history(var_inc: float) -> list[tuple]:
@@ -781,6 +724,46 @@ def product_clauses(vs, first_aux):
     clauses += [[-a, -b] for a, b in itertools.combinations(rows, 2)]
     clauses += [[-a, -b] for a, b in itertools.combinations(cols, 2)]
     return rows + cols, clauses
+
+
+def commander_clauses(vs, sizes, first_aux):
+    """The bimander encoding of vs cut into contiguous groups of the given
+    sizes, clause by clause: pairwise inside each group, group by group;
+    then each variable, in order, implies every commander bit of its
+    group's index code, lowest bit first, a bit positive where the code
+    has a 1. The ceil(log2 g) bits are numbered from first_aux."""
+    bits = list(range(first_aux, first_aux + (len(sizes) - 1).bit_length()))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    groups = [vs[a:b] for a, b in zip(starts, starts[1:])]
+    clauses = [[-a, -b] for g in groups for a, b in itertools.combinations(g, 2)]
+    clauses += [[-v, b if code >> j & 1 else -b]
+                for code, g in enumerate(groups) for v in g
+                for j, b in enumerate(bits)]
+    return bits, clauses
+
+
+def test_commander_reference_written_out():
+    # bimander-half on 5 variables: groups 1 2 | 3 4 | 5, codes 0, 1, 2
+    assert commander_clauses([1, 2, 3, 4, 5], [2, 2, 1], 6) == ([6, 7], [
+        [-1, -2], [-3, -4],
+        [-1, -6], [-1, -7], [-2, -6], [-2, -7],
+        [-3, 6], [-3, -7], [-4, 6], [-4, -7],
+        [-5, -6], [-5, 7]])
+
+
+@pytest.mark.parametrize("scheme, sizes", [
+    (BINARY, [1] * 5), (BIMANDER_HALF, [2, 2, 1]), (BIMANDER_SQRT, [2, 2, 1]),
+    (BINARY, [1] * 8), (BIMANDER_HALF, [2] * 4), (BIMANDER_SQRT, [3, 3, 2]),
+    (BINARY, [1] * 9), (BIMANDER_HALF, [2, 2, 2, 2, 1]),
+    (BIMANDER_SQRT, [3, 3, 3]),
+])
+def test_commander_schemes_store_their_reference_clauses(scheme, sizes):
+    n = sum(sizes)
+    s = SatSession()
+    vs = [s.new_var() for _ in range(n)]
+    bits, clauses = commander_clauses(vs, sizes, n + 1)
+    assert encode_amo(s, vs, scheme) == bits
+    assert list(s.clauses()) == clauses
 
 
 def test_auto_is_pairwise_up_to_the_threshold_and_product_above():
