@@ -14,7 +14,9 @@ def dump_dimacs(sess: SatSession) -> str:
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     """Returns (nvars, clauses). Accepts comment lines and a p-header;
     nvars is the larger of the header's count and the highest variable.
-    A clause may span lines, and the last one may lack its 0."""
+    A clause may span lines, and the last one may lack its 0. A token
+    that is not an integer, or a p-header with fewer than three fields,
+    raises ValueError."""
     nvars = 0
     body: list[str] = []
     for line in text.splitlines():
@@ -22,7 +24,10 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         if head == "c" or not head:
             continue
         if head == "p":
-            nvars = int(line.split()[2])
+            fields = line.split()
+            if len(fields) < 3:
+                raise ValueError(f"DIMACS header without a variable count: {line!r}")
+            nvars = int(fields[2])
             continue
         body.append(line)
     lits = list(map(int, " ".join(body).split()))

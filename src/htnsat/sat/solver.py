@@ -94,14 +94,21 @@ count, which bounds its memory over long runs.
 
 _propagate, _analyze, _cancel_to and the branch pick in solve() are the
 hot loops: they keep attributes in locals and inline the value test,
-the enqueue and the activity bump. _propagate leaves a long clause whose
-other watch is true as it is, without first swapping the false literal
-into slot 1. That keeps the search: the clause is watched by the same
-two literals either way, every later visit puts the literal it visits
-for into slot 1 before it reads anything past the watches, and a clause
-becomes a reason or a conflict only in such a visit. Only the order of
-the two watches inside the list may differ, and the store is not the
-list.
+the enqueue and the activity bump. While a formula loads, add_clause is
+hot too: a list of two literals, or of three over distinct allocated
+variables all free at level 0 while the store is not UNSAT, skips the
+general path's duplicate and level-0 scans, and is stored and watched as
+that path would. _cancel_to leaves an unassigned variable's reason
+stale, since a reason is read only while its variable is assigned, and
+its push order cannot change what pops: a pop takes the least key, and
+the keys (-activity, v) order any two distinct entries. _propagate
+leaves a long clause whose other watch is true as it is, without first
+swapping the false literal into slot 1. That keeps the search: the
+clause is watched by the same two literals either way, every later
+visit puts the literal it visits for into slot 1 before it reads
+anything past the watches, and a clause becomes a reason or a conflict
+only in such a visit. Only the order of the two watches inside the list
+may differ, and the store is not the list.
 """
 from __future__ import annotations
 
@@ -226,6 +233,27 @@ class SatSession:
                 store.append(0)
                 self.num_clauses += 1
                 return
+        if type(lits) is list and len(lits) == 3 and not self.hard_unsat:
+            a, b, c = lits
+            va, vb, vc = abs(a), abs(b), abs(c)
+            assign = self.assign
+            if (0 < va <= nvars and 0 < vb <= nvars and 0 < vc <= nvars
+                    and va != vb != vc != va
+                    and not (assign[va] or assign[vb] or assign[vc])):
+                store.fromlist(lits)
+                store.append(0)
+                self.num_clauses += 1
+                # sorted by variable, the lowest two watched
+                if va > vb:
+                    a, b, va, vb = b, a, vb, va
+                if vb > vc:
+                    b, c, vb = c, b, vc
+                    if va > vb:
+                        a, b = b, a
+                clause = [a, b, c]
+                self.watches[a].append(clause)
+                self.watches[b].append(clause)
+                return
         # general path: longer clauses, duplicates, non-lists
         seen: set[int] = set()
         clause = []
@@ -318,9 +346,9 @@ class SatSession:
         if len(trail_lim) <= lvl:
             return
         bound = trail_lim[lvl]
-        trail, saved, assign, reason = self.trail, self.saved, self.assign, self.reason
+        trail, saved, assign = self.trail, self.saved, self.assign
         act, order, queued = self.act, self.order, self.queued
-        for lit in reversed(trail[bound:]):
+        for lit in trail[bound:]:
             if lit > 0:
                 saved[lit] = True
                 v = lit
@@ -328,7 +356,6 @@ class SatSession:
                 v = -lit
                 saved[v] = False
             assign[v] = 0
-            reason[v] = None
             if not queued[v]:
                 queued[v] = True
                 heappush(order, (-act[v], v))
@@ -402,13 +429,15 @@ class SatSession:
                     watches[lit].append(c)
                     continue
                 c[1] = false_lit
-                for k in range(3, len(c)):
+                k, m = 3, len(c)
+                while k < m:
                     lit = c[k]
                     if (assign[lit] if lit > 0 else -assign[-lit]) >= 0:
                         c[1] = lit
                         c[k] = false_lit
                         watches[lit].append(c)
                         break
+                    k += 1
                 else:  # no new watch: the clause is unit or conflicting
                     ws[j] = c
                     j += 1
@@ -463,10 +492,12 @@ class SatSession:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             p = trail[idx]
-            v = abs(p)
+            v = p if p > 0 else -p
+            while not seen[v]:
+                idx -= 1
+                p = trail[idx]
+                v = p if p > 0 else -p
             seen[v] = False
             idx -= 1
             counter -= 1

@@ -3,15 +3,19 @@
     python tests/search_check.py OLD_SRC [NEW_SRC]
 
 Plans every walker and wide instance of perfbench seeds 1-3 in greedy
-and in bfs mode, once with each ``src`` tree (NEW_SRC defaults to this
-checkout's), and compares the runs' search fingerprints: the stats JSON
-without what only measures the encoding or the clock. What is left is
-each query's kind, verdict, conflicts, decisions and frontier, and each
-run's rounds, methods developed, events and plan length. An encoding
-change that keeps the search reads "30 of 30 runs identical". Exits 1
-if a run differs. It also prints, per workload and per tree, the sum
-over the runs of the last query's clauses and variables, which shows
-what an encoding change does to the store.
+and in bfs mode, and solves every cnf formula of the same seeds, once
+with each ``src`` tree (NEW_SRC defaults to this checkout's), and
+compares the runs' search fingerprints. A planning run's fingerprint is
+the stats JSON without what only measures the encoding or the clock.
+What is left is each query's kind, verdict, conflicts, decisions and
+frontier, and each run's rounds, methods developed, events and plan
+length. A cnf run's fingerprint is the formula's verdict, conflicts,
+decisions, propagations, restarts, learnt count and model, loaded with
+``load_into_session``. A change that keeps the search reads "N of N
+runs identical" for each workload. Exits 1 if a run differs. It also
+prints, per workload and per tree, the sum over the runs of the last
+query's clauses and variables (a cnf formula's one query is its last),
+which shows what an encoding change does to the store.
 
 ``search_stats`` is also what the ``search`` key of the golden hashes
 (``test_golden.py``) is taken over.
@@ -27,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+WORKLOADS = ("walker", "wide", "cnf")
 MODES = ("greedy", "bfs")
 # per query: the clock, how big the store is and how far level 0
 # reaches, which an encoding change may move without moving the search
@@ -43,18 +48,34 @@ def search_stats(stats: dict) -> str:
     return json.dumps(stats, indent=2)
 
 
+def cnf_search(sess, model) -> str:
+    """A solved session's verdict, search counters and model."""
+    stats = sess.stats()
+    return json.dumps([model] + [stats[k] for k in (
+        "conflicts", "decisions", "propagations", "restarts", "learnt")])
+
+
 def fingerprints() -> dict[str, tuple[str, int, int]]:
-    """Plan every run with the htnsat on sys.path. Per run: its search
-    hash, and the last query's clauses and variables."""
+    """Run every instance with the htnsat on sys.path. Per run: its
+    search hash, and the last query's clauses and variables."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from htnsat.hddl import ground, parse, parse_ground
     from htnsat.planner import PlannerConfig, plan
+    from htnsat.sat import SatSession, load_into_session
 
     out = {}
-    for wl in ("walker", "wide"):
+    for wl in WORKLOADS:
         for seed in SEEDS:
             for inst in workloads.build(wl, seed):
+                if wl == "cnf":
+                    sess = SatSession()
+                    load_into_session(inst.dimacs, sess)
+                    text = cnf_search(sess, sess.solve())
+                    out[f"cnf/{inst.name}/seed{seed}"] = (
+                        hashlib.sha256(text.encode()).hexdigest(),
+                        sess.num_clauses, sess.num_vars)
+                    continue
                 for mode in MODES:
                     p = (parse_ground(inst.ground_text) if inst.ground_text
                          else ground(*parse(inst.domain_text, inst.problem_text)))
@@ -82,15 +103,18 @@ def main(argv: list[str]) -> int:
         sys.exit("usage: python tests/search_check.py OLD_SRC [NEW_SRC]")
     old = run_tree(Path(argv[0]).resolve())
     new = run_tree(Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src")
-    for wl in ("walker", "wide"):
+    differ = 0
+    for wl in WORKLOADS:
         for tree, runs in (("old", old), ("new", new)):
             last = [v for run, v in runs.items() if run.startswith(wl + "/")]
             print(f"{wl} {tree}: last queries hold {sum(v[1] for v in last):,} "
                   f"clauses over {sum(v[2] for v in last):,} variables")
-    differ = [run for run in old if old[run][0] != new[run][0]]
-    for run in differ:
-        print(f"differs: {run}")
-    print(f"{len(old) - len(differ)} of {len(old)} runs identical")
+        runs = [run for run in old if run.startswith(wl + "/")]
+        moved = [run for run in runs if old[run][0] != new[run][0]]
+        for run in moved:
+            print(f"differs: {run}")
+        print(f"{wl}: {len(runs) - len(moved)} of {len(runs)} runs identical")
+        differ += len(moved)
     return 1 if differ else 0
 
 

@@ -5,7 +5,10 @@ import functools
 import itertools
 import math
 import random
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +36,9 @@ from oracles import (
     truth_table,
     truth_table_sat,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def random_3cnf(rng: random.Random, nvars: int, nclauses: int) -> list[list[int]]:
@@ -272,6 +278,37 @@ def test_unallocated_literal_leaves_store_unchanged(clause):
     assert dump_dimacs(s) == before
     m = s.solve()
     assert m is not None and not m[1] and m[2]
+
+
+_intake_lit = st.integers(-7, 7)  # over 6 variables: 0 and 7 are unallocated
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(_intake_lit, min_size=3, max_size=3),
+                          st.lists(_intake_lit, min_size=1, max_size=1),
+                          st.lists(_intake_lit, max_size=5)), max_size=30))
+def test_add_clause_takes_a_list_and_an_iterator_alike(clauses):
+    # a list of three literals may take the fast path, an iterator never
+    # does. Drawn clauses repeat literals, hold tautologies and
+    # unallocated variables, meet units true or false at level 0, and
+    # keep coming once the empty clause made the store UNSAT.
+    by_list, by_iter = SatSession(), SatSession()
+    for s in (by_list, by_iter):
+        for _ in range(6):
+            s.new_var()
+
+    def attempt(s, lits):
+        try:
+            s.add_clause(lits)
+        except SolverUsageError as e:
+            return str(e)
+
+    def state(s):
+        return s.store, s.num_clauses, s.watches, s.trail, s.hard_unsat
+
+    for c in clauses:
+        assert attempt(by_list, list(c)) == attempt(by_iter, iter(c))
+        assert state(by_list) == state(by_iter)
 
 
 def test_dimacs_round_trip_keeps_clauses_as_added():
@@ -622,6 +659,50 @@ def test_seeded_history_with_activity_rescale_is_pinned():
         (22, 250, 836, None), (43, 272, 1249, None), (43, 272, 1249, None)]
 
 
+# perfbench cnf seed 1, the first 20 planted formulas and both
+# pigeonhole ones, which learn clauses longer than 3 and restart: per
+# formula (conflicts, decisions, propagations, learnt, restarts). A change
+# to these is a change of the search, and has to be made on purpose.
+PINNED_CNF_SEARCH = {
+    "planted-70-0": (7, 25, 180, 7, 0),
+    "planted-70-1": (18, 31, 395, 18, 0),
+    "planted-70-2": (22, 44, 395, 22, 0),
+    "planted-70-3": (69, 94, 1229, 69, 0),
+    "planted-70-4": (23, 48, 533, 23, 0),
+    "planted-70-5": (90, 122, 1657, 90, 0),
+    "planted-70-6": (16, 42, 337, 16, 0),
+    "planted-70-7": (7, 26, 280, 7, 0),
+    "planted-70-8": (3, 21, 112, 3, 0),
+    "planted-70-9": (29, 46, 585, 29, 0),
+    "planted-70-10": (8, 31, 203, 8, 0),
+    "planted-70-11": (42, 62, 847, 42, 0),
+    "planted-70-12": (14, 37, 296, 14, 0),
+    "planted-70-13": (19, 44, 473, 19, 0),
+    "planted-70-14": (51, 77, 1030, 51, 0),
+    "planted-70-15": (0, 22, 70, 0, 0),
+    "planted-70-16": (14, 27, 352, 14, 0),
+    "planted-70-17": (3, 18, 109, 3, 0),
+    "planted-70-18": (7, 22, 126, 7, 0),
+    "planted-70-19": (38, 57, 882, 38, 0),
+    "php-7-6-0": (933, 1118, 11912, 932, 6),
+    "php-7-6-1": (747, 914, 9814, 746, 5),
+}
+
+
+def test_benchmark_cnf_search_is_pinned():
+    spec = dict(workloads.SPECS["cnf"])
+    spec["planted"] = (spec["planted"][0], 20)
+    got = {}
+    for inst in workloads.build("cnf", 1, spec):
+        s = SatSession()
+        load_into_session(inst.dimacs, s)
+        assert (s.solve() is not None) == inst.satisfiable
+        stats = s.stats()
+        got[inst.name] = tuple(stats[k] for k in (
+            "conflicts", "decisions", "propagations", "learnt", "restarts"))
+    assert got == PINNED_CNF_SEARCH
+
+
 def _guarded_history(seed: int, var_inc: float, solves: int) -> DecisionCheckingSession:
     """Incremental solves on one decision-checking session. Before each
     solve comes a random 3-CNF block at the threshold ratio over one pool
@@ -825,6 +906,12 @@ def test_dimacs_parse_comments_header_and_an_unterminated_last_clause():
     assert parse_dimacs(text) == (5, [[1, -2], [-3], [2], [], [4, -1]])
     assert parse_dimacs("1 2 0\n-7\n") == (7, [[1, 2], [-7]])
     assert parse_dimacs("p cnf 0 0\n") == (0, [])
+
+
+@pytest.mark.parametrize("header", ["p cnf", "p", "  p cnf  "])
+def test_dimacs_parse_rejects_a_header_without_a_variable_count(header):
+    with pytest.raises(ValueError, match=re.escape(repr(header))):
+        parse_dimacs(header + "\n1 0\n")
 
 
 def _reference_parse_dimacs(text):
