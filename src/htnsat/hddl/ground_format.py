@@ -19,9 +19,12 @@ declared once, under one kind, and is none of the format's keywords
 (the record kinds, the section words and ``->``).
 Records may appear in any order, except that an action names only facts
 declared above it; a method's ``TASK`` and subtasks (``S``), ``init``,
-``goal`` and ``root`` may name what is declared anywhere in the file.
-``init`` and ``goal`` default to empty when the line is absent; ``root``
-is required. dump_ground writes canonical text that parses back into an
+``goal`` and ``root`` may name what is declared anywhere in the file,
+so a method record is kept as its line and token list while the file is
+read, and resolved in a second pass. ``problem``, ``init``, ``goal``,
+``root`` and each section of an action appear at most once. ``init``
+and ``goal`` default to empty when the line is absent; ``root`` is
+required. dump_ground writes canonical text that parses back into an
 identical problem, naming the facts of every set in ascending id order.
 """
 from __future__ import annotations
@@ -47,7 +50,9 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
     # each action and task name to the one TaskRef every method shares
     refs: dict[str, TaskRef] = {}
     declared = set(_RESERVED)  # every fact, action, task and method name
-    method_recs: list[tuple[int, str, str, list[str]]] = []
+    method_lns: list[int] = []  # each method record's line and tokens,
+    method_toks: list[list[str]] = []  # resolved after the loop
+    problem: str | None = None
     init: tuple[int, list[str]] | None = None
     goal: tuple[int, list[str]] | None = None
     root: tuple[int, str] | None = None
@@ -55,12 +60,9 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
     def fail(ln: int, msg: str) -> None:
         raise GroundFormatError(f"line {ln}: {msg}")
 
-    def fresh_name(ln: int, nm: str, what: str) -> str:
-        if nm in declared:
-            fail(ln, f"{what} name {nm!r} is a reserved word"
-                 if nm in _RESERVED else f"name {nm!r} already declared")
-        declared.add(nm)
-        return nm
+    def name_taken(ln: int, nm: str, what: str) -> None:
+        fail(ln, f"{what} name {nm!r} is a reserved word"
+             if nm in _RESERVED else f"name {nm!r} already declared")
 
     def fact_mask(ln: int, toks: list[str]) -> int:
         for t in toks:
@@ -69,48 +71,64 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
         return mask(fact_ids[t] for t in toks)
 
     for ln, raw in enumerate(text.splitlines(), 1):
-        toks = raw.partition("#")[0].split()
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not toks:
             continue
         kind = toks[0]
         if kind == "method":  # the most frequent records first
             if len(toks) < 4 or toks[3] != "->":
                 fail(ln, "method syntax is: method NAME TASK -> [S ...]")
-            method_recs.append((ln, fresh_name(ln, toks[1], "method"), toks[2],
-                                toks[4:]))
+            nm = toks[1]
+            if nm in declared:
+                name_taken(ln, nm, "method")
+            declared.add(nm)
+            method_lns.append(ln)
+            method_toks.append(toks)
         elif kind == "task":
             if len(toks) != 2:
                 fail(ln, "task takes exactly one name")
-            nm = fresh_name(ln, toks[1], "task")
+            nm = toks[1]
+            if nm in declared:
+                name_taken(ln, nm, "task")
+            declared.add(nm)
             refs[nm] = TaskRef(ABSTRACT, len(tasks))
             tasks.append(AbstractTask(len(tasks), nm))
         elif kind == "fact":
             if len(toks) != 2:
                 fail(ln, "fact takes exactly one name")
-            fact_ids[fresh_name(ln, toks[1], "fact")] = len(facts)
-            facts.append(Fact(len(facts), toks[1]))
+            nm = toks[1]
+            if nm in declared:
+                name_taken(ln, nm, "fact")
+            declared.add(nm)
+            fact_ids[nm] = len(facts)
+            facts.append(Fact(len(facts), nm))
         elif kind == "action":
             if len(toks) < 2:
                 fail(ln, "action needs a name")
-            nm = fresh_name(ln, toks[1], "action")
-            secs: dict[str, list[str]] = {s: [] for s in _SECTIONS}
-            cur: str | None = None
+            nm = toks[1]
+            if nm in declared:
+                name_taken(ln, nm, "action")
+            declared.add(nm)
+            secs: dict[str, list[str]] = {}
+            cur: list[str] | None = None
             for t in toks[2:]:
                 if t in _SECTIONS:
-                    if secs[t]:
+                    if t in secs:
                         fail(ln, f"duplicate {t!r} section")
-                    cur = t
+                    cur = secs[t] = []
                 elif cur is None:
                     fail(ln, f"expected pre/add/del before {t!r}")
                 else:
-                    secs[cur].append(t)
+                    cur.append(t)
             refs[nm] = TaskRef(ACTION, len(actions))
-            actions.append(Action(len(actions), nm,
-                                  *(fact_mask(ln, secs[k]) for k in _SECTIONS)))
+            actions.append(Action(len(actions), nm, *(
+                fact_mask(ln, secs.get(k, [])) for k in _SECTIONS)))
         elif kind == "problem":
+            if problem is not None:
+                fail(ln, "duplicate problem")
             if len(toks) != 2:
                 fail(ln, "problem takes exactly one name")
-            name = toks[1]
+            problem = toks[1]
         elif kind == "init":
             if init is not None:
                 fail(ln, "duplicate init")
@@ -129,26 +147,27 @@ def parse_ground(text: str, name: str = "ground") -> Problem:
             fail(ln, f"unknown record {kind!r}")
 
     methods: list[Method] = []
-    for ln, nm, tname, subs in method_recs:
-        task = refs.get(tname)
+    get = refs.get
+    for mid, toks in enumerate(method_toks):
+        task = get(toks[2])
         if task is None or task.kind != ABSTRACT:
-            fail(ln, f"unknown task {tname!r}")
-        sub_refs = list(map(refs.get, subs))
+            fail(method_lns[mid], f"unknown task {toks[2]!r}")
+        sub_refs = list(map(get, toks[4:]))
         if None in sub_refs:
-            fail(ln, f"unknown subtask {subs[sub_refs.index(None)]!r}")
-        mid = len(methods)
-        methods.append(Method(mid, nm, task.id, sub_refs))
-        tasks[task.id].methods.append(mid)
+            fail(method_lns[mid], f"unknown subtask {toks[4 + sub_refs.index(None)]!r}")
+        tid = task.id
+        methods.append(Method(mid, toks[1], tid, sub_refs))
+        tasks[tid].methods.append(mid)
 
     if root is None:
         raise GroundFormatError("missing root record")
     ln, rname = root
-    r = refs.get(rname)
+    r = get(rname)
     if r is None or r.kind != ABSTRACT:
         fail(ln, f"unknown root task {rname!r}")
 
-    return Problem(name=name, facts=facts, actions=actions, abstracts=tasks,
-                   methods=methods, root=r.id,
+    return Problem(name=problem or name, facts=facts, actions=actions,
+                   abstracts=tasks, methods=methods, root=r.id,
                    init=fact_mask(*(init or (0, []))),
                    goal=fact_mask(*(goal or (0, [])))).finalize()
 

@@ -81,14 +81,17 @@ def _components(p: Problem) -> tuple[list[list[int]], list[bool]]:
             else:
                 work.pop()
                 if low[v] == idx[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        idx[w] = n
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(sorted(comp))
+                    w = stack.pop()
+                    idx[w] = n
+                    if w == v:  # most components are one task
+                        sccs.append([v])
+                    else:
+                        comp = [w]
+                        while w != v:
+                            w = stack.pop()
+                            idx[w] = n
+                            comp.append(w)
+                        sccs.append(sorted(comp))
                 # a search's start always closes a component, so v has a
                 # parent here
                 elif low[v] < low[work[-1][0]]:

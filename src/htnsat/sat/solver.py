@@ -90,7 +90,10 @@ variable with the highest (activity, -index), the same one a heap
 rebuilt over the free variables would give. A rescale rebuilds the heap
 from the free variables, because it shrinks every activity below the
 keys already queued; so does a heap grown past twice the variable
-count, which bounds its memory over long runs.
+count, which bounds its memory over long runs. solve() returns a model
+as soon as the trail holds every variable, before the branch pick:
+draining the heap there would only pop entries for _cancel_to to push
+back, and _cancel_to still leaves every free variable its live entry.
 
 _propagate, _analyze, _cancel_to and the branch pick in solve() are the
 hot loops: they keep attributes in locals and inline the value test,
@@ -562,7 +565,7 @@ class SatSession:
             fresh = range(len(self.queued), self.num_vars + 1)
             self.queued += [assign[v] == 0 for v in fresh]
             order += [(-act[v], v) for v in fresh if assign[v] == 0]
-            queued = self.queued
+            queued, num_vars = self.queued, self.num_vars
             n_assumptions = len(assumptions)
 
             restart_n = 0
@@ -606,16 +609,15 @@ class SatSession:
                     if val == 0:
                         self._enqueue(lit, None)
                     continue
-                # branch on the most active free variable
-                v = 0
-                while order:
-                    u = heappop(order)[1]
-                    queued[u] = False
-                    if assign[u] == 0:
-                        v = u
-                        break
-                if v == 0:
+                if len(trail) == num_vars:  # every variable is assigned
                     return [x == 1 for x in assign]  # entry 0 is never assigned
+                # branch on the most active free variable; its live entry
+                # is queued, so the heap cannot run dry first
+                while True:
+                    v = heappop(order)[1]
+                    queued[v] = False
+                    if assign[v] == 0:
+                        break
                 self.decisions += 1
                 trail_lim.append(len(trail))
                 lit = v if saved[v] else -v

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htnsat.hddl import ground as ground_lifted, parse, parse_ground
 from htnsat.inference import (
@@ -303,3 +304,44 @@ def test_components_keep_their_contract():
         assert all(comp_of[u] <= comp_of[t] for t in comp_of
                    for u in succ[t]), name
         assert recursive == reaches_itself(p), name
+
+
+@st.composite
+def _task_graphs(draw) -> str:
+    """Ground text for a random task graph over up to eight tasks: each
+    method names its task and a few subtasks, the action included, so
+    self-loops, cycles, shared subtasks and tasks without methods occur."""
+    n = draw(st.integers(1, 8))
+    lines = ["action a"] + [f"task t{i}" for i in range(n)]
+    subtask = st.sampled_from(["a"] + [f"t{i}" for i in range(n)])
+    for m in range(draw(st.integers(0, 14))):
+        subs = draw(st.lists(subtask, max_size=3))
+        lines.append(f"method m{m} t{draw(st.integers(0, n - 1))} -> {' '.join(subs)}")
+    return "\n".join(lines + ["root t0"]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_task_graphs())
+def test_components_match_plain_reachability(text):
+    p = parse_ground(text)
+    n = len(p.abstracts)
+    sccs, recursive = _components(p)
+    assert sorted(t for c in sccs for t in c) == list(range(n))
+    assert all(c == sorted(c) for c in sccs)
+    succ = task_successors(p)
+    reach = []  # per task, every task a path of zero or more edges reaches
+    for t in range(n):
+        seen, todo = {t}, [t]
+        while todo:
+            for u in succ[todo.pop()] - seen:
+                seen.add(u)
+                todo.append(u)
+        reach.append(seen)
+    comp_of = {t: k for k, c in enumerate(sccs) for t in c}
+    for t in range(n):
+        for u in range(n):
+            assert (comp_of[t] == comp_of[u]) == (u in reach[t] and t in reach[u])
+        # inner components first: an edge leaves a component only for an
+        # earlier one
+        assert all(comp_of[u] <= comp_of[t] for u in succ[t])
+        assert recursive[t] == (len(sccs[comp_of[t]]) > 1 or t in succ[t])
