@@ -14,12 +14,12 @@ A position carried unexpanded into the next layer is encoded once, in
 the layer where it first appears, and keeps its variables and columns
 from then on, so leaving a branch untouched for ten layers costs nothing.
 
-Each layer gets one throwaway strict query selector, which forbids
-every abstract task still unexpanded on that layer; a unit clause
-retires it when the next layer arrives, so the clause store only ever
-grows. The relaxed query needs no selector: it solves the store with no
-assumption, and unexpanded tasks act through their mandatory
-preconditions and possible effects.
+The strict query adds nothing to the store: it solves under one
+assumption -tv per abstract task still unexpanded on the bottom layer,
+read off the grid when it is asked, and none for a task false at level
+0. So no variable or clause exists only to pose a query. The relaxed
+query solves the store with no assumption, and unexpanded tasks act
+through their mandatory preconditions and possible effects.
 
 The encoder reads the session's level-0 assignment, which no search
 undoes, only to decide which selectors exist. An action with a
@@ -27,8 +27,7 @@ precondition fact false at level 0 in its position's pre column gets no
 selector: no variable, no clause, no place in the position's
 at-most-one group, its at-least-one clause or the frame axioms' support
 lists. A task whose selector is false at level 0 when its position is
-linked gets no method block, and a strict query adds no clause for a
-task false at level 0 when it opens. A method with a subtask slot that
+linked gets no method block. A method with a subtask slot that
 has no selector gets none either, and a parent action whose child has
 no selector is forbidden by a unit. Every other clause is added in
 full; the session stores none that level 0 already satisfies.
@@ -104,7 +103,6 @@ class Encoder:
         self.ops: dict[Position, dict[TaskRef | None, int]] = {}
         self.mvar: dict[Position, dict[int, int]] = {}
         self.cols: dict[Position, tuple[list[int], list[int]]] = {}
-        self.strict = 0  # the newest layer's strict query selector
         self.encoded = 0
         self.sync(deadline)
 
@@ -129,7 +127,6 @@ class Encoder:
                 self._encode_root()
             else:
                 self._encode_layer(self.encoded)
-            self._open_query(self.encoded)
             self.encoded += 1
 
     def _encode_root(self) -> None:
@@ -275,26 +272,16 @@ class Encoder:
             for kid in kids:
                 sess.add_clause([-bv, kid[None]])
 
-    def _open_query(self, layer_idx: int) -> None:
-        sess = self.sess
-        assign = sess.assign
-        if self.strict:
-            sess.add_clause([-self.strict])
-        a = self.strict = sess.new_var()
-        # every position on a layer is unexpanded at its horizon: an
-        # expanded position gives way to its children in the next layer;
-        # a task false at level 0 needs no clause
-        for pos in self.pdt.layers[layer_idx]:
-            ops = self.ops[pos]
-            for t in pos.tasks:
-                tv = ops[TaskRef(ABSTRACT, t)]
-                if assign[tv] >= 0:
-                    sess.add_clause([-a, -tv])
-
     # -- solving and decoding ------------------------------------------------
 
     def solve_solution(self, deadline: float | None = None) -> DecompositionTree | None:
-        model = self.sess.solve([self.strict], deadline=deadline)
+        assign = self.sess.assign
+        # rule out every task still unexpanded, which sits on a bottom
+        # position; one false at level 0 needs no assumption
+        off = [-tv for pos in self.pdt.pending_positions()
+               for t in pos.tasks
+               if assign[tv := self.ops[pos][TaskRef(ABSTRACT, t)]] >= 0]
+        model = self.sess.solve(off, deadline=deadline)
         if model is None:
             return None
         tree = self._decode(model)

@@ -185,16 +185,23 @@ _SUBTASK_KEYS = (":ordered-subtasks", ":subtasks", ":ordered-tasks", ":tasks")
 
 
 def _conjunction(form, src, what: str) -> list:
-    """Flatten (), (and ...), or a single item into a list of items."""
+    """Flatten (), (and ...) with (and ...) nested to any depth, or a
+    single item into a list of items, in order."""
     if form is None:
         return []
     if not isinstance(form, SList):
         _fail(src, form, f"expected a {what}")
     if not form:
         return []
-    if not isinstance(form[0], SList) and form[0] == "and":
-        return list(form[1:])
-    return [form]
+    items: list = []
+    stack = [form]  # an explicit stack: the nesting depth is the input's
+    while stack:
+        item = stack.pop()
+        if isinstance(item, SList) and item and item[0] == "and":
+            stack.extend(reversed(item[1:]))
+        else:
+            items.append(item)
+    return items
 
 
 def _literals(form, src, what: str) -> list[Literal]:

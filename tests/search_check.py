@@ -15,7 +15,11 @@ decisions, propagations, restarts, learnt count and model, loaded with
 runs identical" for each workload. Exits 1 if a run differs. It also
 prints, per workload and per tree, the sum over the runs of the last
 query's clauses and variables (a cnf formula's one query is its last),
-which shows what an encoding change does to the store.
+which shows what an encoding change does to the store, and for walker
+and wide the summed methods developed and plan length, which show which
+way a moved search went. Per workload it counts the runs whose verdict
+differs, and each differing planning run is listed with its methods
+developed and plan length in both trees.
 
 ``search_stats`` is also what the ``search`` key of the golden hashes
 (``test_golden.py``) is taken over.
@@ -55,9 +59,10 @@ def cnf_search(sess, model) -> str:
         "conflicts", "decisions", "propagations", "restarts", "learnt")])
 
 
-def fingerprints() -> dict[str, tuple[str, int, int]]:
+def fingerprints() -> dict[str, tuple[str, int, int, str, int, int]]:
     """Run every instance with the htnsat on sys.path. Per run: its
-    search hash, and the last query's clauses and variables."""
+    search hash, the last query's clauses and variables, its verdict,
+    and (0 for cnf) its methods developed and plan length."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from htnsat.hddl import ground, parse, parse_ground
@@ -71,10 +76,12 @@ def fingerprints() -> dict[str, tuple[str, int, int]]:
                 if wl == "cnf":
                     sess = SatSession()
                     load_into_session(inst.dimacs, sess)
-                    text = cnf_search(sess, sess.solve())
+                    model = sess.solve()
+                    text = cnf_search(sess, model)
                     out[f"cnf/{inst.name}/seed{seed}"] = (
                         hashlib.sha256(text.encode()).hexdigest(),
-                        sess.num_clauses, sess.num_vars)
+                        sess.num_clauses, sess.num_vars,
+                        "unsat" if model is None else "sat", 0, 0)
                     continue
                 for mode in MODES:
                     p = (parse_ground(inst.ground_text) if inst.ground_text
@@ -84,7 +91,8 @@ def fingerprints() -> dict[str, tuple[str, int, int]]:
                     last = res.stats.queries[-1]
                     out[f"{wl}/{inst.name}/seed{seed}/{mode}"] = (
                         hashlib.sha256(text.encode()).hexdigest(),
-                        last["clauses"], last["vars"])
+                        last["clauses"], last["vars"], res.status,
+                        res.stats.methods_developed, res.stats.plan_length or 0)
     return out
 
 
@@ -107,13 +115,22 @@ def main(argv: list[str]) -> int:
     for wl in WORKLOADS:
         for tree, runs in (("old", old), ("new", new)):
             last = [v for run, v in runs.items() if run.startswith(wl + "/")]
-            print(f"{wl} {tree}: last queries hold {sum(v[1] for v in last):,} "
-                  f"clauses over {sum(v[2] for v in last):,} variables")
+            line = (f"{wl} {tree}: last queries hold {sum(v[1] for v in last):,} "
+                    f"clauses over {sum(v[2] for v in last):,} variables")
+            if wl != "cnf":
+                line += (f"; {sum(v[4] for v in last):,} methods developed, "
+                         f"plan length {sum(v[5] for v in last):,}")
+            print(line)
         runs = [run for run in old if run.startswith(wl + "/")]
         moved = [run for run in runs if old[run][0] != new[run][0]]
         for run in moved:
-            print(f"differs: {run}")
-        print(f"{wl}: {len(runs) - len(moved)} of {len(runs)} runs identical")
+            o, n = old[run], new[run]
+            print(f"differs: {run}" + ("" if wl == "cnf" else
+                  f": methods developed {o[4]} -> {n[4]}, "
+                  f"plan length {o[5]} -> {n[5]}"))
+        verdicts = sum(old[run][3] != new[run][3] for run in moved)
+        print(f"{wl}: {len(runs) - len(moved)} of {len(runs)} runs identical, "
+              f"{verdicts} verdicts differ")
         differ += len(moved)
     return 1 if differ else 0
 

@@ -14,8 +14,8 @@ from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
-from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, dump_dimacs, encode_amo,
-                        parse_dimacs)
+from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, SatSession, dump_dimacs,
+                        encode_amo, parse_dimacs)
 
 from oracles import (
     enumerate_session_models,
@@ -35,6 +35,23 @@ def setup(problem, **kw):
     prof = compute_profiles(problem)
     pdt = Pdt(problem, prof)
     return prof, pdt, Encoder(problem, prof, pdt, **kw)
+
+
+def strict_assumptions(enc):
+    """The assumptions the encoder's strict query poses."""
+    posed = []
+    solve = enc.sess.solve
+
+    def record(assumptions=(), deadline=None):
+        posed.extend(assumptions)
+        return solve(assumptions, deadline)
+
+    enc.sess.solve = record
+    try:
+        enc.solve_solution()
+    finally:
+        del enc.sess.solve
+    return posed
 
 
 def grow(pdt, enc):
@@ -238,30 +255,30 @@ GENERATED = [inst.name for wl in ("walker", "wide")
 # change to these is a change of the search, and has to be made on purpose.
 PINNED_BENCH_SEARCH = {
     ("walker-8x3", "greedy"): (
-        [("s", 0, 0, 47), ("r", 0, 24, 24), ("s", 0, 0, 7), ("r", 0, 24, 40),
-         ("s", 0, 0, 77), ("r", 0, 0, 0), ("s", 0, 0, 36), ("r", 0, 1, 10),
-         ("s", 0, 0, 21), ("r", 0, 4, 53), ("s", 0, 0, 18), ("r", 0, 7, 123),
-         ("s", 0, 0, 15), ("r", 0, 10, 214), ("s", 0, 0, 12),
-         ("r", 0, 13, 326), ("s", 0, 0, 7), ("r", 0, 16, 461),
-         ("s", 1, 0, 40), ("r", 0, 25, 617), ("s", 0, 0, 730)],
+        [("s", 0, 0, 46), ("r", 0, 24, 24), ("s", 0, 0, 6), ("r", 0, 24, 40),
+         ("s", 0, 0, 76), ("r", 0, 0, 0), ("s", 0, 0, 35), ("r", 0, 1, 10),
+         ("s", 0, 0, 20), ("r", 0, 4, 53), ("s", 0, 0, 17), ("r", 0, 7, 123),
+         ("s", 0, 0, 14), ("r", 0, 10, 214), ("s", 0, 0, 11),
+         ("r", 0, 13, 326), ("s", 1, 0, 19), ("r", 0, 22, 459),
+         ("s", 1, 0, 495), ("r", 0, 31, 615), ("s", 0, 0, 727)],
         349, 49),
     ("wide-100x4", "greedy"): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 230), ("r", 0, 5, 5),
-         ("s", 0, 0, 231), ("r", 0, 4, 4), ("s", 0, 0, 231), ("r", 0, 3, 3),
-         ("s", 0, 0, 233), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        [("s", 0, 0, 9), ("r", 0, 6, 6), ("s", 0, 0, 229), ("r", 0, 5, 5),
+         ("s", 0, 0, 230), ("r", 0, 4, 4), ("s", 0, 0, 230), ("r", 0, 3, 3),
+         ("s", 0, 0, 232), ("r", 0, 0, 0), ("s", 0, 0, 3)],
         405, 5),
     ("wide-100x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 230), ("s", 0, 0, 358),
-         ("s", 0, 0, 484), ("s", 0, 0, 611), ("s", 0, 0, 507)],
+        [("s", 0, 0, 9), ("s", 0, 0, 229), ("s", 0, 0, 357), ("s", 0, 0, 483),
+         ("s", 0, 0, 610), ("s", 0, 0, 506)],
         1405, 5),
     ("wide-150x4", "greedy"): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 0, 0, 334), ("r", 0, 5, 5),
-         ("s", 0, 0, 335), ("r", 0, 4, 4), ("s", 0, 0, 335), ("r", 0, 3, 3),
-         ("s", 0, 0, 337), ("r", 0, 0, 0), ("s", 0, 0, 4)],
+        [("s", 0, 0, 9), ("r", 0, 6, 6), ("s", 0, 0, 333), ("r", 0, 5, 5),
+         ("s", 0, 0, 334), ("r", 0, 4, 4), ("s", 0, 0, 334), ("r", 0, 3, 3),
+         ("s", 0, 0, 336), ("r", 0, 0, 0), ("s", 0, 0, 3)],
         605, 5),
     ("wide-150x4", "bfs"): (
-        [("s", 0, 0, 10), ("s", 0, 0, 334), ("s", 0, 0, 516),
-         ("s", 0, 0, 696), ("s", 0, 0, 877), ("s", 0, 0, 723)],
+        [("s", 0, 0, 9), ("s", 0, 0, 333), ("s", 0, 0, 515), ("s", 0, 0, 695),
+         ("s", 0, 0, 876), ("s", 0, 0, 722)],
         2105, 5),
 }
 
@@ -333,8 +350,46 @@ class TestIncrementality:
         chosen_vars = [var for sel in enc.mvar.values()
                        for mid, var in sel.items() if mid in picked]
         assert len(chosen_vars) == len(picked)
-        replay = enc.sess.solve([enc.strict] + chosen_vars)
+        replay = enc.sess.solve(strict_assumptions(enc) + chosen_vars)
         assert replay is not None
+
+    @pytest.mark.parametrize("name", TOYS)
+    def test_strict_query_adds_no_variable_and_no_clause(self, ground, name):
+        _, pdt, enc = setup(ground(name))
+        for _ in range(6):
+            size = enc.sess.num_vars, enc.sess.num_clauses
+            enc.solve_solution()
+            assert (enc.sess.num_vars, enc.sess.num_clauses) == size
+            if not grow(pdt, enc):
+                break
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", TOYS)
+    def test_strict_query_reads_the_grid_when_asked(self, ground, name, seed):
+        # one grid syncs after every expansion, the other after every
+        # second one; both expand the same pending positions
+        p = ground(name)
+        _, pdt, enc = setup(p)
+        _, lazy_pdt, lazy = setup(p)
+        rng = random.Random(seed)
+        for _ in range(4):
+            for _ in range(2):
+                pending = pdt.pending_positions()
+                if not pending:
+                    break
+                picks = [i for i in range(len(pending)) if rng.random() < 0.5]
+                pdt.expand([pending[i] for i in picks])
+                enc.sync()
+                lazy_pending = lazy_pdt.pending_positions()
+                lazy_pdt.expand([lazy_pending[i] for i in picks])
+            lazy.sync()
+            got, want = lazy.solve_solution(), enc.solve_solution()
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert all(n.children for n in got.nodes if n.kind == ABSTRACT)
+                assert verify(p, got) == []
+            if not pdt.pending_positions():
+                break
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", TOYS)
@@ -424,9 +479,9 @@ def test_no_action_selector_is_false_at_level_0_when_made(monkeypatch, name):
                                         ("walker-8x3", "greedy")])
 def test_no_method_block_for_a_task_false_at_level_0(monkeypatch, name, mode):
     # a task whose selector is false at level 0 gets no method selector
-    # when its position is linked, and no clause when a strict query opens
-    link, query = Encoder._encode_linkage, Encoder._open_query
-    live, dead = [], []
+    # when its position is linked, and no assumption in a strict query
+    link, solve = Encoder._encode_linkage, SatSession.solve
+    live, dead, posed = [], [], []
 
     def linked(self, pos):
         was = {t: self.sess.assign[self.ops[pos][TaskRef(ABSTRACT, t)]]
@@ -436,25 +491,15 @@ def test_no_method_block_for_a_task_false_at_level_0(monkeypatch, name, mode):
             made = [m for m in self.p.abstracts[t].methods if m in self.mvar[pos]]
             (dead if x < 0 else live).extend(made)
 
-    def opened(self, layer_idx):
-        sess = self.sess
-        add = sess.add_clause
-
-        def add_checked(lits):
-            if len(lits) == 2 and lits[0] == -self.strict and sess.assign[-lits[1]] < 0:
-                dead.append(-lits[1])
-            add(lits)
-
-        sess.add_clause = add_checked
-        try:
-            query(self, layer_idx)
-        finally:
-            del sess.add_clause
+    def solved(self, assumptions=(), deadline=None):
+        posed.extend(assumptions)
+        dead.extend(-lit for lit in assumptions if self.assign[-lit] < 0)
+        return solve(self, assumptions, deadline)
 
     monkeypatch.setattr(Encoder, "_encode_linkage", linked)
-    monkeypatch.setattr(Encoder, "_open_query", opened)
+    monkeypatch.setattr(SatSession, "solve", solved)
     assert plan(generated(name), PlannerConfig(mode=mode)).status == "solved"
-    assert live and dead == []
+    assert live and posed and dead == []
 
 
 def test_no_method_selector_for_a_slot_without_one(monkeypatch):

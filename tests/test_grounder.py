@@ -113,6 +113,21 @@ class TestParser:
                   (FIXTURES / "taxi1.hddl").read_text())
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("old, new", [
+        ("(and (at ?p ?s) (booth ?s))", "(and (and (at ?p ?s)) (booth ?s))"),
+        ("(and (at ?p ?to) (not (at ?p ?from)))",
+         "(and (at ?p ?to) (and (and (not (at ?p ?from)))))"),
+        ("(:goal (and (called)))", "(:goal (and (and (called))))"),
+        ("(:goal (and (called)))",
+         "(:goal " + "(and " * 5000 + "(called)" + ")" * 5000 + ")"),
+    ], ids=["precondition", "effect", "goal", "deep-goal"])
+    def test_nested_conjunctions_flatten(self, old, new):
+        texts = [(FIXTURES / name).read_text()
+                 for name in ("taxi.hddl", "taxi1.hddl")]
+        nested = [text.replace(old, new) for text in texts]
+        assert nested != texts
+        assert parse(*nested) == parse(*texts)
+
     def test_rejects_negative_goal(self):
         bad = TOGGLE_PROBLEM.replace("(:goal (on))",
                                      "(:goal (not (on)))")

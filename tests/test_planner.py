@@ -202,27 +202,27 @@ class TestDeterminism:
 # A change to these is a change of the search, and has to be made on purpose.
 PINNED_SEARCH = {
     ("fork3", GREEDY): (
-        [("s", 0, 0, 10), ("r", 0, 6, 6), ("s", 1, 0, 5), ("r", 0, 4, 22),
+        [("s", 0, 0, 9), ("r", 0, 6, 6), ("s", 0, 0, 18), ("r", 0, 7, 22),
          ("s", 0, 0, 31)],
-        ["begin-right", "mid-right", "end-right"]),
+        ["begin-left", "mid-left", "end-left"]),
     ("fork3", BFS): (
-        [("s", 0, 0, 10), ("s", 1, 0, 5), ("s", 0, 1, 40)],
-        ["begin-right", "mid-right", "end-right"]),
+        [("s", 0, 0, 9), ("s", 0, 0, 18), ("s", 0, 6, 39)],
+        ["begin-left", "mid-left", "end-left"]),
     ("tower", GREEDY): (
-        [("s", 0, 0, 6), ("r", 0, 2, 2), ("s", 1, 0, 19), ("r", 0, 1, 1),
-         ("s", 0, 0, 11)],
+        [("s", 0, 0, 5), ("r", 0, 2, 2), ("s", 1, 0, 17), ("r", 0, 1, 1),
+         ("s", 0, 0, 10)],
         ["pop(2,1)"]),
     ("tower", BFS): (
-        [("s", 0, 0, 6), ("s", 1, 0, 19), ("s", 0, 0, 11)],
+        [("s", 0, 0, 5), ("s", 1, 0, 17), ("s", 0, 0, 10)],
         ["pop(2,1)"]),
     ("reinsert", GREEDY): (
-        [("s", 0, 0, 7), ("r", 0, 3, 3), ("s", 0, 0, 6), ("r", 0, 5, 6),
-         ("s", 0, 0, 14), ("r", 0, 3, 4), ("s", 0, 0, 7), ("r", 0, 1, 1),
-         ("s", 0, 0, 13)],
+        [("s", 0, 0, 6), ("r", 0, 3, 3), ("s", 0, 0, 5), ("r", 0, 5, 6),
+         ("s", 0, 0, 13), ("r", 0, 3, 4), ("s", 0, 0, 6), ("r", 0, 1, 1),
+         ("s", 0, 0, 12)],
         ["pop(2,1)", "pop(1,0)", "check"]),
     ("reinsert", BFS): (
-        [("s", 0, 0, 7), ("s", 0, 0, 6), ("s", 0, 0, 14), ("s", 0, 0, 7),
-         ("r", 0, 1, 1), ("s", 0, 0, 13)],
+        [("s", 0, 0, 6), ("s", 0, 0, 5), ("s", 0, 0, 13), ("s", 0, 0, 6),
+         ("r", 0, 1, 1), ("s", 0, 0, 12)],
         ["pop(2,1)", "pop(1,0)", "check"]),
 }
 
