@@ -10,9 +10,9 @@ and allocates fresh fact variables only where the position to the left
 can actually change the fact. The final column is therefore shared by
 every layer, which lets the goal be asserted once as permanent units.
 
-A position carried unexpanded into the next layer is encoded once, in
-the layer where it first appears, and keeps its variables and columns
-from then on, so leaving a branch untouched for ten layers costs nothing.
+A round encodes the children of the positions it expanded. A position
+keeps its variables and columns from then on, so leaving a branch
+untouched for ten rounds costs nothing.
 
 The strict query adds nothing to the store: it solves under one
 assumption -tv per abstract task still unexpanded on the bottom layer,
@@ -118,15 +118,15 @@ class Encoder:
         return mask
 
     def sync(self, deadline: float | None = None) -> None:
-        """Encode every grid layer not yet in the clause store. Raises
-        SolverTimeout before a layer once the deadline has passed."""
-        while self.encoded < len(self.pdt.layers):
+        """Encode every grid round not yet in the clause store, the root
+        first. Raises SolverTimeout before a round once the deadline has passed."""
+        while self.encoded <= len(self.pdt.rounds):
             if deadline is not None and time.monotonic() > deadline:
                 raise SolverTimeout
             if self.encoded == 0:
                 self._encode_root()
             else:
-                self._encode_layer(self.encoded)
+                self._encode_round(self.pdt.rounds[self.encoded - 1])
             self.encoded += 1
 
     def _encode_root(self) -> None:
@@ -144,13 +144,9 @@ class Encoder:
         for f in bits(self.p.goal):
             sess.add_clause([post[f]])
 
-    def _encode_layer(self, idx: int) -> None:
-        expanded = []
-        for parent in self.pdt.layers[idx - 1]:
+    def _encode_round(self, expanded: list[Position]) -> None:
+        for parent in expanded:
             kids = parent.children
-            if not (kids and kids[0].layer == idx):
-                continue
-            expanded.append(parent)
             ppre, ppost = self.cols[parent]
             bound = ppre
             for i, q in enumerate(kids):

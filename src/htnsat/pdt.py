@@ -3,14 +3,14 @@ position grid.
 
 Layer 0 holds one position containing the initial abstract task. When a
 position is expanded, every abstract task occupying it gains all its
-methods, and the next layer gets one child position per
-subtask slot (slot 0 also inherits the position's action candidates;
-slots past a short method are fillable by an explicit blank). A
-position that is not expanded appears again, as the same object, in the
-next layer; ``Position.layer`` is the layer where it first appears.
-Expanding it in a later round hangs its children directly off it, so
-a position was expanded in round k exactly when its first child sits on
-layer k + 1.
+methods, and it gets one child position per subtask slot (slot 0 also
+inherits the position's action candidates; slots past a short method
+are fillable by an explicit blank). The grid stores each position once:
+the bottom, and per round the positions it expanded, in bottom order. A
+position not yet expanded stays on the bottom, and expanding it in a
+later round hangs its children directly off it, so layer k + 1 holds
+the children of the positions expanded in round k, and
+``Position.layer`` is the layer where a position first appears.
 
 Recursion control: every position counts, per recursive task, the
 strict ancestor positions whose candidate tasks include it. A position
@@ -60,14 +60,21 @@ class Pdt:
         self.problem = problem
         self.profiles = profiles
         self.root = Position(layer=0, tasks=[problem.root])
-        self.layers: list[list[Position]] = [[self.root]]
+        self._bottom = [self.root]
+        self.rounds: list[list[Position]] = []
         self.nesting_limit = 1
         self.methods_developed = 0
 
     # -- structure queries ---------------------------------------------------
 
     def bottom(self) -> list[Position]:
-        return self.layers[-1]
+        return self._bottom
+
+    @property
+    def layers(self) -> list[list[Position]]:
+        """Per layer, the positions that first appear on it."""
+        return [[self.root]] + [[kid for b in expanded for kid in b.children]
+                                for expanded in self.rounds]
 
     def pending_positions(self) -> list[Position]:
         """Bottom positions still carrying unexpanded abstract tasks."""
@@ -98,15 +105,13 @@ class Pdt:
             # an expanded position has left the bottom layer
             if b not in in_bottom or not b.tasks:
                 raise PdtUsageError(f"position from layer {b.layer} is not pending")
-        new_layer: list[Position] = []
-        for b in bottom:
-            if b in chosen:
-                new_layer.extend(self._expand_one(b))
-            else:
-                new_layer.append(b)
-        self.layers.append(new_layer)
+        expanded = [b for b in bottom if b in chosen]
+        for b in expanded:
+            self._expand_one(b)
+        self.rounds.append(expanded)
+        self._bottom = [q for b in bottom for q in b.children or [b]]
 
-    def _expand_one(self, b: Position) -> list[Position]:
+    def _expand_one(self, b: Position) -> None:
         methods = [self.problem.methods[mid] for t in b.tasks
                    for mid in self.problem.abstracts[t].methods]
         width = max([1] + [len(m.subtasks) for m in methods])
@@ -132,12 +137,11 @@ class Pdt:
                     (acts if ref.is_action() else tasks)[ref.id] = None
                 else:
                     blank = True
-            kids.append(Position(layer=len(self.layers), acts=list(acts),
+            kids.append(Position(layer=len(self.rounds) + 1, acts=list(acts),
                                  tasks=list(tasks), has_blank=blank,
                                  anc_counts=counts))
         b.children = kids
         self.methods_developed += len(methods)
-        return kids
 
     def reinsert_blocked(self) -> None:
         """Double the nesting limit, which releases every held position."""
@@ -159,12 +163,11 @@ class Pdt:
 
         def emit(node_id: str, label: str, shape: str) -> None:
             fill = ", style=filled, fillcolor=grey80" if node_id in grey else ""
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  "{node_id}" [label="{label}", shape={shape}{fill}];')
 
-        for k, layer in enumerate(self.layers):
+        for layer in self.layers:
             for pos in layer:
-                if pos.layer != k:
-                    continue
                 tag = tags[pos]
                 for t in pos.tasks:
                     emit(f"t{tag}_{t}", p.abstracts[t].name, "box")

@@ -40,6 +40,42 @@ def wide_choice(w: int, depth: int = 4) -> str:
     return "\n".join(lines) + "\n"
 
 
+def countdown(n: int) -> str:
+    """``reinsert.ground`` with a counter from n down to 0 in place of 2:
+    solvable, and only by the recursive method nested n deep."""
+    lines = [f"problem countdown{n}"]
+    lines += [f"fact n{i}" for i in range(n, -1, -1)]
+    lines.append("fact done")
+    lines += [f"action pop({i},{i - 1}) pre n{i} add n{i - 1} del n{i}"
+              for i in range(n, 0, -1)]
+    lines += ["action check pre n0 add done",
+              "task countdown", "task dec",
+              "method base countdown -> check",
+              "method again countdown -> dec countdown"]
+    lines += [f"method dec({i},{i - 1}) dec -> pop({i},{i - 1})"
+              for i in range(n, 0, -1)]
+    lines += [f"init n{n}", "goal done", "root countdown"]
+    return "\n".join(lines) + "\n"
+
+
+def flip_flop() -> str:
+    """A countdown-shaped recursion with no plan: ``seta`` adds a and
+    deletes b, ``setb`` does the reverse, and ``check`` needs both, so
+    every nesting depth leaves exactly one of a and b true."""
+    return "\n".join([
+        "problem flipflop",
+        "fact a", "fact b", "fact done",
+        "action seta add a del b",
+        "action setb add b del a",
+        "action check pre a b add done",
+        "task countdown", "task flip",
+        "method base countdown -> check",
+        "method again countdown -> flip countdown",
+        "method flip(a) flip -> seta",
+        "method flip(b) flip -> setb",
+        "init a", "goal done", "root countdown"]) + "\n"
+
+
 def random_acyclic(seed: int) -> str:
     """Small non-recursive instance: task subtasks only ever point to
     higher-numbered tasks, so every refinement terminates."""

@@ -1,25 +1,27 @@
 """Compare the search of two source trees on the benchmark's instances.
 
-    python tests/search_check.py OLD_SRC [NEW_SRC]
+    python tests/search_check.py [--seeds A-B] OLD_SRC [NEW_SRC]
 
-Plans every walker and wide instance of perfbench seeds 1-3 in greedy
-and in bfs mode, and solves every cnf formula of the same seeds, once
-with each ``src`` tree (NEW_SRC defaults to this checkout's), and
-compares the runs' search fingerprints. A planning run's fingerprint is
-the stats JSON without what only measures the encoding or the clock.
-What is left is each query's kind, verdict, conflicts, decisions and
-frontier, and each run's rounds, methods developed, events and plan
-length. A cnf run's fingerprint is the formula's verdict, conflicts,
-decisions, propagations, restarts, learnt count and model, loaded with
-``load_into_session``. A change that keeps the search reads "N of N
-runs identical" for each workload. Exits 1 if a run differs. It also
-prints, per workload and per tree, the sum over the runs of the last
-query's clauses and variables (a cnf formula's one query is its last),
-which shows what an encoding change does to the store, and for walker
-and wide the summed methods developed and plan length, which show which
-way a moved search went. Per workload it counts the runs whose verdict
-differs, and each differing planning run is listed with its methods
-developed and plan length in both trees.
+Plans every walker and wide instance of perfbench seeds A to B
+(default 1-3) in greedy and in bfs mode, and solves every cnf formula
+of the same seeds, once with each ``src`` tree (NEW_SRC defaults to
+this checkout's), and compares the runs' search fingerprints. A
+planning run's fingerprint is the stats JSON without what only measures
+the encoding or the clock. What is left is each query's kind, verdict,
+conflicts, decisions and frontier, and each run's rounds, methods
+developed, events and plan length. A cnf run's fingerprint is the
+formula's verdict, conflicts, decisions, propagations, restarts, learnt
+count and model, loaded with ``load_into_session``. A change that keeps
+the search reads "N of N runs identical" for each workload. Exits 1 if
+a run differs. It also prints, per workload and per tree, the sum over
+the runs of the last query's clauses and variables (a cnf formula's one
+query is its last), which shows what an encoding change does to the
+store, and for walker and wide the summed methods developed and plan
+length, which show which way a moved search went. Per workload it
+counts the runs whose verdict differs, and each differing planning run
+is listed with its methods developed and plan length in both trees.
+Seeds other than 1-3 check a change that must keep the search on
+instances it was not written against.
 
 ``search_stats`` is also what the ``search`` key of the golden hashes
 (``test_golden.py``) is taken over.
@@ -29,12 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)
+SEEDS = "1-3"
 WORKLOADS = ("walker", "wide", "cnf")
 MODES = ("greedy", "bfs")
 # per query: the clock, how big the store is and how far level 0
@@ -59,10 +62,11 @@ def cnf_search(sess, model) -> str:
         "conflicts", "decisions", "propagations", "restarts", "learnt")])
 
 
-def fingerprints() -> dict[str, tuple[str, int, int, str, int, int]]:
-    """Run every instance with the htnsat on sys.path. Per run: its
-    search hash, the last query's clauses and variables, its verdict,
-    and (0 for cnf) its methods developed and plan length."""
+def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int]]:
+    """Run every instance of the given seeds with the htnsat on
+    sys.path. Per run: its search hash, the last query's clauses and
+    variables, its verdict, and (0 for cnf) its methods developed and
+    plan length."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from htnsat.hddl import ground, parse, parse_ground
@@ -71,7 +75,7 @@ def fingerprints() -> dict[str, tuple[str, int, int, str, int, int]]:
 
     out = {}
     for wl in WORKLOADS:
-        for seed in SEEDS:
+        for seed in seeds:
             for inst in workloads.build(wl, seed):
                 if wl == "cnf":
                     sess = SatSession()
@@ -96,21 +100,35 @@ def fingerprints() -> dict[str, tuple[str, int, int, str, int, int]]:
     return out
 
 
-def run_tree(src: Path) -> dict[str, list]:
+def seed_range(text: str) -> range:
+    """The seeds "A-B" names, A to B inclusive."""
+    lo, hi = text.split("-")
+    return range(int(lo), int(hi) + 1)
+
+
+def run_tree(src: Path, seeds: str) -> dict[str, list]:
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, "--fingerprints"],
-                          env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, __file__, "--seeds", seeds, "--fingerprints"],
+        env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
 
 def main(argv: list[str]) -> int:
+    usage = "usage: python tests/search_check.py [--seeds A-B] OLD_SRC [NEW_SRC]"
+    seeds = SEEDS
+    if argv[:1] == ["--seeds"]:
+        if not re.fullmatch(r"\d+-\d+", "".join(argv[1:2])):
+            sys.exit(usage)
+        seeds, argv = argv[1], argv[2:]
     if argv == ["--fingerprints"]:
-        print(json.dumps(fingerprints()))
+        print(json.dumps(fingerprints(seed_range(seeds))))
         return 0
     if not 1 <= len(argv) <= 2:
-        sys.exit("usage: python tests/search_check.py OLD_SRC [NEW_SRC]")
-    old = run_tree(Path(argv[0]).resolve())
-    new = run_tree(Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src")
+        sys.exit(usage)
+    old = run_tree(Path(argv[0]).resolve(), seeds)
+    new = run_tree(Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src",
+                   seeds)
     differ = 0
     for wl in WORKLOADS:
         for tree, runs in (("old", old), ("new", new)):

@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from htnsat.cli import main
+import search_check
 from search_check import search_stats
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,6 +114,14 @@ def test_search_key_moves_with_the_search_only():
         moved = dict(stats, queries=[dict(query, **{key: value})])
         assert search_stats(moved) != search_stats(stats), key
     assert search_stats(dict(stats, methods_developed=3)) != search_stats(stats)
+
+
+def test_search_check_takes_a_seed_range():
+    assert search_check.seed_range(search_check.SEEDS) == range(1, 4)
+    assert search_check.seed_range("4-6") == range(4, 7)
+    for argv in (["--seeds"], ["--seeds", "4", "src"], ["--seeds", "a-b", "src"]):
+        with pytest.raises(SystemExit, match="usage"):
+            search_check.main(argv)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -11,7 +11,7 @@ from htnsat.model import (
 )
 
 from conftest import FIXTURES
-from domains import wide_choice
+from domains import countdown, flip_flop, wide_choice
 
 
 @pytest.mark.parametrize("name", ["taxi", "tower", "mpre", "addonly"])
@@ -196,3 +196,11 @@ def test_wide_choice_round_trips_in_any_order(w, data):
     canon = wide_choice(w)
     assert dump_ground(parse_ground(canon)) == canon
     _same_problem(parse_ground(_shuffled(data.draw, canon)), parse_ground(canon))
+
+
+def test_long_run_generators_are_canonical():
+    for text in (countdown(2), countdown(30), flip_flop()):
+        assert dump_ground(parse_ground(text)) == text
+    # countdown(2) is the reinsert fixture under another problem name
+    fixture = dump_ground(parse_ground((FIXTURES / "reinsert.ground").read_text()))
+    assert countdown(2).replace("countdown2", "reinsert", 1) == fixture

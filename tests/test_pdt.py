@@ -1,9 +1,14 @@
+import re
+import tracemalloc
+
 import pytest
 
+from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, TaskRef
 from htnsat.pdt import Pdt, PdtUsageError
 
+from domains import flip_flop
 from oracles import enumerate_dts
 
 
@@ -37,11 +42,9 @@ def paths(pdt):
 
 
 def sites(pdt):
-    """Paths expanded in each round, read off the grid layer by layer."""
+    """Paths expanded in each round, in bottom order."""
     path = paths(pdt)
-    return [[path[b] for b in layer
-             if b.children and b.children[0].layer == k + 1]
-            for k, layer in enumerate(pdt.layers[:-1])]
+    return [[path[b] for b in expanded] for expanded in pdt.rounds]
 
 
 def admits(pdt, shape):
@@ -156,13 +159,14 @@ class TestExpansion:
         pdt.expand(pdt.pending_positions())
         assert pdt.methods_developed == 6
 
-    def test_layer_sizes_never_shrink(self, ground):
+    def test_bottom_sizes_never_shrink(self, ground):
         p = ground("taxi")
         pdt = build(p)
+        sizes = [len(pdt.bottom())]
         for _ in range(4):
             pending = pdt.pending_positions()
             pdt.expand(pending[:1])
-        sizes = [len(layer) for layer in pdt.layers]
+            sizes.append(len(pdt.bottom()))
         assert sizes == sorted(sizes)
 
     def test_expired_and_double_expansion_rejected(self, ground):
@@ -293,7 +297,47 @@ class TestReinsertion:
         assert pdt.methods_developed == developed
 
 
+class TestGrowth:
+    def test_grid_memory_is_linear_in_positions(self):
+        # the flip-flop recursion never solves: after the root's round,
+        # each round adds three positions and one of them to the bottom
+        p = parse_ground(flip_flop())
+        prof = compute_profiles(p)
+        tracemalloc.start()
+        try:
+            pdt = Pdt(p, prof)
+            pdt.nesting_limit = 10 ** 6  # nothing is held
+            sizes = []
+            for _ in range(2):
+                for _ in range(250):
+                    pdt.expand([q for q in pdt.pending_positions()
+                                if pdt.expandable(q)])
+                sizes.append(tracemalloc.get_traced_memory()[0])
+                # each position is listed once, on the layer it first appears on
+                positions = len(paths(pdt))
+                assert sum(len(layer) for layer in pdt.layers) == positions
+        finally:
+            tracemalloc.stop()
+        assert positions == 3 + 3 * 499
+        assert sizes[1] <= 2.4 * sizes[0]
+
+
 class TestDot:
+    def test_labels_escape_quotes_and_backslashes(self):
+        p = parse_ground("\n".join([
+            "problem quoted", "fact f",
+            'action a"x add f',
+            "task t\\y",
+            'method m"z t\\y -> a"x',
+            "goal f", "root t\\y"]) + "\n")
+        pdt = build(p)
+        pdt.expand([pdt.root])
+        dot = pdt.to_dot()
+        labels = re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)
+        assert len(labels) == dot.count("label=")
+        assert [re.sub(r"\\(.)", r"\1", s) for s in labels] == \
+            ["t\\y", 'm"z', 'a"x']
+
     def test_dot_lists_tasks_and_methods(self, ground):
         p = ground("fork3")
         pdt = build(p)
@@ -309,9 +353,9 @@ class TestDot:
         pdt.expand([pdt.root])
         pdt.expand([pdt.layers[1][0]])
         pdt.expand(pdt.pending_positions())
-        # finish-right at (2,) sits on layers 1 and 2, then is expanded
+        # finish-right at (2,) is carried through round 2, then expanded
         carried = pdt.layers[1][2]
-        assert pdt.layers[2][-1] is carried
+        assert sum(q is carried for layer in pdt.layers for q in layer) == 1
         assert carried.children and carried.children[0].layer == 3
         t = carried.tasks[0]
         dot = pdt.to_dot()
