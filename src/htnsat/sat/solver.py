@@ -75,25 +75,25 @@ pair by pair through add_clause made that pass about 10% slower. Every
 other clause, at-most-one implications included, goes in through
 add_clause.
 
-The decision queue is a heap of (-activity, variable) entries kept
-across solve() calls, as in MiniSat's order heap. A per-variable
-``queued`` flag marks a variable's one live entry, whose key is its
-current activity, and every free variable has one. A bump only clears
-the flag: the bumped variable is assigned, and its old entry stays
-behind as a stale one. _cancel_to pushes a variable it unassigns only
-when its flag is clear, the branch pick clears the flag of every entry
-it pops, and solve() queues the variables created since its last call.
-Activities only grow between rescales, so a stale entry carries a lower
-activity than the live one and pops after it: a popped entry of a free
-variable is always its live entry, and the branch pick takes the free
-variable with the highest (activity, -index), the same one a heap
-rebuilt over the free variables would give. A rescale rebuilds the heap
-from the free variables, because it shrinks every activity below the
-keys already queued; so does a heap grown past twice the variable
-count, which bounds its memory over long runs. solve() returns a model
-as soon as the trail holds every variable, before the branch pick:
-draining the heap there would only pop entries for _cancel_to to push
-back, and _cancel_to still leaves every free variable its live entry.
+The decision order has two tiers. A variable of activity > 0 is queued
+in a heap of (-activity, variable) entries kept across solve() calls,
+as in MiniSat's order heap: a per-variable ``queued`` flag marks its one
+live entry, keyed by its current activity, and every free one has one.
+A bump only clears the flag, leaving the old entry stale; it pops after
+the live one, as activities only grow between rescales. _cancel_to
+pushes a variable it unassigns if its activity is > 0 and its flag is
+clear; the branch pick clears the flag of every entry it pops. A
+variable of activity 0, as every fresh one and most of a planner's are,
+gets no entry: none free sits below the index ``low``, which _cancel_to
+lowers, and once the heap runs dry the pick scans up from there. Any
+activity > 0 outranks 0 and ties go to the lower index, so the pick is
+the free variable with the highest (activity, -index), as with one heap
+over all of them. A rescale may round an activity to 0 and shrinks all
+below the queued keys, so it rebuilds the heap from the free variables
+of activity > 0 and resets ``low`` to 1; so does a heap grown past twice
+the variable count. Once the trail holds every variable, solve()
+cancels to level 0, which saves every value above it as a phase, adds
+the level-0 literals not yet saved, and returns a copy of the phases.
 
 _propagate, _analyze, _cancel_to and the branch pick in solve() are the
 hot loops: they keep attributes in locals and inline the value test,
@@ -172,9 +172,12 @@ class SatSession:
         self.qhead = 0
         self.hard_unsat = False
         self.order: list[tuple[float, int]] = []  # (-activity, var) heap
-        # per variable, whether its live entry is in order; extended by
-        # solve() to the variables created since its last call
+        # per variable, whether its live entry is in order, which only a
+        # variable of activity > 0 has; extended by solve() to the
+        # variables created since its last call
         self.queued: list[bool] = [False]
+        self.low = 1  # no free variable of activity 0 sits below it
+        self.saved_head = 0  # trail[:saved_head] is in saved, at level 0
         # statistics
         self.conflicts = 0
         self.decisions = 0
@@ -351,6 +354,7 @@ class SatSession:
         bound = trail_lim[lvl]
         trail, saved, assign = self.trail, self.saved, self.assign
         act, order, queued = self.act, self.order, self.queued
+        low = self.low
         for lit in trail[bound:]:
             if lit > 0:
                 saved[lit] = True
@@ -359,9 +363,14 @@ class SatSession:
                 v = -lit
                 saved[v] = False
             assign[v] = 0
-            if not queued[v]:
-                queued[v] = True
-                heappush(order, (-act[v], v))
+            a = act[v]
+            if a:
+                if not queued[v]:
+                    queued[v] = True
+                    heappush(order, (-a, v))
+            elif v < low:
+                low = v
+        self.low = low
         del trail[bound:]
         del trail_lim[lvl:]
         if self.qhead > bound:
@@ -370,11 +379,12 @@ class SatSession:
             self._rebuild_order()
 
     def _rebuild_order(self) -> None:
-        """Refill the heap, in place, with one live entry per free variable."""
+        """Refill the heap, in place, from the free variables of activity > 0."""
         act, assign, order, queued = self.act, self.assign, self.order, self.queued
-        queued[1:] = [assign[v] == 0 for v in range(1, len(queued))]
+        queued[1:] = [assign[v] == 0 and act[v] > 0 for v in range(1, len(queued))]
         order[:] = [(-act[v], v) for v in range(1, len(queued)) if queued[v]]
         heapify(order)
+        self.low = 1
 
     def _propagate(self) -> Optional[list[int]]:
         """Exhaust unit propagation; return a conflicting clause or None."""
@@ -545,6 +555,7 @@ class SatSession:
         Returns a model as a list indexed by variable (entry 0 unused,
         entries are bools) when satisfiable, or None when unsatisfiable
         under the assumptions. Raises SolverTimeout past the deadline.
+        The model is a copy of the saved phases, not the phases themselves.
         """
         for lit in assumptions:
             if not 0 < abs(lit) <= self.num_vars:
@@ -555,16 +566,12 @@ class SatSession:
             if self._propagate() is not None:
                 self.hard_unsat = True
                 return None
-            act, assign, saved = self.act, self.assign, self.saved
+            assign, saved = self.assign, self.saved
             trail, trail_lim, level, reason = self.trail, self.trail_lim, self.level, self.reason
             order = self.order
-            # queue the variables created since the last call. Their
-            # activity is 0 and their index above every queued one, so
-            # each sorts after every entry already in the heap, and
-            # appending them in index order keeps it a heap.
-            fresh = range(len(self.queued), self.num_vars + 1)
-            self.queued += [assign[v] == 0 for v in fresh]
-            order += [(-act[v], v) for v in fresh if assign[v] == 0]
+            # the variables created since the last call get no entry:
+            # their activity is 0, and low never passes len(queued)
+            self.queued += [False] * (self.num_vars + 1 - len(self.queued))
             queued, num_vars = self.queued, self.num_vars
             n_assumptions = len(assumptions)
 
@@ -610,14 +617,23 @@ class SatSession:
                         self._enqueue(lit, None)
                     continue
                 if len(trail) == num_vars:  # every variable is assigned
-                    return [x == 1 for x in assign]  # entry 0 is never assigned
-                # branch on the most active free variable; its live entry
-                # is queued, so the heap cannot run dry first
-                while True:
+                    self._cancel_to(0)  # saves every value above level 0
+                    for lit in trail[self.saved_head:]:
+                        saved[abs(lit)] = lit > 0
+                    self.saved_head = len(trail)
+                    return saved[:]  # entry 0 is never written
+                # branch on the most active free variable: a bumped one
+                # from the heap, else the lowest free one from low on
+                while order:
                     v = heappop(order)[1]
                     queued[v] = False
                     if assign[v] == 0:
                         break
+                else:
+                    v = self.low
+                    while assign[v]:
+                        v += 1
+                    self.low = v + 1
                 self.decisions += 1
                 trail_lim.append(len(trail))
                 lit = v if saved[v] else -v

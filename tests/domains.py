@@ -58,6 +58,15 @@ def countdown(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain(n: int) -> str:
+    """t0 -> t1 -> ... -> t(n-1) -> fin: a grid n + 1 layers deep."""
+    lines = ["problem chain", "fact done", "action fin add done"]
+    lines += [f"task t{i}" for i in range(n)]
+    lines += [f"method m{i} t{i} -> t{i + 1}" for i in range(n - 1)]
+    lines += [f"method m{n - 1} t{n - 1} -> fin", "goal done", "root t0"]
+    return "\n".join(lines) + "\n"
+
+
 def flip_flop() -> str:
     """A countdown-shaped recursion with no plan: ``seta`` adds a and
     deletes b, ``setb`` does the reverse, and ``check`` needs both, so

@@ -81,9 +81,11 @@ def enumerate_session_models(sess, project_vars):
 class DecisionCheckingSession(SatSession):
     """A SatSession that checks each branching decision against a scan of
     every variable: the decided variable must have had the highest
-    (activity, -index) of the variables free before it. It counts the
-    decisions checked, and records by how much the decision heap ever
-    outgrew twice the number of variables."""
+    (activity, -index) of the variables free before it, whether the
+    session took it from its heap of bumped variables or from its scan
+    over those of activity 0. It counts the decisions checked, and
+    records by how much the decision heap ever outgrew twice the number
+    of variables."""
 
     def __init__(self):
         super().__init__()

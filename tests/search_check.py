@@ -3,9 +3,12 @@
     python tests/search_check.py [--seeds A-B] OLD_SRC [NEW_SRC]
 
 Plans every walker and wide instance of perfbench seeds A to B
-(default 1-3) in greedy and in bfs mode, and solves every cnf formula
-of the same seeds, once with each ``src`` tree (NEW_SRC defaults to
-this checkout's), and compares the runs' search fingerprints. A
+(default 1-3) in greedy and in bfs mode, solves every cnf formula of
+the same seeds, and plans the ``deep`` group, which has no seed:
+``countdown(40)`` in both modes and ``chain(300)`` greedy, deep grids
+whose queries decide mostly variables no conflict has bumped. It does
+this once with each ``src`` tree (NEW_SRC defaults to this checkout's),
+and compares the runs' search fingerprints. A
 planning run's fingerprint is the stats JSON without what only measures
 the encoding or the clock. What is left is each query's kind, verdict,
 conflicts, decisions and frontier, and each run's rounds, methods
@@ -16,7 +19,7 @@ the search reads "N of N runs identical" for each workload. Exits 1 if
 a run differs. It also prints, per workload and per tree, the sum over
 the runs of the last query's clauses and variables (a cnf formula's one
 query is its last), which shows what an encoding change does to the
-store, and for walker and wide the summed methods developed and plan
+store, and for the planning groups the summed methods developed and plan
 length, which show which way a moved search went. Per workload it
 counts the runs whose verdict differs, and each differing planning run
 is listed with its methods developed and plan length in both trees.
@@ -39,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = "1-3"
 WORKLOADS = ("walker", "wide", "cnf")
+GROUPS = WORKLOADS + ("deep",)
 MODES = ("greedy", "bfs")
 # per query: the clock, how big the store is and how far level 0
 # reaches, which an encoding change may move without moving the search
@@ -63,15 +67,24 @@ def cnf_search(sess, model) -> str:
 
 
 def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int]]:
-    """Run every instance of the given seeds with the htnsat on
-    sys.path. Per run: its search hash, the last query's clauses and
-    variables, its verdict, and (0 for cnf) its methods developed and
-    plan length."""
+    """Run every instance of the given seeds and the deep group with
+    the htnsat on sys.path. Per run: its search hash, the last query's
+    clauses and variables (0 without a query), its verdict, and (0 for
+    cnf) its methods developed and plan length."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
+    from domains import chain, countdown
     from htnsat.hddl import ground, parse, parse_ground
     from htnsat.planner import PlannerConfig, plan
     from htnsat.sat import SatSession, load_into_session
+
+    def planned(p, mode):
+        res = plan(p, PlannerConfig(mode=mode))
+        text = search_stats(vars(res.stats))
+        last = res.stats.queries[-1] if res.stats.queries else {}
+        return (hashlib.sha256(text.encode()).hexdigest(),
+                last.get("clauses", 0), last.get("vars", 0), res.status,
+                res.stats.methods_developed, res.stats.plan_length or 0)
 
     out = {}
     for wl in WORKLOADS:
@@ -90,13 +103,11 @@ def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int]]
                 for mode in MODES:
                     p = (parse_ground(inst.ground_text) if inst.ground_text
                          else ground(*parse(inst.domain_text, inst.problem_text)))
-                    res = plan(p, PlannerConfig(mode=mode))
-                    text = search_stats(vars(res.stats))
-                    last = res.stats.queries[-1]
-                    out[f"{wl}/{inst.name}/seed{seed}/{mode}"] = (
-                        hashlib.sha256(text.encode()).hexdigest(),
-                        last["clauses"], last["vars"], res.status,
-                        res.stats.methods_developed, res.stats.plan_length or 0)
+                    out[f"{wl}/{inst.name}/seed{seed}/{mode}"] = planned(p, mode)
+    for name, text, modes in (("countdown40", countdown(40), MODES),
+                              ("chain300", chain(300), ("greedy",))):
+        for mode in modes:
+            out[f"deep/{name}/{mode}"] = planned(parse_ground(text), mode)
     return out
 
 
@@ -130,7 +141,7 @@ def main(argv: list[str]) -> int:
     new = run_tree(Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src",
                    seeds)
     differ = 0
-    for wl in WORKLOADS:
+    for wl in GROUPS:
         for tree, runs in (("old", old), ("new", new)):
             last = [v for run, v in runs.items() if run.startswith(wl + "/")]
             line = (f"{wl} {tree}: last queries hold {sum(v[1] for v in last):,} "

@@ -17,7 +17,9 @@ from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, SatSession, dump_dimacs,
                         encode_amo, parse_dimacs)
 
+from domains import chain, countdown, wide_choice
 from oracles import (
+    DecisionCheckingSession,
     enumerate_session_models,
     relaxed_leaves_by_tree_walk,
     relaxed_plan_realizable,
@@ -65,15 +67,6 @@ def grow(pdt, enc):
 
 def frontier_names(problem, cand):
     return tuple(problem.ref_name(r) for r in cand.frontier)
-
-
-def chain(n):
-    """t0 -> t1 -> ... -> t(n-1) -> fin: a grid n + 1 layers deep."""
-    lines = ["problem chain", "fact done", "action fin add done"]
-    lines += [f"task t{i}" for i in range(n)]
-    lines += [f"method m{i} t{i} -> t{i + 1}" for i in range(n - 1)]
-    lines += [f"method m{n - 1} t{n - 1} -> fin", "goal done", "root t0"]
-    return parse_ground("\n".join(lines) + "\n")
 
 
 class TestFreshGrid:
@@ -151,7 +144,7 @@ class TestSolutions:
         # one layer per task, far past Python's recursion limit, so
         # decoding and the DOT marking must not recurse
         n = 1200
-        p = chain(n)
+        p = parse_ground(chain(n))
         prof = compute_profiles(p)
         pdt = Pdt(p, prof)
         while pending := [q for q in pdt.pending_positions()
@@ -179,7 +172,7 @@ class TestSolutions:
             return selected(self, model, pos)
 
         monkeypatch.setattr(Encoder, "_selected", counted)
-        res = plan(chain(n))
+        res = plan(parse_ground(chain(n)))
         assert res.status == "solved" and res.plan == [0]
         assert calls <= 3 * n
 
@@ -187,7 +180,7 @@ class TestSolutions:
         # what a position holds must not grow with its depth, so doubling
         # the chain about doubles the traced peak
         def peak(n):
-            p = chain(n)
+            p = parse_ground(chain(n))
             tracemalloc.start()
             try:
                 assert plan(p).status == "solved"
@@ -442,6 +435,31 @@ def walker_fixture():
     fixtures = Path(__file__).parent / "fixtures"
     return ground_lifted(*parse((fixtures / "walker.hddl").read_text(),
                                 (fixtures / "walker1.hddl").read_text()))
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("walker-hddl", "greedy"), ("countdown30", "greedy"), ("countdown30", "bfs"),
+    ("wide3", "greedy")])
+def test_planner_sessions_decide_the_most_active_free_variable(monkeypatch, name, mode):
+    # a planner's session decides mostly variables no conflict has bumped,
+    # which random 3-CNF hardly leaves, and the plan is the plain one
+    def load():
+        if name == "walker-hddl":
+            return walker_fixture()
+        return parse_ground(countdown(30) if name == "countdown30" else wide_choice(3))
+
+    expected = plan(load(), PlannerConfig(mode=mode))
+    sessions = []
+
+    class Checked(DecisionCheckingSession):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(encoder, "SatSession", Checked)
+    res = plan(load(), PlannerConfig(mode=mode))
+    assert res.status == expected.status == "solved" and res.plan == expected.plan
+    assert sum(s.checked for s in sessions) == sum(s.decisions for s in sessions) > 0
 
 
 def test_pairwise_groups_go_in_bulk_on_walker(pairwise_fallbacks):

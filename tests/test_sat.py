@@ -703,18 +703,24 @@ def test_benchmark_cnf_search_is_pinned():
     assert got == PINNED_CNF_SEARCH
 
 
-def _guarded_history(seed: int, var_inc: float, solves: int) -> DecisionCheckingSession:
+def _guarded_history(seed: int, var_inc: float, solves: int, idle: int = 0,
+                     session=DecisionCheckingSession) -> DecisionCheckingSession:
     """Incremental solves on one decision-checking session. Before each
     solve comes a random 3-CNF block at the threshold ratio over one pool
     of 30 variables, guarded by a fresh selector, and sometimes a
     pairwise group over the pool; a unit retires the selector three
     solves later. Each solve assumes some of the live selectors and a few
     pool literals, so it meets conflicts, while the store stays
-    satisfiable with every variable false."""
+    satisfiable with every variable false. ``idle`` variables in no
+    clause are made before each pool variable."""
     rng = random.Random(seed)
-    s = DecisionCheckingSession()
+    s = session()
     s.var_inc = var_inc
-    pool = [s.new_var() for _ in range(30)]
+    pool = []
+    for _ in range(30):
+        for _ in range(idle):
+            s.new_var()
+        pool.append(s.new_var())
     live: list[int] = []
     for _ in range(solves):
         if len(live) == 3:
@@ -747,6 +753,126 @@ def test_decision_heap_stays_within_twice_the_variables():
     s = _guarded_history(7, 1.0, 240)
     assert s.conflicts > 400
     assert s.order_excess <= 2
+
+
+def test_a_conflict_free_solve_decides_fresh_variables_by_index():
+    # no variable is bumped, so none is queued: each decision takes the
+    # lowest free variable, and the model is the saved phases
+    s = SatSession()
+    for _ in range(1000):
+        s.new_var()
+    assert s.solve() == [False] * 1001
+    assert s.decisions == 1000 and s.conflicts == 0
+    assert s.order == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_only_bumped_variables_are_queued(seed):
+    s = _guarded_history(seed, 1.0, 30, idle=2)
+    assert s.conflicts > 50 and s.order
+    assert all(s.act[v] > 0 for _, v in s.order)
+    free = [v for v in range(1, s.num_vars + 1) if s.assign[v] == 0]
+    entries = set(s.order)
+    assert all(s.queued[v] and (-s.act[v], v) in entries
+               for v in free if s.act[v] > 0)
+    assert all(v >= s.low for v in free if s.act[v] == 0)
+
+
+class _BackjumpWatchingSession(DecisionCheckingSession):
+    """Counts the never-bumped variables that backjumps unassign below
+    the point where the scan for activity 0 stands."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen_conflicts = 0
+        self.below_low = 0
+
+    def _cancel_to(self, lvl):
+        if self.conflicts > self.seen_conflicts:  # the backjump after a conflict
+            self.seen_conflicts = self.conflicts
+            if len(self.trail_lim) > lvl:
+                undone = (abs(x) for x in self.trail[self.trail_lim[lvl]:])
+                self.below_low += sum(v < self.low and self.act[v] == 0
+                                      for v in undone)
+        super()._cancel_to(lvl)
+
+
+def test_a_backjump_below_the_scan_point_keeps_the_decision_order():
+    # deciding 1..15 false makes x16 conflict; the learnt (x5 | x15)
+    # backjumps to level 5 and frees 6..14, never bumped, below the scan
+    s = _BackjumpWatchingSession()
+    for _ in range(20):
+        s.new_var()
+    s.add_clause([5, 15, 16])
+    s.add_clause([5, 15, -16])
+    model = s.solve()
+    assert s.conflicts == 1 and s.below_low == 9
+    assert s.checked == s.decisions == 15 + 1 + 9 + 4
+    assert model[15] and not any(model[v] for v in range(1, 15))
+
+
+@pytest.mark.parametrize("var_inc", [1.0, 1e99])
+@pytest.mark.parametrize("seed", range(3))
+def test_backjumps_over_idle_variables_keep_the_decision_order(seed, var_inc):
+    # two variables in no clause before each pool variable: decisions by
+    # index run through them, and backjumps free them below the scan; at
+    # 1e99 the first bumps cross the rescale threshold
+    s = _guarded_history(seed, var_inc, 60, idle=2, session=_BackjumpWatchingSession)
+    assert s.checked == s.decisions > 200 and s.conflicts > 150
+    assert s.below_low > 5
+    assert var_inc == 1.0 or s.var_inc < var_inc  # a rescale came
+
+
+def _planted_incremental_history(seed: int):
+    """Solves on one session whose level 0 grows between the calls, by
+    units, and during them, by what they learn and propagate; every
+    clause holds under one hidden assignment. Yields the session, each
+    model right after its solve, and the trail length before it."""
+    rng = random.Random(seed)
+    s = SatSession()
+    n = 60
+    hidden = [None] + [rng.random() < 0.5 for _ in range(n)]
+    for _ in range(n):
+        s.new_var()
+
+    def lit(v=None):
+        v = v or rng.randint(1, n)
+        return v if rng.random() < 0.5 else -v
+
+    def true_lit(v=None):
+        x = lit(v)
+        return x if hidden[abs(x)] == (x > 0) else -x
+
+    for _ in range(8):
+        for _ in range(int(3.8 * n / 8)):
+            c = [lit() for _ in range(2 if rng.random() < 0.25 else 3)]
+            if not any(hidden[abs(x)] == (x > 0) for x in c):
+                c[0] = -c[0]
+            s.add_clause(c)
+        s.add_clause([true_lit()])  # a unit between the calls
+        before = len(s.trail)
+        model = s.solve([true_lit() for _ in range(rng.randint(0, 2))])
+        yield s, model, before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_models_follow_the_store_and_level_0_and_stay_as_returned(seed):
+    held = []
+    grew_between = grew_during = 0
+    last = 0
+    for s, model, before in _planted_incremental_history(seed):
+        assert model is not None and model is not s.saved
+        assert len(model) == s.num_vars + 1 and model[0] is False
+        assert all(type(x) is bool for x in model)
+        assert all(any(model[abs(x)] == (x > 0) for x in c) for c in s.clauses())
+        assert not s.trail_lim
+        assert all(model[abs(x)] == (x > 0) for x in s.trail)
+        grew_between += before > last
+        grew_during += len(s.trail) > before
+        last = len(s.trail)
+        held.append((model, list(model)))
+    assert grew_between and grew_during
+    assert all(model == copy for model, copy in held)
 
 
 # -- AMO encodings -----------------------------------------------------------
