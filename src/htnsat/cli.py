@@ -252,6 +252,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_cap(cap: int) -> None:
+    """Reject a grounding budget that could not try a single binding."""
+    if cap < 1:
+        raise UsageError(f"--cap must be at least 1 binding step, got {cap}")
+
+
 def _solver_parser() -> _Parser:
     pr = _Parser(prog="htnsat", add_help=True,
                  description="Hierarchical planner driven by incremental "
@@ -291,6 +297,7 @@ def _run_solve(argv: list[str]) -> int:
     if not 0 < ns.timeout < math.inf:  # NaN would switch every deadline off
         raise UsageError(f"--timeout must be finite and positive, "
                          f"got {ns.timeout}")
+    _check_cap(ns.cap)
     t0 = time.monotonic()
     try:
         problem = load_problem(ns.inputs, ns.cap, deadline=t0 + ns.timeout)
@@ -405,6 +412,7 @@ def _check_manifest(manifest) -> None:
 
 def _run_bench(argv: list[str]) -> int:
     ns = _bench_parser().parse_args(argv)
+    _check_cap(ns.cap)
     mpath = Path(ns.manifest)
     try:
         manifest = json.loads(_read_text(mpath))

@@ -22,15 +22,17 @@ query solves the store with no assumption, and unexpanded tasks act
 through their mandatory preconditions and possible effects.
 
 The encoder reads the session's level-0 assignment, which no search
-undoes, only to decide which selectors exist. An action with a
-precondition fact false at level 0 in its position's pre column gets no
-selector: no variable, no clause, no place in the position's
-at-most-one group, its at-least-one clause or the frame axioms' support
-lists. A task whose selector is false at level 0 when its position is
-linked gets no method block. A method with a subtask slot that
-has no selector gets none either, and a parent action whose child has
-no selector is forbidden by a unit. Every other clause is added in
-full; the session stores none that level 0 already satisfies.
+undoes, to decide which selectors exist and which clauses to build. An
+action with a precondition fact false at level 0 in its position's pre
+column gets no selector: no variable, no clause, no place in the
+position's at-most-one group, its at-least-one clause or the frame
+axioms' support lists. A task whose selector is false at level 0 when
+its position is linked gets no method block. A method with a subtask
+slot that has no selector gets none either, and a parent action whose
+child has no selector is forbidden by a unit. A precondition, frame or
+linkage clause that a literal true at level 0 satisfies is not built,
+since add_clause would return from it without touching the store, the
+watches or the trail. Every clause built is added in full.
 
 So the search is the one the full encoding would make: each selector
 left out would be false at level 0 before the first decision, and every
@@ -103,6 +105,9 @@ class Encoder:
         self.ops: dict[Position, dict[TaskRef | None, int]] = {}
         self.mvar: dict[Position, dict[int, int]] = {}
         self.cols: dict[Position, tuple[list[int], list[int]]] = {}
+        # per action that has reached a position: its ref, precondition,
+        # add and delete facts
+        self.act_facts: dict[int, tuple[TaskRef, list[int], list[int], list[int]]] = {}
         self.encoded = 0
         self.sync(deadline)
 
@@ -184,23 +189,28 @@ class Encoder:
         ops = self.ops[pos] = {}
         effects = []  # (selector, facts it may add, facts it may delete)
         for a in pos.acts:
-            act = self.p.actions[a]
-            need = [pre[f] for f in bits(act.precond)]
-            for x in need:
-                if assign[x] < 0:  # a precondition fact false at level 0
+            facts = self.act_facts.get(a)
+            if facts is None:
+                act = self.p.actions[a]
+                facts = self.act_facts[a] = (TaskRef(ACTION, a), bits(act.precond),
+                                             bits(act.eff_pos), bits(act.eff_neg))
+            ref, need, add, dele = facts
+            for f in need:
+                if assign[pre[f]] < 0:  # a precondition fact false at level 0
                     break  # rules the action out
             else:
-                v = ops[TaskRef(ACTION, a)] = sess.new_var()
-                effects.append((v, act.eff_pos, act.eff_neg))
-                for x in need:
-                    sess.add_clause([-v, x])
-                for f in bits(act.eff_pos):
+                v = ops[ref] = sess.new_var()
+                effects.append((v, add, dele))
+                for f in need:
+                    if assign[pre[f]] == 0:  # if true, it satisfies [-v, pre[f]]
+                        sess.add_clause([-v, pre[f]])
+                for f in add:
                     sess.add_clause([-v, post[f]])
-                for f in bits(act.eff_neg):
+                for f in dele:
                     sess.add_clause([-v, -post[f]])
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
-            effects.append((v, prof.poss_eff_pos[t], prof.poss_eff_neg[t]))
+            effects.append((v, bits(prof.poss_eff_pos[t]), bits(prof.poss_eff_neg[t])))
             if self.mandatory_preconds:
                 for f in bits(prof.mand_pre[t]):
                     sess.add_clause([-v, pre[f]])
@@ -211,16 +221,36 @@ class Encoder:
         sess.add_clause(tier1)
         self._frame(effects, pre, post)
 
-    def _frame(self, effects: list[tuple[int, int, int]],
+    def _frame(self, effects: list[tuple[int, list[int], list[int]]],
                pre: list[int], post: list[int]) -> None:
-        """Explanatory frame axioms for each fact that may change."""
+        """Explanatory frame axioms for each fact that may change, with
+        its adders and deleters listed in effect order by one pass over
+        the effects. An axiom that pre[f] or post[f] satisfies at level 0
+        is not built; the first axiom puts a unit on the trail only where
+        level 0 already satisfied the second."""
+        adds: dict[int, list[int]] = {}
+        dels: dict[int, list[int]] = {}
+        for v, add, dele in effects:
+            for f in add:
+                if f in adds:
+                    adds[f].append(v)
+                else:
+                    adds[f] = [v]
+            for f in dele:
+                if f in dels:
+                    dels[f].append(v)
+                else:
+                    dels[f] = [v]
         sess = self.sess
-        for f in range(len(self.p.facts)):
-            x, y = pre[f], post[f]
+        assign = sess.assign
+        for f, (x, y) in enumerate(zip(pre, post)):
             if x == y:
                 continue
-            sess.add_clause([x, -y] + [v for v, add, _ in effects if add >> f & 1])
-            sess.add_clause([-x, y] + [v for v, _, dele in effects if dele >> f & 1])
+            ax, ay = assign[x], assign[y]
+            if ax <= 0 <= ay:
+                sess.add_clause([x, -y] + adds.get(f, []))
+            if ay <= 0 <= ax:
+                sess.add_clause([-x, y] + dels.get(f, []))
 
     def _encode_linkage(self, pos: Position) -> None:
         sess = self.sess
@@ -232,6 +262,7 @@ class Encoder:
             tv = ops[TaskRef(ABSTRACT, t)]
             if assign[tv] < 0:  # ruled out at level 0: no method block
                 continue
+            open_tv = assign[tv] == 0  # if true, tv satisfies every [-mv, tv]
             mvars = []
             same_slots: dict[tuple[int, ...], list[int]] = {}
             for mid in self.p.abstracts[t].methods:
@@ -243,16 +274,18 @@ class Encoder:
                 mv = mvar[mid] = sess.new_var()
                 mvars.append(mv)
                 same_slots.setdefault(slots, []).append(mv)
-                sess.add_clause([-mv, tv])
+                if open_tv:
+                    sess.add_clause([-mv, tv])
                 for kv in slots:
-                    sess.add_clause([-mv, kv])
+                    if assign[kv] <= 0:
+                        sess.add_clause([-mv, kv])
             sess.add_clause([-tv] + mvars)
             # methods with different slots already exclude each other
             # through a child position's at-most-one
             for group in same_slots.values():
                 encode_amo(sess, group, self.amo)
         for a in pos.acts:
-            ref = TaskRef(ACTION, a)
+            ref = self.act_facts[a][0]
             av = ops.get(ref)
             if av is None:
                 continue
@@ -266,7 +299,8 @@ class Encoder:
         if pos.has_blank:
             bv = ops[None]
             for kid in kids:
-                sess.add_clause([-bv, kid[None]])
+                if assign[bv] >= 0 and assign[kid[None]] <= 0:
+                    sess.add_clause([-bv, kid[None]])
 
     # -- solving and decoding ------------------------------------------------
 

@@ -23,8 +23,13 @@ store, and for the planning groups the summed methods developed and plan
 length, which show which way a moved search went. Per workload it
 counts the runs whose verdict differs, and each differing planning run
 is listed with its methods developed and plan length in both trees.
-Seeds other than 1-3 check a change that must keep the search on
-instances it was not written against.
+Each run also hashes its final clause store (``bytes(sess.store)``, the
+encoder's session for a planning run), and each workload reads "N of N
+stores identical": an encoding change that must build the same store
+shows it there. Only the search decides the exit code, so a change that
+moves the store on purpose still passes. Seeds other than 1-3 check a
+change that must keep the search on instances it was not written
+against.
 
 ``search_stats`` is also what the ``search`` key of the golden hashes
 (``test_golden.py``) is taken over.
@@ -66,25 +71,43 @@ def cnf_search(sess, model) -> str:
         "conflicts", "decisions", "propagations", "restarts", "learnt")])
 
 
-def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int]]:
+def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int, str]]:
     """Run every instance of the given seeds and the deep group with
     the htnsat on sys.path. Per run: its search hash, the last query's
-    clauses and variables (0 without a query), its verdict, and (0 for
-    cnf) its methods developed and plan length."""
+    clauses and variables (0 without a query), its verdict, (0 for cnf)
+    its methods developed and plan length, and its store hash ("" for a
+    planning run that made no encoder)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from domains import chain, countdown
+    from htnsat.encoder import Encoder
     from htnsat.hddl import ground, parse, parse_ground
     from htnsat.planner import PlannerConfig, plan
     from htnsat.sat import SatSession, load_into_session
 
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    sessions = []  # the session of every encoder made
+    init = Encoder.__init__
+
+    def captured(self, *args, **kwargs):
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            sessions.append(self.sess)
+
+    Encoder.__init__ = captured
+
     def planned(p, mode):
+        sessions.clear()
         res = plan(p, PlannerConfig(mode=mode))
         text = search_stats(vars(res.stats))
         last = res.stats.queries[-1] if res.stats.queries else {}
-        return (hashlib.sha256(text.encode()).hexdigest(),
+        return (digest(text.encode()),
                 last.get("clauses", 0), last.get("vars", 0), res.status,
-                res.stats.methods_developed, res.stats.plan_length or 0)
+                res.stats.methods_developed, res.stats.plan_length or 0,
+                digest(bytes(sessions[-1].store)) if sessions else "")
 
     out = {}
     for wl in WORKLOADS:
@@ -96,9 +119,9 @@ def fingerprints(seeds: range) -> dict[str, tuple[str, int, int, str, int, int]]
                     model = sess.solve()
                     text = cnf_search(sess, model)
                     out[f"cnf/{inst.name}/seed{seed}"] = (
-                        hashlib.sha256(text.encode()).hexdigest(),
-                        sess.num_clauses, sess.num_vars,
-                        "unsat" if model is None else "sat", 0, 0)
+                        digest(text.encode()), sess.num_clauses, sess.num_vars,
+                        "unsat" if model is None else "sat", 0, 0,
+                        digest(bytes(sess.store)))
                     continue
                 for mode in MODES:
                     p = (parse_ground(inst.ground_text) if inst.ground_text
@@ -158,8 +181,9 @@ def main(argv: list[str]) -> int:
                   f": methods developed {o[4]} -> {n[4]}, "
                   f"plan length {o[5]} -> {n[5]}"))
         verdicts = sum(old[run][3] != new[run][3] for run in moved)
+        stores = sum(old[run][6] == new[run][6] for run in runs)
         print(f"{wl}: {len(runs) - len(moved)} of {len(runs)} runs identical, "
-              f"{verdicts} verdicts differ")
+              f"{verdicts} verdicts differ; {stores} of {len(runs)} stores identical")
         differ += len(moved)
     return 1 if differ else 0
 

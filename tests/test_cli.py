@@ -255,6 +255,22 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert "error: --timeout" in err and ";; status" not in out
 
+    @pytest.mark.parametrize("inputs", [
+        [fixture("fork3")],
+        [str(FIXTURES / "taxi.hddl"), str(FIXTURES / "taxi1.hddl")]],
+        ids=["ground", "hddl"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_three_before_loading(
+            self, monkeypatch, capsys, inputs, cap):
+        def no_load(*args, **kw):
+            raise AssertionError("loaded despite a bad --cap")
+
+        monkeypatch.setattr(htnsat.cli, "load_problem", no_load)
+        assert main(inputs + ["--cap", cap]) == 3
+        out, err = capsys.readouterr()
+        assert f"error: --cap must be at least 1 binding step, got {cap}" in err
+        assert ";; status" not in out
+
     def test_timeout_budget_includes_grounding(self, monkeypatch, capsys):
         def slow_load(inputs, cap, **kw):
             time.sleep(0.3)
@@ -698,6 +714,16 @@ class TestBench:
         assert [(r["instance"], r["solved"]) for r in rows] == [
             ("fork3", "1"), ("fork3", "1"), ("taxi", "0"), ("taxi", "0"),
             ("unsolvable", "0")]
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_three_before_any_instance(
+            self, tmp_path, capsys, cap):
+        out = tmp_path / "scores.csv"
+        assert main(["bench", str(FIXTURES / "bench.json"),
+                     "--out", str(out), "--cap", cap]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: --cap must be at least 1 binding step, got {cap}\n"
+        assert not out.exists()
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"

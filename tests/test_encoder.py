@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from htnsat import encoder
 from htnsat.encoder import Encoder
 from htnsat.hddl import ground as ground_lifted, parse, parse_ground
 from htnsat.inference import compute_profiles
-from htnsat.model import ABSTRACT, METHOD, TaskRef
+from htnsat.model import ABSTRACT, METHOD, TaskRef, bits
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, SatSession, dump_dimacs,
@@ -538,6 +540,115 @@ def test_no_method_selector_for_a_slot_without_one(monkeypatch):
     monkeypatch.setattr(Encoder, "_encode_linkage", linked)
     assert plan(generated("walker-8x3")).status == "solved"
     assert live and dead == []
+
+
+# Per case: the clause count and a digest of the plan and the final
+# store of a run whose encoder built every clause and left it to the
+# session to drop those level 0 satisfies (taken before the encoder
+# skipped any).
+FULL_ENCODING = {
+    "fork3": (85, "dccd4da596cdda70"),
+    "taxi": (56, "2630b8b459a9a29e"),
+    "tower": (40, "d0ec35ead8d283a9"),
+    "mpre": (27, "ec0899bcdf3fe028"),
+    "addonly": (10, "13d82f86535a642d"),
+    "reinsert": (69, "fc98edb51870fd84"),
+    "unsolvable": (5, "39c9490a66d5c99b"),
+    "empty_goal": (5, "fffbc18277c37a03"),
+    "empty_method": (4, "eee3d6de49d66dfe"),
+    "walker-hddl": (1635, "c12ff889cedb406b"),
+    "countdown30": (4208, "81706a172ac80c74"),
+}
+
+# the clause families the encoder leaves out once level 0 satisfies them
+SKIPPED = {"precondition", "frame", "method link", "blank link"}
+
+
+def skip_case(ground, name):
+    if name == "walker-hddl":
+        return walker_fixture()
+    if name == "countdown30":
+        return parse_ground(countdown(30))
+    return ground(name)
+
+
+def planned_store(monkeypatch, problem):
+    """Plan greedily; num_clauses and a digest of the plan and store."""
+    sessions = []
+    init = Encoder.__init__
+
+    def captured(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sessions.append(self.sess)
+
+    monkeypatch.setattr(Encoder, "__init__", captured)
+    res = plan(problem)
+    sess = sessions[-1]
+    text = repr(res.plan).encode() + bytes(sess.store)
+    return sess.num_clauses, hashlib.sha256(text).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", TOYS + ["walker-hddl", "countdown30"])
+def test_encoder_builds_no_clause_level_0_satisfies(monkeypatch, ground, name):
+    # no precondition, frame or linkage clause reaches the session with
+    # the literal it is skipped on true at level 0; the store is the one
+    # the full encoding leaves, since the session would store none of them
+    where = []  # (encoder method, encoder, position), innermost last
+    sent, satisfied = Counter(), []
+
+    def inside(tag, f):
+        def wrapped(*args):
+            where.append((tag, args[0], args[1] if len(args) > 1 else None))
+            try:
+                return f(*args)
+            finally:
+                where.pop()
+        return wrapped
+
+    def family(lits):
+        """The skipped family of a clause and the literals it is skipped
+        on, or None."""
+        tag, enc, pos = where[-1]
+        if tag == "frame":
+            return "frame", lits[:2]
+        if tag == "position" and len(lits) == 2:
+            pre, post = enc.cols[pos]
+            for ref, v in enc.ops[pos].items():
+                if v == -lits[0] and ref is not None and ref.is_action():
+                    act = enc.p.actions[ref.id]
+                    if (lits[1] in {pre[f] for f in bits(act.precond)}
+                            and lits[1] not in {post[f] for f in bits(act.eff_pos)}):
+                        return "precondition", lits[1:]
+        if tag == "linkage" and len(lits) == 2:
+            if -lits[0] in enc.mvar[pos].values():
+                return "method link", lits[1:]
+            if pos.has_blank and lits[0] == -enc.ops[pos][None]:
+                return "blank link", lits
+        return None
+
+    add = SatSession.add_clause
+
+    def add_clause(self, lits):
+        if where and where[-1][0] in ("position", "frame", "linkage"):
+            hit = family(list(lits))
+            if hit is not None:
+                sent[hit[0]] += 1
+                if any(self.assign[abs(x)] * (1 if x > 0 else -1) > 0
+                       for x in hit[1]):
+                    satisfied.append((hit[0], list(lits)))
+        return add(self, lits)
+
+    monkeypatch.setattr(SatSession, "add_clause", add_clause)
+    monkeypatch.setattr(SatSession, "add_pairwise",
+                        inside("pairwise", SatSession.add_pairwise))
+    monkeypatch.setattr(encoder, "encode_amo", inside("amo", encoder.encode_amo))
+    for tag, attr in (("position", "_encode_position"), ("frame", "_frame"),
+                      ("linkage", "_encode_linkage")):
+        monkeypatch.setattr(Encoder, attr, inside(tag, getattr(Encoder, attr)))
+    assert planned_store(monkeypatch, skip_case(ground, name)) == FULL_ENCODING[name]
+    assert satisfied == []
+    if name == "walker-hddl":
+        assert set(sent) == SKIPPED
 
 
 # two methods with the same subtask sequence: only a method group tells
