@@ -32,7 +32,7 @@ from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
                     join_name, new_tree, split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
                       profiles_of, verify)
-from .sat import AUTO_THRESHOLD, DEFAULT_SCHEME, SCHEMES, SolverTimeout
+from .sat import SolverTimeout
 
 
 class UsageError(ValueError):
@@ -266,14 +266,8 @@ def _solver_parser() -> _Parser:
                     help="DOMAIN PROBLEM files, or one .ground file")
     pr.add_argument("--mode", choices=(GREEDY, BFS), default=GREEDY,
                     help="expansion strategy (default greedy)")
-    pr.add_argument("--amo", choices=SCHEMES, default=DEFAULT_SCHEME,
-                    help=f"at-most-one clause scheme (default {DEFAULT_SCHEME}: "
-                         f"pairwise up to {AUTO_THRESHOLD} literals, the product "
-                         "encoding above)")
     pr.add_argument("--no-mutex", action="store_true",
                     help="drop inferred state invariant clauses")
-    pr.add_argument("--mandpre-prune", choices=("on", "off"), default="on",
-                    help="assert inferred preconditions of unexpanded tasks")
     pr.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
     pr.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="grounding budget for lifted input, in binding "
@@ -314,9 +308,7 @@ def _run_solve(argv: list[str]) -> int:
             print(dump_profiles(problem, profiles_of(problem)))
         cfg = PlannerConfig(
             mode=ns.mode,
-            amo_scheme=ns.amo,
             use_mutex=not ns.no_mutex,
-            mandatory_preconds=ns.mandpre_prune == "on",
             # the budget covers grounding, so the search gets what is left
             timeout=ns.timeout - (time.monotonic() - t0),
             dump_cnf=ns.dump_cnf,

@@ -39,9 +39,9 @@ left out would be false at level 0 before the first decision, and every
 clause left out with it would be satisfied there and never watched.
 The same clauses are watched in the same order over the same variables,
 renumbered in order. Where a group has auxiliaries (the product
-encoding's row and column bits for auto above AUTO_THRESHOLD literals,
-or the commander bits of binary and bimander), they encode the same
-constraint over the live selectors only, and may watch other clauses.
+encoding's row and column bits above AUTO_THRESHOLD literals), they
+encode the same constraint over the live selectors only, and may watch
+other clauses.
 
 A task's method selectors need an at-most-one only among methods with
 the same slots: the same selector at every child position. Two methods
@@ -67,7 +67,7 @@ from typing import NamedTuple
 from .inference import Profiles
 from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, bits, new_tree
 from .pdt import Pdt, Position
-from .sat import DEFAULT_SCHEME, SatSession, SolverTimeout, encode_amo
+from .sat import SatSession, SolverTimeout, encode_amo
 
 
 class EncoderBugError(RuntimeError):
@@ -88,17 +88,13 @@ class Encoder:
         problem: Problem,
         profiles: Profiles,
         pdt: Pdt,
-        amo: str = DEFAULT_SCHEME,
         use_mutex: bool = True,
-        mandatory_preconds: bool = True,
         deadline: float | None = None,
     ):
         self.p = problem
         self.prof = profiles
         self.pdt = pdt
-        self.amo = amo
         self.use_mutex = use_mutex
-        self.mandatory_preconds = mandatory_preconds
         self.sess = SatSession()
         # per position: its op selectors (None for the blank), in acts,
         # tasks, blank order; its method selectors; its two columns
@@ -180,7 +176,7 @@ class Encoder:
             return
         for group in self.prof.mutex_groups:
             if any(change >> f & 1 for f in group):
-                encode_amo(self.sess, [col[f] for f in group], self.amo)
+                encode_amo(self.sess, [col[f] for f in group])
 
     def _encode_position(self, pos: Position) -> None:
         sess, prof = self.sess, self.prof
@@ -211,13 +207,12 @@ class Encoder:
         for t in pos.tasks:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
             effects.append((v, bits(prof.poss_eff_pos[t]), bits(prof.poss_eff_neg[t])))
-            if self.mandatory_preconds:
-                for f in bits(prof.mand_pre[t]):
-                    sess.add_clause([-v, pre[f]])
+            for f in bits(prof.mand_pre[t]):
+                sess.add_clause([-v, pre[f]])
         if pos.has_blank:
             ops[None] = sess.new_var()
         tier1 = list(ops.values())
-        encode_amo(sess, tier1, self.amo)
+        encode_amo(sess, tier1)
         sess.add_clause(tier1)
         self._frame(effects, pre, post)
 
@@ -283,7 +278,7 @@ class Encoder:
             # methods with different slots already exclude each other
             # through a child position's at-most-one
             for group in same_slots.values():
-                encode_amo(sess, group, self.amo)
+                encode_amo(sess, group)
         for a in pos.acts:
             ref = self.act_facts[a][0]
             av = ops.get(ref)

@@ -25,7 +25,7 @@ from .encoder import Encoder
 from .inference import Profiles, compute_profiles
 from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef, bits
 from .pdt import Pdt
-from .sat import DEFAULT_SCHEME, SCHEMES, SolverTimeout, dump_dimacs
+from .sat import SolverTimeout, dump_dimacs
 
 GREEDY = "greedy"
 BFS = "bfs"
@@ -34,17 +34,13 @@ BFS = "bfs"
 @dataclass(frozen=True)
 class PlannerConfig:
     mode: str = GREEDY
-    amo_scheme: str = DEFAULT_SCHEME
     use_mutex: bool = True
-    mandatory_preconds: bool = True
     timeout: float = 600.0
     dump_cnf: str | None = None
 
     def __post_init__(self):
         if self.mode not in (GREEDY, BFS):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.amo_scheme not in SCHEMES:
-            raise ValueError(f"unknown AMO scheme {self.amo_scheme!r}")
 
 
 @dataclass
@@ -141,10 +137,8 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
         where = "while encoding"  # the phase a SolverTimeout interrupts
         try:
             if enc is None:
-                enc = Encoder(problem, profiles, pdt, amo=config.amo_scheme,
-                              use_mutex=config.use_mutex,
-                              mandatory_preconds=config.mandatory_preconds,
-                              deadline=deadline)
+                enc = Encoder(problem, profiles, pdt,
+                              use_mutex=config.use_mutex, deadline=deadline)
             tree = query("solution", enc.solve_solution,
                          lambda t: [TaskRef(ACTION, a) for a in t.plan()])
             if tree is not None:

@@ -1,17 +1,7 @@
-"""Incremental SAT solving: CDCL session, AMO encodings, DIMACS I/O."""
+"""Incremental SAT solving: CDCL session, at-most-one encoding, DIMACS I/O."""
 
 from .solver import SatSession, SolverTimeout, SolverUsageError, luby
-from .amo import (
-    encode_amo,
-    PAIRWISE,
-    BINARY,
-    BIMANDER_HALF,
-    BIMANDER_SQRT,
-    AUTO,
-    AUTO_THRESHOLD,
-    DEFAULT_SCHEME,
-    SCHEMES,
-)
+from .amo import encode_amo, AUTO_THRESHOLD
 from .dimacs import dump_dimacs, parse_dimacs, load_into_session
 
 __all__ = [
@@ -20,14 +10,7 @@ __all__ = [
     "SolverUsageError",
     "luby",
     "encode_amo",
-    "PAIRWISE",
-    "BINARY",
-    "BIMANDER_HALF",
-    "BIMANDER_SQRT",
-    "AUTO",
     "AUTO_THRESHOLD",
-    "DEFAULT_SCHEME",
-    "SCHEMES",
     "dump_dimacs",
     "parse_dimacs",
     "load_into_session",

@@ -85,6 +85,24 @@ def flip_flop() -> str:
         "init a", "goal done", "root countdown"]) + "\n"
 
 
+def two_of_three() -> str:
+    """A countdown-shaped recursion with no plan: two tokens on the facts
+    a, b and c, six actions ``mvxy`` that each move the token on x to y,
+    and a ``check`` that needs all three. No action adds a token, so
+    every pair of facts is reachable together but never all three."""
+    moves = ["ab", "ac", "ba", "bc", "ca", "cb"]
+    return "\n".join([
+        "problem twoofthree",
+        "fact a", "fact b", "fact c", "fact done",
+        *[f"action mv{x}{y} pre {x} add {y} del {x}" for x, y in moves],
+        "action check pre a b c add done",
+        "task countdown", "task move",
+        "method base countdown -> check",
+        "method again countdown -> move countdown",
+        *[f"method move({x},{y}) move -> mv{x}{y}" for x, y in moves],
+        "init a b", "goal done", "root countdown"]) + "\n"
+
+
 def random_acyclic(seed: int) -> str:
     """Small non-recursive instance: task subtasks only ever point to
     higher-numbered tasks, so every refinement terminates."""

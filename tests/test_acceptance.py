@@ -14,7 +14,7 @@ from htnsat.hddl import parse_ground
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, TaskRef
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
-from htnsat.sat import AUTO, AUTO_THRESHOLD, SCHEMES, SatSession, encode_amo
+from htnsat.sat import AUTO_THRESHOLD, SatSession, amo, encode_amo
 
 from domains import random_acyclic, wide_choice
 from oracles import (
@@ -74,16 +74,19 @@ def test_01_sat_oracle_agreement():
 
 def test_02_amo_projection_counts():
     ok = True
-    # auto is pairwise up to its threshold: check both sides of it
-    cases = [*itertools.product(SCHEMES, range(2, 9)),
-             (AUTO, AUTO_THRESHOLD), (AUTO, AUTO_THRESHOLD + 1)]
-    for scheme, n in cases:
+    # both encodings at every small size, and encode_amo, which is
+    # pairwise up to its threshold, on both sides of it
+    encodings = [SatSession.add_pairwise, amo._product]
+    cases = [*itertools.product(encodings, range(2, 9)),
+             (encode_amo, AUTO_THRESHOLD), (encode_amo, AUTO_THRESHOLD + 1)]
+    for encode, n in cases:
         sess = SatSession()
         vs = [sess.new_var() for _ in range(n)]
-        encode_amo(sess, vs, scheme)
+        encode(sess, vs)
         models = enumerate_session_models(sess, vs)
         ok &= len(models) == n + 1 and all(sum(m) <= 1 for m in models)
-    report(2, "every AMO scheme admits exactly n+1 projected models", ok)
+    report(2, "pairwise and product AMO admit exactly n+1 projected models",
+           ok)
 
 
 def test_03_planner_soundness_on_toy_suite():

@@ -441,10 +441,20 @@ class TestSolveCommand:
         assert main([fixture("tower"), "--dump-profiles"]) == 0
         assert "strip" in capsys.readouterr().out
 
-    def test_mode_and_amo_flags_accepted(self, capsys):
-        assert main([fixture("fork3"), "--mode", "bfs", "--amo", "binary",
-                     "--no-mutex", "--mandpre-prune=off"]) == 0
+    def test_mode_and_mutex_flags_accepted(self, capsys):
+        assert main([fixture("fork3"), "--mode", "bfs", "--no-mutex"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [["--amo", "auto"],
+                                      ["--mandpre-prune", "on"]],
+                             ids=["amo", "mandpre-prune"])
+    def test_removed_encoding_flags_are_usage_errors(self, capsys, flag):
+        # the at-most-one encoding follows from the group size, and the
+        # mandatory-precondition clauses are always built
+        assert main([fixture("fork3"), *flag]) == 3
+        out, err = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+        assert ";; status" not in out
 
     def test_bfs_develops_more_methods_on_wide_choice(self, tmp_path, capsys):
         source = tmp_path / "wide.ground"

@@ -16,7 +16,7 @@ from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, METHOD, TaskRef, bits
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
-from htnsat.sat import (AUTO_THRESHOLD, SCHEMES, SatSession, dump_dimacs,
+from htnsat.sat import (AUTO_THRESHOLD, SatSession, amo, dump_dimacs,
                         encode_amo, parse_dimacs)
 
 from domains import chain, countdown, wide_choice
@@ -424,9 +424,9 @@ root top
 """)
         calls = []
 
-        def record(sess, lits, *args):
+        def record(sess, lits):
             calls.append(tuple(lits))
-            return encode_amo(sess, lits, *args)
+            return encode_amo(sess, lits)
 
         monkeypatch.setattr(encoder, "encode_amo", record)
         assert plan(p).status == "solved"
@@ -673,9 +673,9 @@ def method_groups(monkeypatch, problem):
     for a single literal)."""
     calls = []
 
-    def record(sess, lits, *args):
+    def record(sess, lits):
         calls.append(list(lits))
-        return encode_amo(sess, lits, *args)
+        return encode_amo(sess, lits)
 
     monkeypatch.setattr(encoder, "encode_amo", record)
     _, pdt, enc = setup(problem)
@@ -712,9 +712,9 @@ def test_wide_groups_above_the_threshold_get_product_auxiliaries(monkeypatch):
     # fixed at level 0, so every one of its clauses is stored
     sizes = []
 
-    def record(sess, lits, *args):
+    def record(sess, lits):
         n, before = len(lits), sess.num_clauses
-        aux = encode_amo(sess, lits, *args)
+        aux = encode_amo(sess, lits)
         if n > AUTO_THRESHOLD:
             q = math.ceil(math.sqrt(n))
             p = math.ceil(n / q)
@@ -730,40 +730,50 @@ def test_wide_groups_above_the_threshold_get_product_auxiliaries(monkeypatch):
 
 
 class TestSchemesAndDumps:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_all_amo_schemes_reach_the_same_plan(self, ground, scheme):
+    # the group size above which encode_amo switches to the product
+    # encoding: the default, never, and from two literals on
+    THRESHOLDS = {"auto": AUTO_THRESHOLD, "pairwise": math.inf,
+                  "product": 1}
+
+    @pytest.mark.parametrize("scheme", THRESHOLDS)
+    def test_all_amo_schemes_reach_the_same_plan(self, monkeypatch, ground,
+                                                 scheme):
+        monkeypatch.setattr(amo, "AUTO_THRESHOLD", self.THRESHOLDS[scheme])
         p = ground("taxi")
-        _, pdt, enc = setup(p, amo=scheme)
+        _, pdt, enc = setup(p)
         while grow(pdt, enc):
             pass
         tree = enc.solve_solution()
         assert tree is not None and len(tree.plan()) == 2
 
-    def test_binary_scheme_gives_the_method_choice_commander_bits(
-            self, monkeypatch):
+    def test_method_choice_group_is_one_pairwise_clause(self, monkeypatch):
         calls = []
 
-        def record(sess, lits, *args):
-            bits = encode_amo(sess, lits, *args)
-            calls.append((list(lits), args, bits))
-            return bits
+        def record(sess, lits):
+            aux = encode_amo(sess, lits)
+            calls.append((list(lits), aux))
+            return aux
 
         monkeypatch.setattr(encoder, "encode_amo", record)
         p = parse_ground(TWINS)
-        _, pdt, enc = setup(p, amo="binary")
+        _, pdt, enc = setup(p)
         grow(pdt, enc)
         choice = [enc.mvar[pdt.root][m] for m in p.abstracts[p.root].methods]
         assert len(choice) == 2
-        assert [(args, len(bits)) for lits, args, bits in calls
-                if lits == choice] == [(("binary",), 1)]
+        assert [aux for lits, aux in calls if lits == choice] == [[]]
+        assert [c for c in enc.sess.clauses()
+                if {abs(x) for x in c} <= set(choice)] == [[-x for x in choice]]
 
     @pytest.mark.parametrize("name", ["fork3", "taxi", "tower", "mpre",
                                       "addonly", "reinsert", "empty_goal",
                                       "empty_method"])
     @pytest.mark.parametrize("mode", ["greedy", "bfs"])
-    def test_binary_scheme_plans_validate(self, ground, name, mode):
+    def test_product_encoding_plans_validate(self, monkeypatch, ground, name,
+                                             mode):
+        # every group of two or more literals gets the product encoding
+        monkeypatch.setattr(amo, "AUTO_THRESHOLD", 1)
         p = ground(name)
-        res = plan(p, PlannerConfig(mode=mode, amo_scheme="binary"))
+        res = plan(p, PlannerConfig(mode=mode))
         assert res.status == "solved"
         assert verify(p, res.tree) == []
 

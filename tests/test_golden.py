@@ -44,8 +44,7 @@ INPUTS["walker-hddl"] = [FIXTURES / "walker.hddl", FIXTURES / "walker1.hddl"]
 CONFIGS = {
     "greedy": ["--mode", "greedy"],
     "bfs": ["--mode", "bfs"],
-    "lean": ["--mode", "greedy", "--amo", "binary", "--no-mutex",
-             "--mandpre-prune", "off"],
+    "lean": ["--mode", "greedy", "--no-mutex"],
 }
 CASES = [f"{name}/{cfg}" for name in INPUTS for cfg in CONFIGS]
 

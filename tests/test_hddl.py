@@ -11,7 +11,8 @@ from htnsat.model import (
 )
 
 from conftest import FIXTURES
-from domains import countdown, flip_flop, wide_choice
+from domains import countdown, flip_flop, two_of_three, wide_choice
+from oracles import reachable_states
 
 
 @pytest.mark.parametrize("name", ["taxi", "tower", "mpre", "addonly"])
@@ -199,8 +200,16 @@ def test_wide_choice_round_trips_in_any_order(w, data):
 
 
 def test_long_run_generators_are_canonical():
-    for text in (countdown(2), countdown(30), flip_flop()):
+    for text in (countdown(2), countdown(30), flip_flop(), two_of_three()):
         assert dump_ground(parse_ground(text)) == text
     # countdown(2) is the reinsert fixture under another problem name
     fixture = dump_ground(parse_ground((FIXTURES / "reinsert.ground").read_text()))
     assert countdown(2).replace("countdown2", "reinsert", 1) == fixture
+
+
+def test_two_of_three_reaches_every_pair_but_never_all_three():
+    p = parse_ground(two_of_three())
+    a, b, c = (mask([p.fact_id(name)]) for name in "abc")
+    # a move onto a token merges the two, so one fact alone is reachable too
+    held = {s & (a | b | c) for s in reachable_states(p)}
+    assert held == {a | b, a | c, b | c, a, b, c}

@@ -1,12 +1,18 @@
-"""Static checks over the package source."""
+"""Static checks over the package source and the README that documents it."""
 from __future__ import annotations
 
+import argparse
 import ast
+import itertools
+import re
 from pathlib import Path
 
 import pytest
 
+from htnsat import cli
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "htnsat"
+README = PACKAGE.parent.parent / "README.md"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 # package __init__ modules import names to re-export them
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -235,3 +241,46 @@ def test_checker_sees_a_collector_policy_call():
     assert collector_policy_calls(tree) == [
         "line 4: gc.disable", "line 5: gc.set_threshold", "line 6: gc.freeze",
         "line 7: gc.set_threshold"]
+
+
+def option_strings(parser: argparse.ArgumentParser) -> list[str]:
+    """Every option string the parser defines, -h and --help included."""
+    return [o for action in parser._actions for o in action.option_strings]
+
+
+def unnamed_options(options: list[str], text: str) -> list[str]:
+    """Options that text never names as a whole word."""
+    return [o for o in options
+            if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text)]
+
+
+def useful_flags(readme: str) -> list[str]:
+    """The --flags named in the indented block under "Useful flags:"."""
+    lines = readme.split("Useful flags:\n", 1)[1].splitlines()
+    block = itertools.takewhile(lambda l: not l or l.startswith("    "), lines)
+    return [f for line in block for f in re.findall(r"--[\w-]+", line)]
+
+
+# A flag the parser drops must leave the README with it, and a new one
+# must be documented there.
+def test_every_option_is_named_in_the_readme():
+    options = option_strings(cli._solver_parser()) + option_strings(
+        cli._bench_parser())
+    assert unnamed_options(options, README.read_text()) == []
+
+
+def test_every_useful_flag_is_a_solver_option():
+    defined = set(option_strings(cli._solver_parser()))
+    assert [f for f in useful_flags(README.read_text()) if f not in defined] == []
+
+
+def test_checker_sees_drifted_flag_docs():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--mode")
+    parser.add_argument("--no-mutex", action="store_true")
+    text = ("Useful flags:\n\n    --mode M   as before\n    --amo S    gone,\n"
+            "               like --mandpre-prune\n\nAfter it, --later.\n")
+    assert option_strings(parser) == ["-h", "--help", "--mode", "--no-mutex"]
+    assert unnamed_options(option_strings(parser), text) == [
+        "-h", "--help", "--no-mutex"]
+    assert useful_flags(text) == ["--mode", "--amo", "--mandpre-prune"]

@@ -64,10 +64,6 @@ class TestBfs:
         with pytest.raises(ValueError):
             PlannerConfig(mode="dfs")
 
-    def test_unknown_amo_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown AMO scheme"):
-            PlannerConfig(amo_scheme="bogus")
-
 
 def countdown(n):
     """The reinsert fixture's countdown, n deep."""

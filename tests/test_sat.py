@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htnsat.sat import (
-    AUTO,
     AUTO_THRESHOLD,
-    BINARY,
-    BIMANDER_HALF,
-    BIMANDER_SQRT,
-    PAIRWISE,
-    SCHEMES,
     SatSession,
     SolverTimeout,
     SolverUsageError,
@@ -30,6 +24,7 @@ from htnsat.sat import (
     luby,
     parse_dimacs,
 )
+from htnsat.sat import amo
 from oracles import (
     DecisionCheckingSession,
     enumerate_session_models,
@@ -878,12 +873,19 @@ def test_models_follow_the_store_and_level_0_and_stay_as_returned(seed):
 # -- AMO encodings -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+ENCODINGS = {
+    "auto": encode_amo,
+    "pairwise": SatSession.add_pairwise,
+    "product": amo._product,
+}
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_amo_projection_model_count(scheme, n):
+def test_amo_projection_model_count(encoding, n):
     s = SatSession()
     vs = [s.new_var() for _ in range(n)]
-    encode_amo(s, vs, scheme)
+    ENCODINGS[encoding](s, vs)
     models = enumerate_session_models(s, vs)
     assert len(models) == n + 1
     assert all(sum(m) <= 1 for m in models)
@@ -892,12 +894,14 @@ def test_amo_projection_model_count(scheme, n):
 def test_amo_clause_counts():
     s = SatSession()
     vs = [s.new_var() for _ in range(3)]
-    encode_amo(s, vs, PAIRWISE)
+    assert encode_amo(s, vs) == []
     assert s.num_clauses == 3
+    # 4 literals on a 2x2 grid: 4 row and 4 column implications, one
+    # pair of row bits and one of column bits
     s = SatSession()
     vs = [s.new_var() for _ in range(4)]
-    aux = encode_amo(s, vs, BINARY)
-    assert s.num_clauses == 8 and len(aux) == 2
+    aux = amo._product(s, vs)
+    assert s.num_clauses == 10 and len(aux) == 4
 
 
 def test_amo_trivial_sizes():
@@ -906,14 +910,6 @@ def test_amo_trivial_sizes():
     assert encode_amo(s, [v]) == []
     assert s.num_clauses == 0
     assert encode_amo(s, []) == []
-
-
-def test_amo_unknown_scheme_rejected():
-    s = SatSession()
-    vs = [s.new_var() for _ in range(3)]
-    with pytest.raises(ValueError, match="unknown AMO scheme"):
-        encode_amo(s, vs, "bogus")
-    assert s.num_clauses == 0
 
 
 def product_clauses(vs, first_aux):
@@ -933,60 +929,18 @@ def product_clauses(vs, first_aux):
     return rows + cols, clauses
 
 
-def commander_clauses(vs, sizes, first_aux):
-    """The bimander encoding of vs cut into contiguous groups of the given
-    sizes, clause by clause: pairwise inside each group, group by group;
-    then each variable, in order, implies every commander bit of its
-    group's index code, lowest bit first, a bit positive where the code
-    has a 1. The ceil(log2 g) bits are numbered from first_aux."""
-    bits = list(range(first_aux, first_aux + (len(sizes) - 1).bit_length()))
-    starts = list(itertools.accumulate(sizes, initial=0))
-    groups = [vs[a:b] for a, b in zip(starts, starts[1:])]
-    clauses = [[-a, -b] for g in groups for a, b in itertools.combinations(g, 2)]
-    clauses += [[-v, b if code >> j & 1 else -b]
-                for code, g in enumerate(groups) for v in g
-                for j, b in enumerate(bits)]
-    return bits, clauses
-
-
-def test_commander_reference_written_out():
-    # bimander-half on 5 variables: groups 1 2 | 3 4 | 5, codes 0, 1, 2
-    assert commander_clauses([1, 2, 3, 4, 5], [2, 2, 1], 6) == ([6, 7], [
-        [-1, -2], [-3, -4],
-        [-1, -6], [-1, -7], [-2, -6], [-2, -7],
-        [-3, 6], [-3, -7], [-4, 6], [-4, -7],
-        [-5, -6], [-5, 7]])
-
-
-@pytest.mark.parametrize("scheme, sizes", [
-    (BINARY, [1] * 5), (BIMANDER_HALF, [2, 2, 1]), (BIMANDER_SQRT, [2, 2, 1]),
-    (BINARY, [1] * 8), (BIMANDER_HALF, [2] * 4), (BIMANDER_SQRT, [3, 3, 2]),
-    (BINARY, [1] * 9), (BIMANDER_HALF, [2, 2, 2, 2, 1]),
-    (BIMANDER_SQRT, [3, 3, 3]),
-])
-def test_commander_schemes_store_their_reference_clauses(scheme, sizes):
-    n = sum(sizes)
-    s = SatSession()
-    vs = [s.new_var() for _ in range(n)]
-    bits, clauses = commander_clauses(vs, sizes, n + 1)
-    assert encode_amo(s, vs, scheme) == bits
-    assert list(s.clauses()) == clauses
-
-
 def test_auto_is_pairwise_up_to_the_threshold_and_product_above():
     s = SatSession()
     vs = [s.new_var() for _ in range(AUTO_THRESHOLD)]
-    assert encode_amo(s, vs, AUTO) == []
-    t = SatSession()
-    ws = [t.new_var() for _ in range(AUTO_THRESHOLD)]
-    encode_amo(t, ws, PAIRWISE)
-    assert list(s.clauses()) == list(t.clauses())
+    assert encode_amo(s, vs) == []
+    assert list(s.clauses()) == [
+        [-a, -b] for a, b in itertools.combinations(vs, 2)]
 
     n = AUTO_THRESHOLD + 1
     s = SatSession()
     vs = [s.new_var() for _ in range(n)]
     aux, clauses = product_clauses(vs, n + 1)
-    assert encode_amo(s, vs, AUTO) == aux
+    assert encode_amo(s, vs) == aux
     assert list(s.clauses()) == clauses
 
 
@@ -996,23 +950,12 @@ def test_auto_above_the_threshold_admits_exactly_n_plus_one(n):
     p = math.ceil(n / q)
     s = SatSession()
     vs = [s.new_var() for _ in range(n)]
-    aux = encode_amo(s, vs, AUTO)
+    aux = encode_amo(s, vs)
     assert len(aux) == p + q
     assert s.num_clauses == 2 * n + math.comb(p, 2) + math.comb(q, 2)
     models = enumerate_session_models(s, vs)
     assert len(models) == n + 1
     assert all(sum(m) <= 1 for m in models)
-
-
-@pytest.mark.parametrize("scheme", [BIMANDER_HALF, BIMANDER_SQRT])
-def test_bimander_group_shapes(scheme):
-    # n=8: half rule gives 4 groups of 2, sqrt rule gives 3 groups (3,3,2)
-    s = SatSession()
-    vs = [s.new_var() for _ in range(8)]
-    aux = encode_amo(s, vs, scheme)
-    assert len(aux) == 2  # ceil(log2(4)) == ceil(log2(3)) == 2
-    models = enumerate_session_models(s, vs)
-    assert len(models) == 9
 
 
 def test_dimacs_round_trip():
