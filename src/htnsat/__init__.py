@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .model import (
     ACTION,
     ABSTRACT,
-    METHOD,
     Action,
     AbstractTask,
     DecompositionTree,
@@ -28,7 +27,6 @@ from .model import (
 __all__ = [
     "ACTION",
     "ABSTRACT",
-    "METHOD",
     "Action",
     "AbstractTask",
     "DecompositionTree",

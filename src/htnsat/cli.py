@@ -28,8 +28,8 @@ from .hddl import (
     parse_ground,
 )
 from .inference import dump_profiles
-from .model import (ABSTRACT, ACTION, METHOD, DecompositionTree, Problem,
-                    join_name, new_tree, split_name)
+from .model import (ABSTRACT, ACTION, DecompositionTree, Problem, join_name,
+                    split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
                       profiles_of, verify)
 from .sat import SolverTimeout
@@ -90,8 +90,7 @@ def write_plan(problem: Problem, tree: DecompositionTree) -> str:
         if node.kind == ACTION:
             acts.append(nid)
         else:
-            if node.kind == ABSTRACT:
-                absts.append(nid)
+            absts.append(nid)
             stack.extend(reversed(node.children))
     fid = {nid: i for i, nid in enumerate(acts)}
     fid.update({nid: len(acts) + j for j, nid in enumerate(absts)})
@@ -102,10 +101,9 @@ def write_plan(problem: Problem, tree: DecompositionTree) -> str:
     lines.append(f"root {fid[tree.root]}")
     for nid in absts:
         node = tree.nodes[nid]
-        meth = tree.nodes[node.children[0]]
         head = (f"{fid[nid]} {problem.abstracts[node.ref].name} -> "
-                f"{problem.methods[meth.ref].name}")
-        kids = " ".join(str(fid[k]) for k in meth.children)
+                f"{problem.methods[node.method].name}")
+        kids = " ".join(str(fid[k]) for k in node.children)
         lines.append(f"{head} {kids}" if kids else head)
     lines.append("<==")
     return "\n".join(lines) + "\n"
@@ -166,9 +164,9 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
         raise PlanFormatError("plan lacks a root line")
     if root_fid in kid_ids:
         raise PlanFormatError(f"root node id {root_fid} is also a child")
-    tree = new_tree()
-    # depth-first in file order; each entry is (file id, the method node
-    # whose children the new node joins, or None for the root)
+    tree = DecompositionTree()
+    # depth-first in file order; each entry is (file id, the node of the
+    # task whose children the new node joins, or None for the root)
     stack: list[tuple[int, int | None]] = [(root_fid, None)]
     reached: set[int] = set()
     while stack:
@@ -180,10 +178,8 @@ def parse_plan(problem: Problem, text: str) -> DecompositionTree:
             raise PlanFormatError(f"undefined node id {nid}")
         else:
             tid, mid, kids = decomp[nid]
-            out = tree.add(ABSTRACT, tid)
-            mnode = tree.add(METHOD, mid)
-            tree.nodes[out].children = [mnode]
-            stack.extend((k, mnode) for k in reversed(kids))
+            out = tree.add(ABSTRACT, tid, mid)
+            stack.extend((k, out) for k in reversed(kids))
         if parent is None:
             tree.root = out
         else:

@@ -29,10 +29,13 @@ position's at-most-one group, its at-least-one clause or the frame
 axioms' support lists. A task whose selector is false at level 0 when
 its position is linked gets no method block. A method with a subtask
 slot that has no selector gets none either, and a parent action whose
-child has no selector is forbidden by a unit. A precondition, frame or
-linkage clause that a literal true at level 0 satisfies is not built,
-since add_clause would return from it without touching the store, the
-watches or the trail. Every clause built is added in full.
+child has no selector is forbidden by a unit. A precondition or linkage
+clause that a literal true at level 0 satisfies is not built, nor is a
+frame axiom that its fact literal at either column satisfies, since
+add_clause would return from it without touching the store, the watches
+or the trail. A frame axiom satisfied only through a supporter's
+selector is still built, and add_clause drops it. Every other clause
+built is added in full.
 
 So the search is the one the full encoding would make: each selector
 left out would be false at level 0 before the first decision, and every
@@ -65,7 +68,7 @@ import time
 from typing import NamedTuple
 
 from .inference import Profiles
-from .model import ABSTRACT, ACTION, METHOD, DecompositionTree, Problem, TaskRef, bits, new_tree
+from .model import ABSTRACT, ACTION, DecompositionTree, Problem, TaskRef, bits
 from .pdt import Pdt, Position
 from .sat import SatSession, SolverTimeout, encode_amo
 
@@ -208,7 +211,8 @@ class Encoder:
             v = ops[TaskRef(ABSTRACT, t)] = sess.new_var()
             effects.append((v, bits(prof.poss_eff_pos[t]), bits(prof.poss_eff_neg[t])))
             for f in bits(prof.mand_pre[t]):
-                sess.add_clause([-v, pre[f]])
+                if assign[pre[f]] <= 0:  # if true, it satisfies [-v, pre[f]]
+                    sess.add_clause([-v, pre[f]])
         if pos.has_blank:
             ops[None] = sess.new_var()
         tier1 = list(ops.values())
@@ -335,9 +339,9 @@ class Encoder:
 
     def _decode(self, model: list[bool]) -> DecompositionTree:
         """The fully primitive decomposition tree a strict answer selects."""
-        dt = new_tree()
-        # depth-first in slot order; each entry is (position, the method
-        # node whose children the new node joins, or None for the root)
+        dt = DecompositionTree()
+        # depth-first in slot order; each entry is (position, the node of
+        # the task whose children the new node joins, or None for the root)
         stack: list[tuple[Position, int | None]] = [(self.pdt.root, None)]
         while stack:
             pos, parent = stack.pop()
@@ -348,7 +352,6 @@ class Encoder:
             if ref.is_action():
                 node = dt.add(ACTION, ref.id)
             else:
-                node = dt.add(ABSTRACT, ref.id)
                 if not pos.children:
                     raise EncoderBugError(
                         f"unexpanded task in a strict answer on layer {pos.layer}")
@@ -357,10 +360,9 @@ class Encoder:
                 if len(chosen) != 1:
                     raise EncoderBugError(f"{len(chosen)} methods selected for "
                                           f"a task on layer {pos.layer}")
-                mnode = dt.add(METHOD, chosen[0])
-                dt.nodes[node].children.append(mnode)
+                node = dt.add(ABSTRACT, ref.id, chosen[0])
                 width = len(self.p.methods[chosen[0]].subtasks)
-                stack.extend((pos.children[i], mnode)
+                stack.extend((pos.children[i], node)
                              for i in reversed(range(width)))
             if parent is None:
                 dt.root = node

@@ -436,16 +436,22 @@ class _Grounder:
 
     # -- initial state, goal ---------------------------------------------------
 
-    def _initial_facts(self) -> set[str]:
-        init_pos: dict[str, set[tuple[str, ...]]] = {}
-        facts: set[str] = set()
-        for name, args in self.prob.init:
+    def _atoms(self, atoms, where: str):
+        """(predicate, objects, fact) for each atom of the problem's init
+        or goal list, which `where` names in the type error."""
+        for name, args in atoms:
             objs = _subst(args, {})
             fact = self._fact(name, objs)
             if fact is None:
                 raise GroundingError(
-                    f"init atom {join_name(name, objs)} violates the "
+                    f"{where} atom {join_name(name, objs)} violates the "
                     f"predicate's parameter types")
+            yield name, objs, fact
+
+    def _initial_facts(self) -> set[str]:
+        init_pos: dict[str, set[tuple[str, ...]]] = {}
+        facts: set[str] = set()
+        for name, objs, fact in self._atoms(self.prob.init, "init"):
             init_pos.setdefault(name, set()).add(objs)
             facts.add(fact)
         self._init_atoms = set(facts)
@@ -459,16 +465,7 @@ class _Grounder:
         return facts
 
     def _goal_facts(self) -> set[str]:
-        facts = set()
-        for name, args in self.prob.goal:
-            objs = _subst(args, {})
-            fact = self._fact(name, objs)
-            if fact is None:
-                raise GroundingError(
-                    f"goal atom {join_name(name, objs)} violates the "
-                    f"predicate's parameter types")
-            facts.add(fact)
-        return facts
+        return {fact for _, _, fact in self._atoms(self.prob.goal, "goal")}
 
     # -- joint reachability pruning ------------------------------------------
 

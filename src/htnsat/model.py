@@ -17,7 +17,6 @@ if TYPE_CHECKING:
 
 ACTION = "action"
 ABSTRACT = "abstract"
-METHOD = "method"
 
 
 class TaskRef(NamedTuple):
@@ -190,38 +189,36 @@ def split_name(name: str) -> tuple[str, tuple[str, ...]]:
 
 @dataclass
 class DtNode:
-    kind: str  # ACTION, ABSTRACT or METHOD
+    kind: str  # ACTION or ABSTRACT
     ref: int
     children: list[int] = field(default_factory=list)
+    method: int | None = None  # the method that develops an ABSTRACT node
 
 
 @dataclass
 class DecompositionTree:
-    """Ordered decomposition tree: abstract nodes carry exactly one method
-    child; method nodes carry one child per subtask, in order."""
+    """Ordered decomposition tree, one node per task, as the plan file
+    writes it: a developed abstract node names its method and carries one
+    child per subtask of that method, in order; an abstract node whose
+    method is None is undeveloped."""
 
-    nodes: list[DtNode]
-    root: int
+    nodes: list[DtNode] = field(default_factory=list)
+    root: int = -1
 
     def plan(self) -> Optional[list[int]]:
         """Action ids in leaf order, or None if an abstract leaf remains."""
         out: list[int] = []
         stack = [self.root]
         while stack:
-            nid = stack.pop()
-            n = self.nodes[nid]
+            n = self.nodes[stack.pop()]
             if n.kind == ACTION:
                 out.append(n.ref)
-            elif n.kind == ABSTRACT and not n.children:
+            elif n.method is None:
                 return None
             else:
                 stack.extend(reversed(n.children))
         return out
 
-    def add(self, kind: str, ref: int) -> int:
-        self.nodes.append(DtNode(kind, ref))
+    def add(self, kind: str, ref: int, method: int | None = None) -> int:
+        self.nodes.append(DtNode(kind, ref, method=method))
         return len(self.nodes) - 1
-
-
-def new_tree() -> DecompositionTree:
-    return DecompositionTree(nodes=[], root=-1)

@@ -209,9 +209,8 @@ class Pdt:
             tag = tags[pos]
             grey.add(f"t{tag}_{node.ref}" if node.kind != "action"
                      else f"a{tag}_{node.ref}")
-            if node.kind != "abstract" or not node.children:
+            if node.method is None:
                 continue
-            method = dt.nodes[node.children[0]]
-            grey.add(f"m{tag}_{method.ref}")
+            grey.add(f"m{tag}_{node.method}")
             stack.extend((kid, pos.children[i])
-                         for i, kid in enumerate(method.children))
+                         for i, kid in enumerate(node.children))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .encoder import Encoder
 from .inference import Profiles, compute_profiles
-from .model import ABSTRACT, ACTION, DecompositionTree, METHOD, Method, Problem, TaskRef, bits
+from .model import ABSTRACT, ACTION, DecompositionTree, Method, Problem, TaskRef, bits
 from .pdt import Pdt
 from .sat import SolverTimeout, dump_dimacs
 
@@ -190,7 +190,8 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
 def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
     """Independent check that a decomposition tree is a well-formed, fully
     primitive, executable refinement of the initial task reaching the
-    goal. Returns human-readable violations; empty means valid."""
+    goal. Returns human-readable violations; empty means valid. Never
+    raises, however the tree is malformed."""
     p = problem
     out: list[str] = []
     if not tree.nodes:
@@ -199,12 +200,13 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
         return [f"root index {tree.root} out of range"]
     root = tree.nodes[tree.root]
     if root.kind != ABSTRACT or root.ref != p.root:
-        out.append("root node is not the initial task")
+        return ["root node is not the initial task"]
 
     seen: set[int] = set()
     # depth-first; an entry (nid, method, slot) first checks nid against
     # that slot of the method (None for the root). Siblings wait on the
-    # stack, so each subtree is reported before the next slot.
+    # stack, so each subtree is reported before the next slot. A node
+    # passes that check before its ref names anything.
     stack: list[tuple[int, Method | None, int]] = [(tree.root, None, 0)]
     while stack:
         nid, parent, slot = stack.pop()
@@ -224,45 +226,25 @@ def verify(problem: Problem, tree: DecompositionTree) -> list[str]:
         seen.add(nid)
         node = tree.nodes[nid]
         if node.kind == ACTION:
-            if node.children:
-                out.append(f"action node {nid} has children")
+            if node.children or node.method is not None:
+                out.append(f"action node {nid} has children or a method")
             continue
-        if node.kind == METHOD:
-            out.append(f"method node {nid} reached outside an abstract node")
+        task = p.abstracts[node.ref].name
+        if node.method is None:
+            out.append(f"abstract node {nid} ({task}) is undeveloped")
             continue
-        if node.kind != ABSTRACT:
-            out.append(f"node {nid} has unknown kind {node.kind!r}")
+        if not 0 <= node.method < len(p.methods):
+            out.append(f"method id {node.method} out of range")
             continue
-        if not node.children:
-            out.append(f"abstract node {nid} ({p.abstracts[node.ref].name}) "
-                       "is undeveloped")
-            continue
-        if len(node.children) != 1:
-            out.append(f"abstract node {nid} has {len(node.children)} "
-                       "method children")
-            continue
-        mid = node.children[0]
-        if not 0 <= mid < len(tree.nodes):
-            out.append(f"method index {mid} out of range")
-            continue
-        if mid in seen:
-            out.append(f"node {mid} appears twice")
-            continue
-        seen.add(mid)
-        m = tree.nodes[mid]
-        if m.kind != METHOD:
-            out.append(f"abstract node {nid} refines into a {m.kind} node")
-            continue
-        method = p.methods[m.ref]
+        method = p.methods[node.method]
         if method.task != node.ref:
-            out.append(f"method {method.name} does not refine task "
-                       f"{p.abstracts[node.ref].name}")
-        if len(m.children) != len(method.subtasks):
-            out.append(f"method {method.name} has {len(m.children)} children, "
-                       f"expected {len(method.subtasks)}")
+            out.append(f"method {method.name} does not refine task {task}")
+        if len(node.children) != len(method.subtasks):
+            out.append(f"method {method.name} has {len(node.children)} "
+                       f"children, expected {len(method.subtasks)}")
             continue
         stack.extend((kid, method, slot)
-                     for slot, kid in reversed(list(enumerate(m.children))))
+                     for slot, kid in reversed(list(enumerate(node.children))))
 
     if out:
         return out

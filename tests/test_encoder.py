@@ -13,7 +13,7 @@ from htnsat import encoder
 from htnsat.encoder import Encoder
 from htnsat.hddl import ground as ground_lifted, parse, parse_ground
 from htnsat.inference import compute_profiles
-from htnsat.model import ABSTRACT, METHOD, TaskRef, bits
+from htnsat.model import ABSTRACT, TaskRef, bits
 from htnsat.pdt import Pdt
 from htnsat.planner import PlannerConfig, plan, verify
 from htnsat.sat import (AUTO_THRESHOLD, SatSession, amo, dump_dimacs,
@@ -155,10 +155,11 @@ class TestSolutions:
         assert len(pdt.layers) == n + 1
         tree = Encoder(p, prof, pdt).solve_solution()
         assert tree is not None and tree.plan() == [0]
-        assert len(tree.nodes) == 2 * n + 1
-        # depth-first node order: task i, its method, then task i + 1
-        assert [(nd.kind, nd.ref) for nd in tree.nodes[:4]] == [
-            (ABSTRACT, 0), (METHOD, 0), (ABSTRACT, 1), (METHOD, 1)]
+        assert len(tree.nodes) == n + 1
+        # depth-first node order: task i developed by method i, then
+        # task i + 1
+        assert [(nd.kind, nd.ref, nd.method) for nd in tree.nodes[:3]] == [
+            (ABSTRACT, 0, 0), (ABSTRACT, 1, 1), (ABSTRACT, 2, 2)]
         assert pdt.to_dot(tree).count("fillcolor") == 2 * n + 1
 
     def test_relaxed_reads_stay_linear_in_grid_depth(self, monkeypatch):
@@ -341,7 +342,7 @@ class TestIncrementality:
         assert tree is not None
         # every method id occurs at a single site in this domain, so the
         # tree's method choices map straight onto selector variables
-        picked = {n.ref for n in tree.nodes if n.kind == "method"}
+        picked = {n.method for n in tree.nodes if n.kind == ABSTRACT}
         chosen_vars = [var for sel in enc.mvar.values()
                        for mid, var in sel.items() if mid in picked]
         assert len(chosen_vars) == len(picked)
@@ -381,7 +382,8 @@ class TestIncrementality:
             got, want = lazy.solve_solution(), enc.solve_solution()
             assert (got is None) == (want is None)
             if got is not None:
-                assert all(n.children for n in got.nodes if n.kind == ABSTRACT)
+                assert all(n.method is not None
+                           for n in got.nodes if n.kind == ABSTRACT)
                 assert verify(p, got) == []
             if not pdt.pending_positions():
                 break
@@ -689,7 +691,7 @@ def test_methods_with_the_same_slots_keep_a_method_group(monkeypatch):
     enc, mvars, groups = method_groups(monkeypatch, p)
     assert groups == [mvars]
     tree = enc.solve_solution()
-    methods = [n for n in tree.nodes if n.kind == METHOD]
+    methods = [n.method for n in tree.nodes if n.kind == ABSTRACT]
     assert len(methods) == 1
     # at most one of the two methods in every model of the store
     models = enumerate_session_models(enc.sess, mvars)

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import itertools
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -284,3 +286,21 @@ def test_checker_sees_drifted_flag_docs():
     assert unnamed_options(option_strings(parser), text) == [
         "-h", "--help", "--no-mutex"]
     assert useful_flags(text) == ["--mode", "--amo", "--mandpre-prune"]
+
+
+def unresolved_exports(module: types.ModuleType) -> list[str]:
+    """Names in the module's __all__ that it does not bind."""
+    return [n for n in module.__all__ if not hasattr(module, n)]
+
+
+# A name a package stops defining must leave its __all__ with it.
+@pytest.mark.parametrize("name", ["htnsat", "htnsat.sat", "htnsat.hddl"])
+def test_every_exported_name_resolves(name):
+    assert unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_checker_sees_an_unresolved_export():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert unresolved_exports(module) == ["gone"]

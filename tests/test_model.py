@@ -8,7 +8,6 @@ from htnsat.hddl import parse_ground
 from htnsat.model import (
     ABSTRACT,
     ACTION,
-    METHOD,
     AbstractTask,
     Action,
     DecompositionTree,
@@ -19,7 +18,6 @@ from htnsat.model import (
     TaskRef,
     bits,
     mask,
-    new_tree,
 )
 
 
@@ -70,7 +68,7 @@ def test_finalize_rejects_out_of_order_ids():
 def test_finalize_rejects_dangling_refs():
     # one action and one task: each reference misses its pool or names none
     for ref in (TaskRef(ACTION, 3), TaskRef(ABSTRACT, 1), TaskRef(ACTION, -1),
-                TaskRef(METHOD, 0), TaskRef("bogus", 0)):
+                TaskRef("method", 0), TaskRef("bogus", 0)):
         p = Problem(name="bad", facts=[Fact(0, "f")],
                     actions=[Action(0, "a", 0, 0, 0)],
                     abstracts=[AbstractTask(0, "t", methods=[0])],
@@ -113,15 +111,18 @@ def test_finalize_rejects_out_of_range_bits(where, bit):
 
 def test_tree_frontier_order_and_plan():
     p = tiny()
-    dt = new_tree()
-    root = dt.add(ABSTRACT, 0)
-    dt.root = root
-    m = dt.add(METHOD, 0)
-    dt.nodes[root].children = [m]
+    dt = DecompositionTree()
+    dt.root = dt.add(ABSTRACT, 0, method=0)
     a = dt.add(ACTION, 0)
     b = dt.add(ACTION, 1)
-    dt.nodes[m].children = [a, b]
+    dt.nodes[dt.root].children = [a, b]
     assert dt.plan() == [0, 1]
+
+
+def test_tree_developed_by_an_empty_method_has_an_empty_plan():
+    dt = DecompositionTree()
+    dt.root = dt.add(ABSTRACT, 0, method=0)
+    assert dt.plan() == []
 
 
 def test_tree_plan_none_with_abstract_leaf():

@@ -4,7 +4,7 @@ import pytest
 
 from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
-from htnsat.model import ABSTRACT, TaskRef
+from htnsat.model import ABSTRACT, ACTION, TaskRef
 from htnsat.pdt import Pdt
 from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
 from htnsat.sat import SolverTimeout
@@ -296,20 +296,29 @@ class TestLimits:
 class TestValidator:
     def corrupt_cases(self, p, tree):
         import copy
-        # drop the root's method child: undeveloped abstract node
+        # drop the root's method: undeveloped abstract node
         t1 = copy.deepcopy(tree)
-        t1.nodes[t1.root].children.clear()
+        t1.nodes[t1.root].method = None
         yield t1
         # point an action leaf at a different action
         t2 = copy.deepcopy(tree)
         leaf = next(n for n in t2.nodes if n.kind == "action")
         leaf.ref = (leaf.ref + 1) % len(p.actions)
         yield t2
-        # give a method node an extra child
+        # give a developed node an extra child
         t3 = copy.deepcopy(tree)
-        mnode = next(n for n in t3.nodes if n.kind == "method")
-        mnode.children.append(t3.root)
+        t3.nodes[t3.root].children.append(t3.root)
         yield t3
+        # develop the root by a method of another task
+        t4 = copy.deepcopy(tree)
+        root = t4.nodes[t4.root]
+        root.method = next(m.id for m in p.methods if m.task != root.ref)
+        yield t4
+        # name a method id past either end of the method list
+        for mid in (-1, len(p.methods)):
+            t5 = copy.deepcopy(tree)
+            t5.nodes[t5.root].method = mid
+            yield t5
 
     def test_rejects_corrupted_trees(self, ground):
         p = ground("fork3")
@@ -318,8 +327,58 @@ class TestValidator:
         for bad in self.corrupt_cases(p, res.tree):
             assert verify(p, bad) != []
 
+    def test_reports_foreign_and_out_of_range_methods(self, ground):
+        p = ground("fork3")
+        *_, foreign, below, above = self.corrupt_cases(p, plan(p).tree)
+        assert any("does not refine task main" in m for m in verify(p, foreign))
+        assert verify(p, below) == ["method id -1 out of range"]
+        assert verify(p, above) == [f"method id {len(p.methods)} out of range"]
+
+    @pytest.mark.parametrize("name", ["fork3", "taxi"])
+    def test_every_corrupted_field_is_reported_without_raising(self, ground,
+                                                               name):
+        import copy
+        p = ground(name)
+        tree = plan(p).tree
+        assert verify(p, tree) == []
+        n = len(tree.nodes)
+        pool = {ACTION: len(p.actions), ABSTRACT: len(p.abstracts)}
+
+        def corruptions(node, nid):
+            for kind in (ACTION, ABSTRACT, "method", "bogus"):
+                if kind != node.kind:
+                    yield "kind", kind
+            for ref in (-1, len(p.actions) + len(p.abstracts),
+                        (node.ref + 1) % pool[node.kind]):
+                if ref != node.ref:
+                    yield "ref", ref
+            if node.kind == ACTION:
+                yield "method", 0
+            else:
+                foreign = [m.id for m in p.methods if m.task != node.ref]
+                for mid in [None, -1, len(p.methods)] + foreign:
+                    yield "method", mid
+            for extra in (-1, n, nid):
+                yield "children", node.children + [extra]
+            if node.children:
+                yield "children", node.children[:-1]
+
+        cases = 0
+        for nid, node in enumerate(tree.nodes):
+            for field, value in corruptions(node, nid):
+                bad = copy.deepcopy(tree)
+                setattr(bad.nodes[nid], field, value)
+                assert verify(p, bad) != [], (nid, field, value)
+                cases += 1
+        for root in [-1, n] + [i for i in range(n) if i != tree.root]:
+            bad = copy.deepcopy(tree)
+            bad.root = root
+            assert verify(p, bad) != [], ("root", root)
+            cases += 1
+        assert cases > 10 * n
+
     def test_rejects_inexecutable_plan(self, ground):
-        from htnsat.model import ABSTRACT, ACTION, METHOD, new_tree
+        from htnsat.model import DecompositionTree
         p = ground("taxi")
 
         def method_id(name):
@@ -327,17 +386,15 @@ class TestValidator:
 
         # structurally fine refinement that skips the walk: staying at s3
         # and calling from s1 is not executable
-        t = new_tree()
+        t = DecompositionTree()
         t.root = t.add(ABSTRACT, next(a.id for a in p.abstracts
-                                      if a.name == "calltaxi"))
-        via = t.add(METHOD, method_id("via(s1)"))
-        t.nodes[t.root].children.append(via)
+                                      if a.name == "calltaxi"),
+                       method_id("via(s1)"))
         go = t.add(ABSTRACT, next(a.id for a in p.abstracts
-                                  if a.name == "go(s1)"))
-        stay = t.add(METHOD, method_id("stay(s1)"))
-        t.nodes[go].children.append(stay)
+                                  if a.name == "go(s1)"),
+                   method_id("stay(s1)"))
         call = t.add(ACTION, next(a.id for a in p.actions
                                   if a.name == "call(s1)"))
-        t.nodes[via].children = [go, call]
+        t.nodes[t.root].children = [go, call]
         msgs = verify(p, t)
         assert any("inapplicable" in m for m in msgs)
