@@ -32,7 +32,7 @@ from .model import (ABSTRACT, ACTION, DecompositionTree, Problem, join_name,
                     split_name)
 from .planner import (BFS, GREEDY, PlannerConfig, PlanResult, RunStats, plan,
                       profiles_of, verify)
-from .sat import SolverTimeout
+from .sat import SatSession, SolverTimeout, dump_dimacs
 
 
 class UsageError(ValueError):
@@ -307,9 +307,12 @@ def _run_solve(argv: list[str]) -> int:
             use_mutex=not ns.no_mutex,
             # the budget covers grounding, so the search gets what is left
             timeout=ns.timeout - (time.monotonic() - t0),
-            dump_cnf=ns.dump_cnf,
         )
-        res = plan(problem, cfg)
+
+        def dump_cnf(rounds: int, sess: SatSession) -> None:
+            Path(f"{ns.dump_cnf}.round{rounds}.cnf").write_text(dump_dimacs(sess))
+
+        res = plan(problem, cfg, dump_cnf if ns.dump_cnf else None)
     res.stats.grounding_time = grounding_time
     if ns.emit_dot and res.pdt is not None:
         Path(ns.emit_dot).write_text(res.pdt.to_dot(res.tree))

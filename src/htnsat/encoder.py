@@ -67,8 +67,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .inference import Profiles
-from .model import ABSTRACT, ACTION, DecompositionTree, Problem, TaskRef, bits
+from .model import ABSTRACT, ACTION, DecompositionTree, TaskRef, bits
 from .pdt import Pdt, Position
 from .sat import SatSession, SolverTimeout, encode_amo
 
@@ -86,18 +85,16 @@ class RelaxedAnswer(NamedTuple):
 
 
 class Encoder:
-    def __init__(
-        self,
-        problem: Problem,
-        profiles: Profiles,
-        pdt: Pdt,
-        use_mutex: bool = True,
-        deadline: float | None = None,
-    ):
-        self.p = problem
-        self.prof = profiles
+    """The clause store of one grid, built from the grid alone: its
+    problem, and its profiles, every mutex group of which is encoded (a
+    run without mutexes builds its grid over profiles without groups).
+    The constructor encodes the root and every round the grid already
+    has; sync encodes the rounds added since."""
+
+    def __init__(self, pdt: Pdt):
+        self.p = pdt.problem
+        self.prof = pdt.profiles
         self.pdt = pdt
-        self.use_mutex = use_mutex
         self.sess = SatSession()
         # per position: its op selectors (None for the blank), in acts,
         # tasks, blank order; its method selectors; its two columns
@@ -107,8 +104,9 @@ class Encoder:
         # per action that has reached a position: its ref, precondition,
         # add and delete facts
         self.act_facts: dict[int, tuple[TaskRef, list[int], list[int], list[int]]] = {}
-        self.encoded = 0
-        self.sync(deadline)
+        self.encoded = 0  # grid rounds in the store
+        self._encode_root()
+        self.sync()
 
     # -- encoding ------------------------------------------------------------
 
@@ -122,15 +120,12 @@ class Encoder:
         return mask
 
     def sync(self, deadline: float | None = None) -> None:
-        """Encode every grid round not yet in the clause store, the root
-        first. Raises SolverTimeout before a round once the deadline has passed."""
-        while self.encoded <= len(self.pdt.rounds):
+        """Encode every grid round not yet in the clause store. Raises
+        SolverTimeout before a round once the deadline has passed."""
+        while self.encoded < len(self.pdt.rounds):
             if deadline is not None and time.monotonic() > deadline:
                 raise SolverTimeout
-            if self.encoded == 0:
-                self._encode_root()
-            else:
-                self._encode_round(self.pdt.rounds[self.encoded - 1])
+            self._encode_round(self.pdt.rounds[self.encoded])
             self.encoded += 1
 
     def _encode_root(self) -> None:
@@ -175,8 +170,6 @@ class Encoder:
         """AMO over each mutex group with a fact in change. Every other
         group keeps the variables of an earlier column, whose AMO over
         them is in the store already."""
-        if not self.use_mutex:
-            return
         for group in self.prof.mutex_groups:
             if any(change >> f & 1 for f in group):
                 encode_amo(self.sess, [col[f] for f in group])

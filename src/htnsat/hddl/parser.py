@@ -9,6 +9,7 @@ and offending construct; nothing is silently skipped.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -36,28 +37,19 @@ class SList(list):
 # -- s-expression reading ----------------------------------------------------
 
 
+# a paren, a name, a newline (counted) or a comment (skipped); the
+# other whitespace separates tokens and is never matched
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|\n|;[^\n]*")
+
+
 def _tokenize(text: str) -> list[Tok]:
     toks: list[Tok] = []
-    line, i, n = 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line = 1
+    for s in _TOKEN.findall(text):
+        if s == "\n":
             line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(Tok(c, line))
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(Tok(text[i:j].lower(), line))
-            i = j
+        elif s[0] != ";":
+            toks.append(Tok(s.lower(), line))
     return toks
 
 

@@ -15,17 +15,27 @@ that query poses no assumption, so the clause store itself is UNSAT,
 and the store only grows, so no later strict query can be satisfied.
 Greedy mode poses the relaxed query every round; breadth first mode
 poses it only at such a fixpoint, before it doubles the limit.
+
+plan() reads and writes no file. A caller that wants to see the store
+passes on_round: after each round has encoded the grid it expanded,
+on_round(round, session) receives the round's number, counted from 1,
+and the SAT session holding every clause so far; the round that ends
+the run makes no call. It runs inside the budget, so its time counts
+against the timeout. A run without mutexes (use_mutex=False) builds
+its grid over a copy of the problem's profiles without their groups,
+since the encoder encodes every group the grid's profiles carry.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .encoder import Encoder
 from .inference import Profiles, compute_profiles
 from .model import ABSTRACT, ACTION, DecompositionTree, Method, Problem, TaskRef, bits
 from .pdt import Pdt
-from .sat import SolverTimeout, dump_dimacs
+from .sat import SatSession, SolverTimeout
 
 GREEDY = "greedy"
 BFS = "bfs"
@@ -36,7 +46,6 @@ class PlannerConfig:
     mode: str = GREEDY
     use_mutex: bool = True
     timeout: float = 600.0
-    dump_cnf: str | None = None
 
     def __post_init__(self):
         if self.mode not in (GREEDY, BFS):
@@ -77,13 +86,15 @@ def profiles_of(problem: Problem) -> Profiles:
     return problem.profiles
 
 
-def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResult:
+def plan(problem: Problem, config: PlannerConfig = PlannerConfig(),
+         on_round: Callable[[int, SatSession], None] | None = None) -> PlanResult:
     start = time.monotonic()
     deadline = start + config.timeout
     stats = RunStats(mode=config.mode)
     profiles = profiles_of(problem)
+    if not config.use_mutex:  # a copy: the problem's profiles stay shared
+        profiles = replace(profiles, mutex_groups=[])
     pdt = Pdt(problem, profiles)
-    enc: Encoder | None = None  # built once, in round 1, inside the budget
 
     def finish(status: str, tree=None) -> PlanResult:
         stats.methods_developed = pdt.methods_developed
@@ -127,6 +138,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
             f"productive: no refinement has only actions applicable under "
             f"delete relaxation")
         return finish("unsolvable")
+    enc = Encoder(pdt)
 
     while True:
         if time.monotonic() >= deadline:
@@ -134,11 +146,7 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                 f"budget exhausted before round {stats.rounds + 1}")
             return finish("timeout")
         stats.rounds += 1
-        where = "while encoding"  # the phase a SolverTimeout interrupts
         try:
-            if enc is None:
-                enc = Encoder(problem, profiles, pdt,
-                              use_mutex=config.use_mutex, deadline=deadline)
             tree = query("solution", enc.solve_solution,
                          lambda t: [TaskRef(ACTION, a) for a in t.plan()])
             if tree is not None:
@@ -176,12 +184,10 @@ def plan(problem: Problem, config: PlannerConfig = PlannerConfig()) -> PlanResul
                 if not targets:
                     targets = expandable
             pdt.expand(targets)
-            where = "while encoding"
+            where = "while encoding"  # the phase a SolverTimeout interrupts
             enc.sync(deadline)
-            if config.dump_cnf:
-                path = f"{config.dump_cnf}.round{stats.rounds}.cnf"
-                with open(path, "w") as fh:
-                    fh.write(dump_dimacs(enc.sess))
+            if on_round is not None:
+                on_round(stats.rounds, enc.sess)
         except SolverTimeout:
             stats.events.append(f"budget exhausted {where} round {stats.rounds}")
             return finish("timeout")

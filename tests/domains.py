@@ -103,6 +103,51 @@ def two_of_three() -> str:
         "init a b", "goal done", "root countdown"]) + "\n"
 
 
+def parity3() -> str:
+    """A countdown-shaped recursion with no plan: bits a, b and c, each
+    with a complement fact (na, nb, nc), all false at first. Twelve
+    actions ``flip(x,y)`` each flip two bits from the literals x and y,
+    so an even number of bits is always set, and ``check`` needs a, nb
+    and nc, which is odd. Every pair of literals over different bits
+    holds together in some reachable state."""
+    lits = [(x, y) for i, j in ("ab", "ac", "bc")
+            for x in (i, f"n{i}") for y in (j, f"n{j}")]
+
+    def neg(x):
+        return x[1:] if x.startswith("n") else f"n{x}"
+
+    return "\n".join([
+        "problem parity3",
+        *[f"fact {x}" for x in ("a", "na", "b", "nb", "c", "nc", "done")],
+        *[f"action flip({x},{y}) pre {x} {y} add {neg(x)} {neg(y)} del {x} {y}"
+          for x, y in lits],
+        "action check pre a nb nc add done",
+        "task countdown", "task flip",
+        "method base countdown -> check",
+        "method again countdown -> flip countdown",
+        *[f"method pick({x},{y}) flip -> flip({x},{y})" for x, y in lits],
+        "init na nb nc", "goal done", "root countdown"]) + "\n"
+
+
+def parity2() -> str:
+    """A countdown-shaped recursion with no plan: bits a and b, each with
+    a complement fact (na, nb), both false at first. ``on`` sets both,
+    ``off`` clears both, and ``check`` needs a and nb, a pair that never
+    holds together although each of its facts holds alone."""
+    return "\n".join([
+        "problem parity2",
+        "fact a", "fact na", "fact b", "fact nb", "fact done",
+        "action on add a b del na nb",
+        "action off add na nb del a b",
+        "action check pre a nb add done",
+        "task countdown", "task toggle",
+        "method base countdown -> check",
+        "method again countdown -> toggle countdown",
+        "method toggle(on) toggle -> on",
+        "method toggle(off) toggle -> off",
+        "init na nb", "goal done", "root countdown"]) + "\n"
+
+
 def random_acyclic(seed: int) -> str:
     """Small non-recursive instance: task subtasks only ever point to
     higher-numbered tasks, so every refinement terminates."""

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -35,10 +36,12 @@ TOYS = ["fork3", "taxi", "tower", "mpre", "addonly", "reinsert",
         "unsolvable", "empty_goal", "empty_method"]
 
 
-def setup(problem, **kw):
+def setup(problem, use_mutex=True):
     prof = compute_profiles(problem)
+    if not use_mutex:
+        prof = dataclasses.replace(prof, mutex_groups=[])
     pdt = Pdt(problem, prof)
-    return prof, pdt, Encoder(problem, prof, pdt, **kw)
+    return prof, pdt, Encoder(pdt)
 
 
 def strict_assumptions(enc):
@@ -153,7 +156,7 @@ class TestSolutions:
                           if pdt.expandable(q)]:
             pdt.expand(pending)
         assert len(pdt.layers) == n + 1
-        tree = Encoder(p, prof, pdt).solve_solution()
+        tree = Encoder(pdt).solve_solution()
         assert tree is not None and tree.plan() == [0]
         assert len(tree.nodes) == n + 1
         # depth-first node order: task i developed by method i, then
@@ -394,7 +397,7 @@ class TestIncrementality:
         # expanding random subsets leaves positions pending across rounds,
         # so later rounds expand positions that first appeared long before
         p = ground(name)
-        prof, pdt, enc = setup(p)
+        _, pdt, enc = setup(p)
         rng = random.Random(seed)
         for _ in range(8):
             pending = pdt.pending_positions()
@@ -402,7 +405,7 @@ class TestIncrementality:
                 break
             pdt.expand([q for q in pending if rng.random() < 0.5])
             enc.sync()
-        fresh = Encoder(p, prof, pdt)
+        fresh = Encoder(pdt)
         assert list(enc.sess.clauses()) == list(fresh.sess.clauses())
         got, want = enc.solve_solution(), fresh.solve_solution()
         assert (got and got.plan()) == (want and want.plan())

@@ -12,6 +12,7 @@ from htnsat.hddl import (
     parse,
     parse_ground,
 )
+from htnsat.hddl.parser import _read_forms, _tokenize
 from htnsat.inference import compute_profiles
 from htnsat.model import ABSTRACT, ACTION, bits, split_name
 from htnsat.planner import PlannerConfig, plan, verify
@@ -218,6 +219,31 @@ class TestParser:
         with pytest.raises(HddlParseError, match="expected \\(:domain NAME\\)") as err:
             parse(TOGGLE_DOMAIN, bad)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, want", [
+        ("(a b)\r\n(C d)\r\n",
+         [("(", 1), ("a", 1), ("b", 1), (")", 1),
+          ("(", 2), ("c", 2), ("d", 2), (")", 2)]),
+        ("(a)\n; a comment at the end", [("(", 1), ("a", 1), (")", 1)]),
+        ("abc;x", [("abc", 1)]),
+        ("(a\vb c\fd)", [("(", 1), ("a\vb", 1), ("c\fd", 1), (")", 1)]),
+        ("(DEFINE (Domain X))",
+         [("(", 1), ("define", 1), ("(", 1), ("domain", 1), ("x", 1),
+          (")", 1), (")", 1)]),
+        ("(a\n ;c ) (\n b)\n", [("(", 1), ("a", 1), ("b", 3), (")", 3)]),
+    ], ids=["crlf", "comment-at-eof", "comment-after-name", "vt-ff-in-name",
+            "lowered", "comment-hides-parens"])
+    def test_tokens_and_their_lines(self, text, want):
+        assert [(str(t), t.line) for t in _tokenize(text)] == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("(a)\n; a comment (\n)", "unbalanced ')'"),
+        ("(a)\n;c\n  b", "stray token 'b'"),
+    ], ids=["paren", "name"])
+    def test_error_after_a_comment_line_names_its_line(self, text, message):
+        with pytest.raises(HddlParseError) as err:
+            _read_forms(text, "src")
+        assert (err.value.line, err.value.message) == (3, message)
 
 
 class TestTaxiGrounding:

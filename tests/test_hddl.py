@@ -11,7 +11,8 @@ from htnsat.model import (
 )
 
 from conftest import FIXTURES
-from domains import countdown, flip_flop, two_of_three, wide_choice
+from domains import (countdown, flip_flop, parity2, parity3, two_of_three,
+                     wide_choice)
 from oracles import reachable_states
 
 
@@ -200,7 +201,8 @@ def test_wide_choice_round_trips_in_any_order(w, data):
 
 
 def test_long_run_generators_are_canonical():
-    for text in (countdown(2), countdown(30), flip_flop(), two_of_three()):
+    for text in (countdown(2), countdown(30), flip_flop(), two_of_three(),
+                 parity3(), parity2()):
         assert dump_ground(parse_ground(text)) == text
     # countdown(2) is the reinsert fixture under another problem name
     fixture = dump_ground(parse_ground((FIXTURES / "reinsert.ground").read_text()))
@@ -213,3 +215,27 @@ def test_two_of_three_reaches_every_pair_but_never_all_three():
     # a move onto a token merges the two, so one fact alone is reachable too
     held = {s & (a | b | c) for s in reachable_states(p)}
     assert held == {a | b, a | c, b | c, a, b, c}
+
+
+def test_parity3_reaches_every_pair_of_literals_but_never_check():
+    p = parse_ground(parity3())
+    lits = [(mask([p.fact_id(x)]), mask([p.fact_id("n" + x)])) for x in "abc"]
+    states = reachable_states(p)
+    assert len(states) == 4
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for x in lits[i]:
+            for y in lits[j]:
+                assert any(s & (x | y) == x | y for s in states)
+    check = next(a for a in p.actions if a.name == "check").precond
+    assert not any(s & check == check for s in states)
+
+
+def test_parity2_never_holds_a_with_nb_nor_na_with_b():
+    p = parse_ground(parity2())
+    a, na, b, nb = (mask([p.fact_id(name)]) for name in ("a", "na", "b", "nb"))
+    states = reachable_states(p)
+    assert len(states) == 2
+    assert not any(s & (a | nb) == a | nb for s in states)
+    assert not any(s & (na | b) == na | b for s in states)
+    check = next(a for a in p.actions if a.name == "check").precond
+    assert not any(s & check == check for s in states)

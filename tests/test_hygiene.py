@@ -245,6 +245,50 @@ def test_checker_sees_a_collector_policy_call():
         "line 7: gc.set_threshold"]
 
 
+FILE_METHODS = ("open", "read_text", "read_bytes", "write_text", "write_bytes")
+
+
+def file_io_calls(tree: ast.Module) -> list[str]:
+    """Calls of open, by name or as a method, and of the Path methods
+    that read or write a whole file."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(f, ast.Attribute) and f.attr in FILE_METHODS:
+            found.append((node.lineno, f".{f.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+# The command line is the one module that reads and writes files; the
+# search, the encoder and the readers take and return text and objects.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_file_io_outside_the_command_line(path):
+    assert file_io_calls(ast.parse(path.read_text())) == []
+
+
+def test_checker_sees_file_io():
+    tree = ast.parse(
+        "from pathlib import Path\n"
+        "with open(path, 'w') as fh:\n"
+        "    fh.write(text)\n"
+        "Path(p).write_text(text)\n"
+        "data = Path(p).read_bytes()\n"
+        "q.read_text()\n"
+        "q.write_bytes(b'')\n"
+        "Path(p).open()\n"
+        "opener = open\n"
+        "sess.write(text)\n"
+        "read_text(q)\n")
+    assert file_io_calls(tree) == [
+        "line 2: open", "line 4: .write_text", "line 5: .read_bytes",
+        "line 6: .read_text", "line 7: .write_bytes", "line 8: .open"]
+
+
 def option_strings(parser: argparse.ArgumentParser) -> list[str]:
     """Every option string the parser defines, -h and --help included."""
     return [o for action in parser._actions for o in action.option_strings]

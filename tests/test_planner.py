@@ -6,14 +6,17 @@ from htnsat.encoder import Encoder
 from htnsat.hddl import parse_ground
 from htnsat.model import ABSTRACT, ACTION, TaskRef
 from htnsat.pdt import Pdt
-from htnsat.planner import BFS, GREEDY, PlannerConfig, plan, verify
+from htnsat.planner import (BFS, GREEDY, PlannerConfig, plan, profiles_of,
+                            verify)
 from htnsat.sat import SolverTimeout
 
+from conftest import FIXTURES
 from domains import random_acyclic, random_recursive, wide_choice
 from oracles import count_dts, plans_to_depth, solvable_by_enumeration
 
 SOLVABLE = ["fork3", "taxi", "tower", "mpre", "addonly", "reinsert",
             "empty_goal", "empty_method"]
+GROUND_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.ground"))
 
 
 class TestGreedy:
@@ -276,21 +279,45 @@ class TestLimits:
         assert res.stats.events[-1] == "budget exhausted while encoding round 4"
         assert res.stats.wall_time < 0.3 + nap
 
-    def test_round_budget(self, ground, monkeypatch):
+    def test_round_budget(self, ground):
         # the deadline is the only budget: a round that spends it ends
         # the run before the next one starts
-        sync = Encoder.sync
-
-        def slow(self, deadline=None):
-            sync(self, deadline)
-            if len(self.pdt.layers) > 1:  # not in the constructor
-                time.sleep(0.4)
-
-        monkeypatch.setattr(Encoder, "sync", slow)
-        res = plan(ground("fork3"), PlannerConfig(timeout=0.3))
+        res = plan(ground("fork3"), PlannerConfig(timeout=0.3),
+                   on_round=lambda rounds, sess: time.sleep(0.4))
         assert res.status == "timeout"
         assert res.stats.rounds == 1
         assert res.stats.events == ["budget exhausted before round 2"]
+
+
+class TestOnRound:
+    @pytest.mark.parametrize("mode", [GREEDY, BFS])
+    @pytest.mark.parametrize("name", GROUND_FIXTURES)
+    def test_called_after_each_round_with_the_next_query_store(
+            self, ground, name, mode):
+        # each round but the last encodes the grid it expanded; the next
+        # round's strict query adds nothing, so it records the same store
+        seen = []
+        res = plan(ground(name), PlannerConfig(mode=mode),
+                   on_round=lambda rounds, sess: seen.append(
+                       (rounds, sess.num_vars, sess.num_clauses)))
+        assert res.status in ("solved", "unsolvable")
+        assert [r for r, _, _ in seen] == list(range(1, res.stats.rounds))
+        strict = {q["round"]: (q["vars"], q["clauses"])
+                  for q in res.stats.queries if q["kind"] == "solution"}
+        for r, num_vars, num_clauses in seen:
+            assert strict[r + 1] == (num_vars, num_clauses)
+
+    def test_no_mutex_keeps_the_shared_profiles(self, ground):
+        # --dump-profiles and every mode of a bench run read the cached
+        # profiles, so a run without mutexes must not clear their groups
+        p = ground("taxi")
+        groups = profiles_of(p).mutex_groups
+        assert groups
+        sizes = [plan(p, PlannerConfig(use_mutex=flag)).stats.queries[-1]["clauses"]
+                 for flag in (False, True)]
+        assert p.profiles.mutex_groups is groups
+        assert groups == [[0, 1, 2]]
+        assert sizes[0] < sizes[1]
 
 
 class TestValidator:
